@@ -59,11 +59,77 @@ void DerivationIndex::throw_never_derived(ClauseId id) {
                      " is referenced but never derived in the trace");
 }
 
-std::optional<ClauseId> load_full_trace(trace::TraceReader& reader,
-                                        DerivationIndex& derivations,
-                                        Level0Table& level0,
-                                        util::MemTracker& mem,
-                                        CheckStats& stats) {
+void plan_cone(ClauseId root, const DerivationIndex& derivations,
+               std::vector<std::uint8_t>& planned,
+               std::vector<ClauseId>& plan) {
+  if (root < planned.size() && planned[root] != 0) return;
+  if (root < derivations.num_original()) {
+    plan.push_back(root);
+    planned[root] = 1;
+    return;
+  }
+  // recursive_build() with an explicit stack, so pathological traces
+  // cannot overflow the call stack. Sources strictly precede the derived
+  // ID (validated at load), so the descent terminates.
+  struct Frame {
+    ClauseId id;
+    std::span<const std::uint32_t> sources;
+    std::size_t scan = 0;
+  };
+  std::vector<Frame> stack;
+  stack.push_back({root, derivations.sources_of(root)});
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    bool descended = false;
+    while (f.scan < f.sources.size()) {
+      const ClauseId s = f.sources[f.scan];
+      if (planned[s] != 0) {
+        ++f.scan;
+        continue;
+      }
+      if (s < derivations.num_original()) {
+        plan.push_back(s);
+        planned[s] = 1;
+        ++f.scan;
+        continue;
+      }
+      stack.push_back({s, derivations.sources_of(s)});
+      descended = true;
+      break;
+    }
+    if (descended) continue;
+    plan.push_back(f.id);
+    planned[f.id] = 1;
+    stack.pop_back();
+  }
+}
+
+std::string derivation_failure(ClauseId id, ClauseId source, std::size_t step,
+                               ResolveStatus status) {
+  return "derivation of clause " + std::to_string(id) +
+         ": resolving with source " + std::to_string(source) + " (step " +
+         std::to_string(step) + ") failed: " +
+         (status == ResolveStatus::NoClash ? "no clashing variable"
+                                           : "more than one clashing variable");
+}
+
+bool canonicalize_original(const Formula& f, ClauseId id,
+                           SortedClause& scratch) {
+  const ClauseView raw = f.clause(id);
+  scratch.assign(raw.begin(), raw.end());
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  return !is_tautology(scratch);
+}
+
+std::string tautological_original(ClauseId id) {
+  return "original clause " + std::to_string(id) +
+         " is tautological and cannot be a resolution source";
+}
+
+ClauseId load_full_trace(trace::TraceReader& reader,
+                         DerivationIndex& derivations, Level0Table& level0,
+                         util::MemTracker& mem, CheckStats& stats) {
   // Parsing and derivation-index construction share this streaming loop,
   // so one span covers both; backends add their own index/replay spans.
   obs::Span span("parse");
@@ -100,7 +166,12 @@ std::optional<ClauseId> load_full_trace(trace::TraceReader& reader,
   if (!ended) {
     throw CheckFailure("trace truncated: missing end record");
   }
-  return final_id;
+  if (!final_id.has_value()) {
+    throw CheckFailure(
+        "trace has no final conflicting clause; it does not claim "
+        "unsatisfiability");
+  }
+  return *final_id;
 }
 
 Level0Table::Level0Table(Var num_vars) : entries_(num_vars) {}

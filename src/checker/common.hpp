@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -200,6 +201,13 @@ class DerivationIndex {
 
   /// Highest derived ID seen (0 when empty — check num_records() first).
   [[nodiscard]] ClauseId max_id() const { return max_id_; }
+  [[nodiscard]] ClauseId num_original() const { return num_original_; }
+  /// One past the highest clause ID a replay can store: the size of an
+  /// ID-indexed table over originals and derivations.
+  [[nodiscard]] std::size_t id_limit() const {
+    return std::max<ClauseId>(num_original_,
+                              num_records_ != 0 ? max_id_ + 1 : 0);
+  }
   [[nodiscard]] std::uint64_t num_records() const { return num_records_; }
 
  private:
@@ -217,17 +225,47 @@ class DerivationIndex {
   std::uint64_t num_records_ = 0;
 };
 
+/// Schedules the derivation cone of `root` as a flat build plan: appends
+/// to `plan` every clause reachable from `root` through derivation sources
+/// (originals included) in the order recursive_build() of Fig. 3 would
+/// build them — DFS postorder, so every clause follows all of its sources
+/// — and sets its `planned` bit. Clauses whose bit is already set (cones
+/// planned by earlier calls) are skipped, so repeated calls, one per
+/// trail-antecedent fetch during the final derivation, schedule each
+/// clause exactly once across a run. `planned` must cover every ID up to
+/// derivations.max_id(). Structural errors (a source that is never
+/// derived) throw here with the lazy walk's diagnostic; content errors
+/// surface when the plan is executed. Shared by the depth-first and
+/// parallel checkers, which therefore build the same clauses.
+void plan_cone(ClauseId root, const DerivationIndex& derivations,
+               std::vector<std::uint8_t>& planned,
+               std::vector<ClauseId>& plan);
+
+/// Diagnostic for a failed resolution step while replaying the derivation
+/// of clause `id`: step `step` resolved against `source` with `status`.
+[[nodiscard]] std::string derivation_failure(ClauseId id, ClauseId source,
+                                             std::size_t step,
+                                             ResolveStatus status);
+
+/// Canonicalizes original clause `id` of `f` into `scratch` (sorted and
+/// duplicate-free; reusing the buffer spares replay an allocation per
+/// original). Returns false when the clause is tautological, which makes
+/// it unusable as a resolution source; tautological_original(id) is the
+/// diagnostic for that.
+[[nodiscard]] bool canonicalize_original(const Formula& f, ClauseId id,
+                                         SortedClause& scratch);
+[[nodiscard]] std::string tautological_original(ClauseId id);
+
 /// Single-pass trace load for checkers that keep the whole DAG in memory
 /// (depth-first, parallel): fills `derivations` and `level0`, accounts the
 /// loaded bytes in `mem`, counts derivations in `stats`, and returns the
-/// final conflict ID (nullopt when the trace has none). Throws
-/// CheckFailure on any structural violation, including a missing end
-/// record.
-std::optional<ClauseId> load_full_trace(trace::TraceReader& reader,
-                                        DerivationIndex& derivations,
-                                        class Level0Table& level0,
-                                        util::MemTracker& mem,
-                                        CheckStats& stats);
+/// final conflict ID. Throws CheckFailure on any structural violation,
+/// including a missing end record, and when the trace has no final
+/// conflict (it then does not claim unsatisfiability).
+ClauseId load_full_trace(trace::TraceReader& reader,
+                         DerivationIndex& derivations,
+                         class Level0Table& level0, util::MemTracker& mem,
+                         CheckStats& stats);
 
 /// The final-trail assignment table reconstructed from the trace's Level0
 /// and Assumption records (Section 3.1, item 3; assumptions are the

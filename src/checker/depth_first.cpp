@@ -1,7 +1,6 @@
 #include "src/checker/depth_first.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/obs/trace.hpp"
 
@@ -25,23 +24,15 @@ class DepthFirstChecker {
       check_header(*formula_, reader_->num_vars(), reader_->num_original());
       final_id_ =
           load_full_trace(*reader_, derivations_, level0_, mem_, stats_);
-      if (!final_id_.has_value()) {
-        throw CheckFailure(
-            "trace has no final conflicting clause; it does not claim "
-            "unsatisfiability");
-      }
       observer_ = options.observer;
       chain_.reserve_vars(reader_->num_vars());
       {
         obs::Span span("index");
-        store_.reserve(std::max<ClauseId>(num_original(),
-                                          derivations_.num_records() != 0
-                                              ? derivations_.max_id() + 1
-                                              : 0));
+        store_.reserve(derivations_.id_limit());
         if (options.streaming_replay) {
           planned_.assign(store_.id_limit(), 0);
           plan_.reserve(derivations_.num_records());
-          plan_cone(*final_id_);
+          plan_cone(final_id_, derivations_, planned_, plan_);
         }
       }
       {
@@ -64,10 +55,10 @@ class DepthFirstChecker {
         obs::Span final_span("final_derivation");
         std::vector<ClauseId> final_antecedents;
         remaining = derive_final_clause(
-            *final_id_, fetch, level0_, stats_,
+            final_id_, fetch, level0_, stats_,
             observer_ != nullptr ? &final_antecedents : nullptr);
         if (observer_ != nullptr && remaining.empty()) {
-          observer_->on_final(*final_id_, final_antecedents);
+          observer_->on_final(final_id_, final_antecedents);
         }
       }
       planned_ = {};  // plan bookkeeping is dead weight past this point
@@ -152,55 +143,6 @@ class DepthFirstChecker {
     return store_.view(id);
   }
 
-  /// Plans the exact traversal build(root) would perform — same explicit
-  /// stack, same skip rules, with a planned bitmap standing in for the
-  /// (still empty) store — and records it as a flat build schedule.
-  /// Structural errors (unknown sources) surface here with the same
-  /// diagnostics the lazy walk raises; content errors (tautological
-  /// originals, failed resolutions) surface when the schedule runs.
-  /// Cones planned earlier are skipped, so repeated calls (one per
-  /// trail-antecedent fetch during the final derivation) schedule each
-  /// clause exactly once across the whole run.
-  void plan_cone(ClauseId root) {
-    if (root < planned_.size() && planned_[root] != 0) return;
-    if (root < num_original()) {
-      plan_.push_back(root);
-      planned_[root] = 1;
-      return;
-    }
-    struct PlanFrame {
-      ClauseId id;
-      std::span<const std::uint32_t> sources;
-      std::size_t scan = 0;
-    };
-    std::vector<PlanFrame> stack;
-    stack.push_back({root, derivations_.sources_of(root)});
-    while (!stack.empty()) {
-      PlanFrame& f = stack.back();
-      bool descended = false;
-      while (f.scan < f.sources.size()) {
-        const ClauseId s = f.sources[f.scan];
-        if (planned_[s] != 0) {
-          ++f.scan;
-          continue;
-        }
-        if (s < num_original()) {
-          plan_.push_back(s);
-          planned_[s] = 1;
-          ++f.scan;
-          continue;
-        }
-        stack.push_back({s, derivations_.sources_of(s)});
-        descended = true;
-        break;
-      }
-      if (descended) continue;
-      plan_.push_back(f.id);
-      planned_[f.id] = 1;
-      stack.pop_back();
-    }
-  }
-
   /// Runs the build schedule as one linear sweep. Every entry's sources
   /// precede it in the plan (DFS postorder), so each step is a plain fold
   /// over already-stored clauses; the next entries' first sources are
@@ -226,7 +168,7 @@ class DepthFirstChecker {
   /// the lazy build() fallback.
   ClauseView fetch_streamed(ClauseId id) {
     if (id < planned_.size() && planned_[id] != 0) return store_.view(id);
-    plan_cone(id);
+    plan_cone(id, derivations_, planned_, plan_);
     execute_plan();
     return store_.view(id);
   }
@@ -244,16 +186,8 @@ class DepthFirstChecker {
   }
 
   ClauseView build_original(ClauseId id) {
-    // Canonicalize into a reused scratch buffer: thousands of originals
-    // would otherwise each pay a vector allocation.
-    const ClauseView raw = formula_->clause(id);
-    scratch_.assign(raw.begin(), raw.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    if (is_tautology(scratch_)) {
-      throw CheckFailure("original clause " + std::to_string(id) +
-                         " is tautological and cannot be a resolution source");
+    if (!canonicalize_original(*formula_, id, scratch_)) {
+      throw CheckFailure(tautological_original(id));
     }
     store_.put(id, scratch_);
     return store_.view(id);
@@ -267,13 +201,7 @@ class DepthFirstChecker {
       const ResolveResult r = chain_.step(store_.view(sources[i]));
       ++stats_.resolutions;
       if (r.status != ResolveStatus::Ok) {
-        throw CheckFailure(
-            "derivation of clause " + std::to_string(id) + ": resolving with "
-            "source " + std::to_string(sources[i]) + " (step " +
-            std::to_string(i) + ") failed: " +
-            (r.status == ResolveStatus::NoClash
-                 ? "no clashing variable"
-                 : "more than one clashing variable"));
+        throw CheckFailure(derivation_failure(id, sources[i], i, r.status));
       }
     }
     // Copy the resolver's buffer straight into the arena, unsorted:
@@ -289,7 +217,7 @@ class DepthFirstChecker {
   const Formula* formula_;
   trace::TraceReader* reader_;
   Level0Table level0_;
-  std::optional<ClauseId> final_id_;
+  ClauseId final_id_ = kInvalidClauseId;
   DerivationIndex derivations_;
   ClauseStore store_;
   ChainResolver chain_;

@@ -17,27 +17,33 @@ struct ParallelOptions {
 
 /// Parallel depth-first proof checking.
 ///
-/// The proof DAG exposes natural parallelism: two learned clauses whose
-/// antecedent clauses are already verified can be rebuilt concurrently.
-/// This checker loads the trace like the depth-first checker, restricts
-/// attention to the derivations reachable from the final conflicting clause
-/// (and, later, from each level-0 antecedent the final derivation actually
-/// touches — the same set depth-first builds), topologically levels that
-/// subgraph into *wavefronts* (level = 1 + max level of the sources), and
-/// replays each wavefront's resolution chains across a fixed worker pool.
+/// Loads the trace like the depth-first checker and plans each cone it
+/// must build — the final conflict's, then each level-0 antecedent's the
+/// final derivation touches — with the same postorder planner, so it
+/// builds exactly the clauses depth-first builds. A large cone is then
+/// partitioned: walking it consumers-first, each source of the cone's root
+/// seeds a *group*, a clause whose consumers all lie in one group joins
+/// it, and any other clause is *shared*; a group heavier than 1/jobs of
+/// the cone is split at its seed and the cone labelled once more. Shared
+/// clauses depend on no grouped one, so the cone is built as: shared
+/// clauses on the calling thread in plan order, the groups concurrently
+/// on a fixed worker pool (each in plan order, dealt heaviest first to the
+/// least-loaded worker), then the root. Cones too small to gain — and
+/// every cone at jobs 1, which never starts a thread — are built on the
+/// calling thread in plan order, exactly as depth-first does.
 ///
-/// Verified clauses are published into a lock-free slot table indexed by
-/// clause ID via release stores; workers resolve against antecedents with
-/// acquire loads and no locks — sources always live in a strictly earlier
-/// wavefront, so a load never observes an unpublished clause. Clause
-/// storage comes from per-worker arenas whose footprint feeds the shared
-/// memory tracker at each wavefront barrier, keeping --stats deterministic.
+/// Each worker writes into its own clause arena and publishes clause
+/// pointers into a plain ID-indexed slot vector; the pool's submit and
+/// wait_idle give the only ordering needed, so there are no atomics.
 ///
 /// Everything observable is schedule-independent: the set of clauses built,
 /// the unsat core (byte-identical to check_depth_first), the resolution and
-/// built counts, the peak-memory figure, and — because the first failure is
-/// selected by lowest clause ID, not by which worker lost the race — the
-/// diagnostic on rejection.
+/// built counts and the peak-memory figure. On rejection, every clause of
+/// the failing cone is still attempted (a failure only leaves its
+/// consumers unbuilt), and the diagnostic is that of the lowest failing
+/// clause ID at every job count. Depth-first instead stops at the first
+/// failure of its plan, so with several corrupt derivations the two can
+/// name different clauses.
 [[nodiscard]] CheckResult check_parallel(const Formula& f,
                                          trace::TraceReader& reader,
                                          const ParallelOptions& options = {});

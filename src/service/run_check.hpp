@@ -17,7 +17,7 @@ enum class Backend : std::uint8_t {
   kDf = 0,        ///< depth-first resolution replay
   kBf = 1,        ///< breadth-first (bounded-memory) replay
   kHybrid = 2,    ///< reachability-pruned breadth-first window
-  kParallel = 3,  ///< wavefront-parallel depth-first
+  kParallel = 3,  ///< depth-first, independent sub-proofs on N workers
   kDrup = 4,      ///< forward DRUP (trace file holds a DRUP proof)
   kWindow = 5,    ///< window-shifting replay under a memory budget
 };

@@ -83,7 +83,7 @@ class ClauseArena {
   /// Block pointer with the layout encoded in its low bit (Lit blocks are
   /// 4-byte aligned, so the bit is free): set for a headerless binary
   /// block, clear for a headered one. This is what the parallel checker
-  /// publishes through its atomic slot table; view_of() decodes it.
+  /// publishes through its slot table; view_of() decodes it.
   [[nodiscard]] const Lit* tagged_block(Ref ref) const {
     const Chunk& c = chunks_[ref >> 16];
     const Lit* p = c.data.get() + (ref & 0xffffu);
@@ -100,6 +100,17 @@ class ClauseArena {
       return {reinterpret_cast<const Lit*>(bits & ~std::uintptr_t{1}), 2};
     }
     return {block + 1, block[0].code()};
+  }
+
+  /// Hints the cache to load `p`, for example a (possibly tagged) block
+  /// pointer as published by the parallel checker. Any address is safe to
+  /// pass, null included.
+  static void prefetch_block(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p);
+#else
+    (void)p;
+#endif
   }
 
   /// Mutable literals of `ref`'s clause, for engines that reorder literals

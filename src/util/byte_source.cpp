@@ -17,8 +17,10 @@
 
 namespace satproof::util {
 
+#if !SATPROOF_HAVE_MMAP
 namespace {
 
+// Without mmap, map_file() reads the whole file into memory instead.
 std::vector<std::uint8_t> read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::in | std::ios::binary);
   if (!in) {
@@ -40,6 +42,7 @@ std::vector<std::uint8_t> read_whole_file(const std::string& path) {
 }
 
 }  // namespace
+#endif
 
 std::unique_ptr<ByteSource> ByteSource::map_file(const std::string& path) {
 #if SATPROOF_HAVE_MMAP

@@ -1,17 +1,23 @@
-// Tests for the wavefront-parallel checker: agreement with the sequential
-// depth-first checker on verdict, unsat core and stats; byte-identical
-// determinism across worker counts and repeated runs; rejection of
-// corrupted traces; and assumption-trace support.
+// Tests for the partitioned parallel checker: agreement with the
+// sequential depth-first checker on verdict, unsat core and stats;
+// byte-identical determinism across worker counts and repeated runs;
+// rejection of corrupted traces; assumption-trace support; and, on a trace
+// of independent ladders, that the partition really runs its groups
+// concurrently with DF-identical results and diagnostics.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/checker/depth_first.hpp"
 #include "src/checker/parallel.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/parity.hpp"
 #include "src/encode/suite.hpp"
+#include "src/obs/trace.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
@@ -209,8 +215,8 @@ TEST(ParallelChecker, ValidatesAssumptionRefutationTrace) {
 }
 
 TEST(ParallelChecker, BigTseitinTraceMatchesDepthFirst) {
-  // A heavier instance with deep derivation chains, exercising multi-level
-  // wavefronts and antecedent-closure rebuilds during the final derivation.
+  // A heavier instance with deep derivation chains, exercising large cones
+  // and the trail-antecedent cones built during the final derivation.
   const SolvedUnsat su = solve_unsat(encode::tseitin_torus(3, 3, 11));
   trace::MemoryTraceReader r(su.trace);
   const CheckResult df = check_depth_first(su.formula, r);
@@ -219,6 +225,182 @@ TEST(ParallelChecker, BigTseitinTraceMatchesDepthFirst) {
   ASSERT_TRUE(par.ok) << par.error;
   EXPECT_EQ(par.core, df.core);
   EXPECT_EQ(par.stats.resolutions, df.stats.resolutions);
+}
+
+/// A trace of independent ladders joined at the end, built the way
+/// tools/gen_bigtrace builds its traces.
+struct LadderTrace {
+  Formula formula;
+  trace::MemoryTrace trace;
+  std::vector<std::vector<ClauseId>> steps;  ///< derivation IDs per ladder
+};
+
+/// 16 ladders of 64 rungs. Ladder w has the unit (v_0) and the implications
+/// up (~v_i | v_i+1) and down (~v_i+1 | v_i). A seeded walker per ladder
+/// steps up or down 4 rungs at a time, each step deriving the unit of the
+/// rung it lands on from its current unit and the 4 implications it
+/// crossed. At the end every walker climbs to the top rung, the join
+/// (~top_0 | ... | ~top_15 | z) resolves with each top unit into (z), and
+/// (~z) is the final conflict. Every derivation is reachable and no two
+/// ladders share a clause below the join. A derivation whose ID is in
+/// `corrupt` crosses a far-away implication first, which does not clash.
+LadderTrace ladder_trace(const std::set<ClauseId>& corrupt = {}) {
+  constexpr std::uint64_t kLadders = 16, kRungs = 64, kChain = 4;
+  constexpr std::uint64_t kSteps = 48 * kLadders;
+  constexpr std::uint64_t kPerLadder = 1 + 2 * (kRungs - 1);
+  const auto var = [](std::uint64_t w, std::uint64_t i) {
+    return static_cast<Var>(w * kRungs + i);
+  };
+  const auto up = [](std::uint64_t w, std::uint64_t i) -> ClauseId {
+    return w * kPerLadder + 1 + i;
+  };
+  const auto down = [](std::uint64_t w, std::uint64_t i) -> ClauseId {
+    return w * kPerLadder + 1 + (kRungs - 1) + i;
+  };
+  const Var z = var(kLadders, 0);
+  LadderTrace out;
+  out.formula = Formula(z + 1);
+  std::vector<Lit> join;
+  for (std::uint64_t w = 0; w < kLadders; ++w) {
+    out.formula.add_clause({Lit::pos(var(w, 0))});
+    for (std::uint64_t i = 0; i + 1 < kRungs; ++i) {
+      out.formula.add_clause({Lit::neg(var(w, i)), Lit::pos(var(w, i + 1))});
+    }
+    for (std::uint64_t i = 0; i + 1 < kRungs; ++i) {
+      out.formula.add_clause({Lit::neg(var(w, i + 1)), Lit::pos(var(w, i))});
+    }
+    join.push_back(Lit::neg(var(w, kRungs - 1)));
+  }
+  join.push_back(Lit::pos(z));
+  const ClauseId id_join = out.formula.add_clause(join);
+  const ClauseId id_not_z = out.formula.add_clause({Lit::neg(z)});
+
+  trace::MemoryTraceWriter w;
+  w.begin(out.formula.num_vars(), out.formula.num_clauses());
+  std::vector<std::uint64_t> pos(kLadders, 0);
+  std::vector<ClauseId> unit(kLadders);
+  for (std::uint64_t l = 0; l < kLadders; ++l) unit[l] = l * kPerLadder;
+  out.steps.resize(kLadders);
+  ClauseId next_id = out.formula.num_clauses();
+  const auto step = [&](std::uint64_t l, bool climb, std::uint64_t rungs) {
+    std::vector<ClauseId> sources{unit[l]};
+    for (std::uint64_t s = 0; s < rungs; ++s) {
+      sources.push_back(climb ? up(l, pos[l]) : down(l, pos[l] - 1));
+      pos[l] = climb ? pos[l] + 1 : pos[l] - 1;
+    }
+    if (corrupt.count(next_id) != 0) {
+      sources[1] = up(l, (pos[l] + kRungs / 2) % (kRungs - 1));
+    }
+    w.derivation(next_id, sources);
+    out.steps[l].push_back(next_id);
+    unit[l] = next_id++;
+  };
+  std::uint64_t rng = 1;
+  const auto next_random = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (std::uint64_t n = 0; n < kSteps; ++n) {
+    const std::uint64_t l = next_random() % kLadders;
+    bool climb = (next_random() & 1) != 0;
+    if (pos[l] + kChain > kRungs - 1) climb = false;
+    if (pos[l] < kChain) climb = true;
+    step(l, climb, kChain);
+  }
+  for (std::uint64_t l = 0; l < kLadders; ++l) {
+    while (pos[l] < kRungs - 1) {
+      step(l, true, std::min(kChain, kRungs - 1 - pos[l]));
+    }
+  }
+  std::vector<ClauseId> sources{id_join};
+  sources.insert(sources.end(), unit.begin(), unit.end());
+  w.derivation(next_id, sources);
+  w.final_conflict(id_not_z);
+  w.level0(z, true, next_id);
+  w.end();
+  out.trace = w.take();
+  return out;
+}
+
+CheckResult run_parallel(const Formula& f, const trace::MemoryTrace& t,
+                         unsigned jobs) {
+  trace::MemoryTraceReader r(t);
+  ParallelOptions opts;
+  opts.jobs = jobs;
+  return check_parallel(f, r, opts);
+}
+
+TEST(ParallelChecker, LadderPartitionMatchesDepthFirstAtEveryJobCount) {
+  const LadderTrace lt = ladder_trace();
+  trace::MemoryTraceReader r(lt.trace);
+  const CheckResult df = check_depth_first(lt.formula, r);
+  ASSERT_TRUE(df.ok) << df.error;
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    const CheckResult par = run_parallel(lt.formula, lt.trace, jobs);
+    ASSERT_TRUE(par.ok) << "jobs=" << jobs << ": " << par.error;
+    EXPECT_EQ(par.core, df.core) << "jobs=" << jobs;
+    EXPECT_EQ(par.stats.resolutions, df.stats.resolutions) << "jobs=" << jobs;
+    EXPECT_EQ(par.stats.clauses_built, df.stats.clauses_built)
+        << "jobs=" << jobs;
+    EXPECT_EQ(par.stats.core_original_clauses,
+              df.stats.core_original_clauses)
+        << "jobs=" << jobs;
+    EXPECT_EQ(par.stats.peak_mem_bytes, df.stats.peak_mem_bytes)
+        << "jobs=" << jobs;
+  }
+}
+
+/// Occurrences of spans called `name` in a Chrome trace.
+std::size_t count_spans(const std::string& json, const std::string& name) {
+  const std::string needle = "\"name\":\"" + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ParallelChecker, LadderPartitionRunsItsGroupsAsTasks) {
+  const LadderTrace lt = ladder_trace();
+  obs::TraceSession session;
+  const CheckResult par = run_parallel(lt.formula, lt.trace, 4);
+  ASSERT_TRUE(par.ok) << par.error;
+  // The pool's threads flushed their spans when the checker joined them.
+  obs::flush_this_thread();
+  const std::string json = session.sink().to_chrome_json();
+  EXPECT_EQ(count_spans(json, "partition"), 1u);
+  EXPECT_GE(count_spans(json, "task"), 4u);
+}
+
+TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
+  // Corrupt the last step of ladder 0 and the first step of ladder 9. The
+  // depth-first plan reaches ladder 0 first, but every job count must name
+  // the lower clause ID, whatever the groups' schedule.
+  const LadderTrace clean = ladder_trace();
+  const ClauseId late = clean.steps[0].back();
+  const ClauseId early = clean.steps[9].front();
+  ASSERT_LT(early, late);
+  const LadderTrace lt = ladder_trace({late, early});
+  const std::string expected =
+      "derivation of clause " + std::to_string(early) + ":";
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const CheckResult par = run_parallel(lt.formula, lt.trace, jobs);
+      ASSERT_FALSE(par.ok) << "jobs=" << jobs;
+      EXPECT_EQ(par.error.rfind(expected, 0), 0u)
+          << "jobs=" << jobs << ": " << par.error;
+    }
+  }
+  // Depth-first stops at the first failure of its plan: the other one.
+  trace::MemoryTraceReader r(lt.trace);
+  const CheckResult df = check_depth_first(lt.formula, r);
+  ASSERT_FALSE(df.ok);
+  EXPECT_EQ(df.error.rfind("derivation of clause " + std::to_string(late), 0),
+            0u)
+      << df.error;
 }
 
 }  // namespace

@@ -88,9 +88,9 @@ usage:
       replay a trace against the formula; exit 0 iff the proof is valid.
       --checker picks the backend: df (default) depth-first resolution
       replay; bf breadth-first; hybrid the bounded-memory hybrid; parallel
-      wavefront-parallel depth-first across N worker threads (--jobs,
-      default: all hardware threads; identical verdict, core and stats to
-      df); rup cross-validates every derived clause by reverse unit
+      depth-first with independent sub-proofs built on N worker threads
+      (--jobs, default: all hardware threads; identical verdict, core and
+      stats to df); rup cross-validates every derived clause by reverse unit
       propagation instead of replaying resolutions; window replays the
       trace in budget-sized windows under --mem-limit (verdict, core and
       stats identical to df at a fraction of the memory); auto picks df
