@@ -1,7 +1,9 @@
 #include "src/cert/kernel.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <istream>
 #include <utility>
@@ -85,8 +87,10 @@ Cnf parse_cnf(std::istream& in) {
 }
 
 // The clause map: IDs in insertion order (strictly increasing, so the
-// array is sorted and lookup is a binary search), literals and a liveness
-// flag alongside. Originals occupy IDs 1..num_clauses, LRAT convention.
+// array is sorted), literals and a liveness flag alongside. Originals
+// occupy IDs 1..num_clauses, LRAT convention. satproof's emitter numbers
+// the additions on from there without gaps, so lookup tries index id - 1
+// before falling back to a binary search.
 class Kernel {
  public:
   explicit Kernel(Cnf&& f)
@@ -199,6 +203,9 @@ class Kernel {
 
   std::size_t index_of(std::uint64_t id, std::uint64_t line,
                        const char* what) const {
+    // IDs strictly increase, so a slot holding `id` is the only one: the
+    // probe can skip the search but never answer differently from it.
+    if (id - 1 < ids_.size() && ids_[id - 1] == id) return id - 1;
     const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
     if (it == ids_.end() || *it != id) {
       reject(line, std::string(what) + " references unknown clause " +
@@ -230,16 +237,20 @@ class Kernel {
 
 struct LineScan {
   const char* p;
+  const char* last;  // one past the line's final character
   std::uint64_t line;
 
-  // Next integer on the line; false at end of line, Reject on junk.
+  // Next integer on the line; false at end of line, Reject on junk. The
+  // accepted tokens are strtoll's base-10 ones: leading whitespace, an
+  // optional '+' or '-', then digits, in the int64 range.
   bool next(std::int64_t& out) {
     while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
     if (*p == '\0') return false;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoll(p, &end, 10);
-    if (end == p || errno != 0) {
+    const char* q = p;
+    while (std::isspace(static_cast<unsigned char>(*q)) != 0) ++q;
+    if (*q == '+' && q[1] != '-') ++q;  // from_chars takes only '-'
+    const auto [end, ec] = std::from_chars(q, last, out);
+    if (ec != std::errc()) {
       reject(line, std::string("bad token '") + p + "'");
     }
     p = end;
@@ -262,7 +273,7 @@ void run_text(std::istream& cert, Kernel& k, VerifyResult& r) {
   std::vector<std::uint64_t> ids;
   while (!r.verified && std::getline(cert, buf)) {
     ++lineno;
-    LineScan s{buf.c_str(), lineno};
+    LineScan s{buf.c_str(), buf.c_str() + buf.size(), lineno};
     while (*s.p == ' ' || *s.p == '\t' || *s.p == '\r') ++s.p;
     if (*s.p == '\0' || *s.p == 'c') continue;
     std::int64_t id = 0;
@@ -300,9 +311,9 @@ void run_text(std::istream& cert, Kernel& k, VerifyResult& r) {
     }
     std::int64_t extra = 0;
     if (s.next(extra)) reject(lineno, "trailing tokens after addition record");
-    r.verified =
-        k.add(static_cast<std::uint64_t>(id), std::move(lits), ids, lineno);
-    lits = {};
+    // An exact-size copy for the clause map; `lits` keeps its capacity.
+    r.verified = k.add(static_cast<std::uint64_t>(id),
+                       std::vector<std::int32_t>(lits), ids, lineno);
     ++r.additions;
   }
   r.line = lineno;

@@ -195,6 +195,121 @@ TEST(CertCorrupt, NonEmptyFinalClauseRejects) {
       << r.error;
 }
 
+// --- the text scanner's accepted tokens ---------------------------------
+
+// One token per row, spliced into the certificate at the position the row
+// names. An accepted deletion token must read as 5, an unused clause, so
+// the certificate still verifies. A rejected token names the rest of the
+// line from the token on. These are strtoll's base-10 rules: leading
+// whitespace, one optional sign, digits, the int64 range.
+struct TokenRow {
+  const char* token;
+  bool in_literal;  // false: the deletion ID on line 2; true: line 1's literal
+  bool verified;
+  std::uint64_t line;
+  const char* error;
+};
+
+constexpr TokenRow kTokenRows[] = {
+    {"+5", false, true, 3, ""},
+    {"\v5", false, true, 3, ""},
+    {"\f5", false, true, 3, ""},
+    {"\v\f 5", false, true, 3, ""},
+    {"\v+5", false, true, 3, ""},
+    {"00005", false, true, 3, ""},
+    {"5abc", false, false, 2, "bad token 'abc 0'"},
+    {"0x1", false, false, 2, "bad token 'x1 0'"},
+    {"-", false, false, 2, "bad token '- 0'"},
+    {"--1", false, false, 2, "bad token '--1 0'"},
+    {"+-5", false, false, 2, "bad token '+-5 0'"},
+    {"++5", false, false, 2, "bad token '++5 0'"},
+    {"+ 5", false, false, 2, "bad token '+ 5 0'"},
+    {"+\v5", false, false, 2, "bad token '+\v5 0'"},
+    {"\v-", false, false, 2, "bad token '\v- 0'"},
+    {"-0", false, false, 2, "trailing tokens after deletion record"},
+    {"9223372036854775807", false, false, 2,
+     "deletion references unknown clause 9223372036854775807"},
+    {"9223372036854775808", false, false, 2,
+     "bad token '9223372036854775808 0'"},
+    {"+9223372036854775808", false, false, 2,
+     "bad token '+9223372036854775808 0'"},
+    {"-9223372036854775808", false, false, 2,
+     "negative clause id in deletion record"},
+    {"-9223372036854775809", false, false, 2,
+     "bad token '-9223372036854775809 0'"},
+    {"2147483648", true, false, 1, "literal 2147483648 out of range"},
+    {"-2147483649", true, false, 1, "literal -2147483649 out of range"},
+    {"2147483647", true, false, 1,
+     "literal 2147483647 is outside the CNF variable range"},
+};
+
+TEST(CertCorrupt, ScannerTokenTable) {
+  for (const TokenRow& row : kTokenRows) {
+    const std::string tok = row.token;
+    const std::string cert =
+        row.in_literal ? "9 " + tok + " 0 1 2 0\n10 0 9 3 4 0\n"
+                       : "9 1 0 1 2 0\n9 d " + tok + " 0\n10 0 9 3 4 0\n";
+    SCOPED_TRACE("token '" + tok + "'");
+    const kern::VerifyResult r = verify(cert);
+    EXPECT_EQ(r.verified, row.verified);
+    EXPECT_EQ(r.line, row.line);
+    EXPECT_EQ(r.error, row.error);
+  }
+}
+
+// --- addition IDs with gaps --------------------------------------------
+
+// Additions numbered 13, 17, 20, 21, 24, 28 over the 8 originals, with a
+// deletion of an original (5) and of an addition (20). By the last line
+// the ID array holds 13 entries, so hint 13 probes index 12 (holding 24)
+// and falls back to the binary search, while hint 4 hits its dense slot.
+std::string sparse_cert(const std::string& last_hints) {
+  return "13 1 0 1 2 0\n"
+         "13 d 5 0\n"
+         "17 3 0 13 3 0\n"
+         "20 1 3 0 13 0\n"
+         "21 4 0 17 8 0\n"
+         "24 -2 0 21 6 0\n"
+         "24 d 20 0\n"
+         "28 0 " + last_hints + " 0\n";
+}
+
+TEST(CertCorrupt, SparseIdsVerify) {
+  const kern::VerifyResult r = verify(sparse_cert("13 17 4"));
+  EXPECT_TRUE(r.verified) << r.error;
+  EXPECT_EQ(r.line, 8u);
+  EXPECT_EQ(r.additions, 6u);
+  EXPECT_EQ(r.deletions, 2u);
+}
+
+TEST(CertCorrupt, SparseIdHintInGapRejects) {
+  const kern::VerifyResult r = verify(sparse_cert("13 10 4"));
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 8u);
+  EXPECT_EQ(r.error, "hint references unknown clause 10");
+}
+
+TEST(CertCorrupt, SparseIdHintPastLastRejects) {
+  const kern::VerifyResult r = verify(sparse_cert("13 29 4"));
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 8u);
+  EXPECT_EQ(r.error, "hint references unknown clause 29");
+}
+
+TEST(CertCorrupt, SparseIdHintOnDeletedDenseClauseRejects) {
+  const kern::VerifyResult r = verify(sparse_cert("13 17 5"));
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 8u);
+  EXPECT_EQ(r.error, "hint references deleted clause 5");
+}
+
+TEST(CertCorrupt, SparseIdHintOnDeletedSparseClauseRejects) {
+  const kern::VerifyResult r = verify(sparse_cert("20"));
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 8u);
+  EXPECT_EQ(r.error, "hint references deleted clause 20");
+}
+
 // --- binary (GRIT-style) variant ---------------------------------------
 
 // The fixture's valid binary certificate (same proof, varint-encoded).

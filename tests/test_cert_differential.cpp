@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "src/cert/kernel.hpp"
 #include "src/cert/lrat_emitter.hpp"
@@ -26,6 +27,7 @@
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
+#include "src/util/varint.hpp"
 
 namespace satproof {
 namespace {
@@ -83,6 +85,50 @@ Export export_hybrid(const Formula& f, const trace::MemoryTrace& t,
   e.deletions = emitter.deletions();
   e.finished = emitter.finished();
   return e;
+}
+
+// The addition IDs of a certificate in file order. Text deletion lines
+// read "<id> d ..."; a binary record is a tag byte followed by 0-terminated
+// varint lists: 'a' <id> <lits> <hints>, 'd' <ids>.
+std::vector<std::uint64_t> addition_ids(const std::string& cert,
+                                        bool binary) {
+  std::vector<std::uint64_t> ids;
+  std::istringstream in(cert);
+  if (!binary) {
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      std::uint64_t id = 0;
+      std::string second;
+      if (fields >> id >> second && second != "d") ids.push_back(id);
+    }
+    return ids;
+  }
+  const auto skip_list = [&in] {
+    while (util::read_varint(in).value_or(0) != 0) {
+    }
+  };
+  for (int tag = in.get(); tag >= 0; tag = in.get()) {
+    if (tag == 'a') {
+      ids.push_back(util::read_varint(in).value_or(0));
+      skip_list();  // literals
+    }
+    skip_list();  // hints, or the deleted IDs
+  }
+  return ids;
+}
+
+// The kernel's dense-position lookup relies on the emitter numbering
+// additions num_clauses + 1, + 2, ... without gaps. A gap would still
+// verify, just through the slower binary search, so only this catches it.
+void expect_dense_ids(const Formula& f, const std::string& cert,
+                      bool binary) {
+  const std::vector<std::uint64_t> ids = addition_ids(cert, binary);
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(ids.front(), f.num_clauses() + 1);
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    ASSERT_EQ(ids[i], ids[i - 1] + 1) << "addition " << i;
+  }
 }
 
 kern::VerifyResult kernel_verify(const Formula& f, const std::string& cert) {
@@ -156,6 +202,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
                                 << kv_df.error;
     EXPECT_EQ(kv_df.additions, df_text.additions);
     EXPECT_EQ(kv_df.deletions, df_text.deletions);
+    expect_dense_ids(f, df_text.cert, /*binary=*/false);
 
     const Export df_bin = export_df(f, t, /*binary=*/true);
     ASSERT_TRUE(df_bin.check.ok) << df_bin.check.error;
@@ -166,6 +213,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     EXPECT_EQ(kv_dfb.additions, kv_df.additions);
     EXPECT_EQ(kv_dfb.deletions, kv_df.deletions);
     EXPECT_LT(df_bin.cert.size(), df_text.cert.size() + 16);
+    expect_dense_ids(f, df_bin.cert, /*binary=*/true);
 
     // Hybrid export: same verdict, and its deletion records (absent from
     // the df path, which releases nothing) must not break verification.
@@ -177,6 +225,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
                                 << kv_hy.error;
     EXPECT_EQ(kv_hy.additions, hy_text.additions);
     EXPECT_EQ(kv_hy.deletions, hy_text.deletions);
+    expect_dense_ids(f, hy_text.cert, /*binary=*/false);
     // Hybrid replays every clause reachable in its window, df only the
     // memoized final cone — hybrid may emit a superset, never less.
     EXPECT_GE(kv_hy.additions, kv_df.additions);
@@ -189,6 +238,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
                                  << kv_hyb.error;
     EXPECT_EQ(kv_hyb.additions, kv_hy.additions);
     EXPECT_EQ(kv_hyb.deletions, kv_hy.deletions);
+    expect_dense_ids(f, hy_bin.cert, /*binary=*/true);
   }
   // The ratio sweep straddles the phase transition, so a healthy fraction
   // of every shard must actually exercise the certificate path, and the
