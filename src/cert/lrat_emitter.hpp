@@ -102,8 +102,9 @@ class BinaryLratWriter final : public LratWriter {
 /// replays its cone in DFS postorder, not trace order, so trace IDs are
 /// remapped densely here (LRAT requires strictly increasing addition IDs).
 ///
-/// Deletions (hybrid only — on_released fires at use-count exhaustion)
-/// are batched per chain and flushed ahead of the next addition.
+/// Deletions (window/hybrid only — on_released fires at use-count
+/// exhaustion) are batched per chain and flushed ahead of the next
+/// addition.
 ///
 /// The checkers only support resolution chains whose pivot variables are
 /// distinct within a chain in the sense that matters here: a chain that

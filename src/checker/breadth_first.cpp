@@ -32,11 +32,7 @@ class BreadthFirstChecker {
         obs::Span span("use_count");
         counting_pass();
       }
-      if (!final_id_.has_value()) {
-        throw CheckFailure(
-            "trace has no final conflicting clause; it does not claim "
-            "unsatisfiability");
-      }
+      require_final_conflict(final_id_);
       mem_.add(counts_->memory_bytes());
       mem_.add(level0_.size() * 16);
       chain_.reserve_vars(reader_->num_vars());
@@ -89,56 +85,13 @@ class BreadthFirstChecker {
   /// (pre-increments) the clauses the final derivation may need.
   void scan_pass() {
     reader_->rewind();
-    trace::Record rec;
-    bool ended = false;
     std::optional<ClauseId> last_id;
-    while (!ended && reader_->next(rec)) {
-      switch (rec.kind) {
-        case trace::RecordKind::Derivation: {
-          if (rec.id < num_original()) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " reuses an original clause ID");
-          }
-          if (last_id.has_value() && rec.id <= *last_id) {
-            throw CheckFailure(
-                "derivation IDs must be strictly increasing (clause " +
-                std::to_string(rec.id) + " after " + std::to_string(*last_id) +
-                ")");
-          }
-          if (rec.sources.size() < 2) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " has fewer than two resolve sources");
-          }
-          for (const ClauseId s : rec.sources) {
-            if (s >= rec.id) {
-              throw CheckFailure(
-                  "derivation " + std::to_string(rec.id) +
-                  " references source " + std::to_string(s) +
-                  " that does not precede it");
-            }
-          }
-          last_id = rec.id;
+    const TraceScan scan =
+        scan_trace(*reader_, level0_, [&](const trace::Record& rec) {
+          check_derivation_record(rec, num_original(), last_id);
           ++stats_.total_derivations;
-          break;
-        }
-        case trace::RecordKind::FinalConflict:
-          if (final_id_.has_value()) {
-            throw CheckFailure("trace has more than one final conflict record");
-          }
-          final_id_ = rec.id;
-          break;
-        case trace::RecordKind::Level0:
-          level0_.add(rec.var, rec.value, rec.antecedent);
-          break;
-        case trace::RecordKind::Assumption:
-          level0_.add_assumption(rec.var, rec.value);
-          break;
-        case trace::RecordKind::End:
-          ended = true;
-          break;
-      }
-    }
-    if (!ended) throw CheckFailure("trace truncated: missing end record");
+        });
+    final_id_ = scan.final_id;
 
     num_learned_slots_ = last_id.has_value() ? ordinal(*last_id) + 1 : 0;
     counts_->resize(num_learned_slots_);
@@ -206,12 +159,7 @@ class BreadthFirstChecker {
         ++stats_.resolutions;
         if (r.status != ResolveStatus::Ok) {
           throw CheckFailure(
-              "derivation of clause " + std::to_string(rec.id) +
-              ": resolving with source " + std::to_string(rec.sources[i]) +
-              " (step " + std::to_string(i) + ") failed: " +
-              (r.status == ResolveStatus::NoClash
-                   ? "no clashing variable"
-                   : "more than one clashing variable"));
+              derivation_failure(rec.id, rec.sources[i], i, r.status));
         }
       }
       ++stats_.clauses_built;

@@ -127,6 +127,40 @@ std::string tautological_original(ClauseId id) {
          " is tautological and cannot be a resolution source";
 }
 
+ClauseId require_final_conflict(const std::optional<ClauseId>& final_id) {
+  if (!final_id.has_value()) {
+    throw CheckFailure(
+        "trace has no final conflicting clause; it does not claim "
+        "unsatisfiability");
+  }
+  return *final_id;
+}
+
+void check_derivation_record(const trace::Record& rec, ClauseId num_original,
+                             std::optional<ClauseId>& last_id) {
+  if (rec.id < num_original) {
+    throw CheckFailure("derivation " + std::to_string(rec.id) +
+                       " reuses an original clause ID");
+  }
+  if (last_id.has_value() && rec.id <= *last_id) {
+    throw CheckFailure("derivation IDs must be strictly increasing (clause " +
+                       std::to_string(rec.id) + " after " +
+                       std::to_string(*last_id) + ")");
+  }
+  if (rec.sources.size() < 2) {
+    throw CheckFailure("derivation " + std::to_string(rec.id) +
+                       " has fewer than two resolve sources");
+  }
+  for (const ClauseId s : rec.sources) {
+    if (s >= rec.id) {
+      throw CheckFailure("derivation " + std::to_string(rec.id) +
+                         " references source " + std::to_string(s) +
+                         " that does not precede it");
+    }
+  }
+  last_id = rec.id;
+}
+
 ClauseId load_full_trace(trace::TraceReader& reader,
                          DerivationIndex& derivations, Level0Table& level0,
                          util::MemTracker& mem, CheckStats& stats) {
@@ -134,44 +168,14 @@ ClauseId load_full_trace(trace::TraceReader& reader,
   // so one span covers both; backends add their own index/replay spans.
   obs::Span span("parse");
   reader.rewind();
-  std::optional<ClauseId> final_id;
-  trace::Record rec;
-  bool ended = false;
-  while (!ended && reader.next(rec)) {
-    switch (rec.kind) {
-      case trace::RecordKind::Derivation:
+  const TraceScan scan =
+      scan_trace(reader, level0, [&](const trace::Record& rec) {
         derivations.add(rec.id, rec.sources);
         mem.add(derivation_record_bytes(rec.sources.size()));
         ++stats.total_derivations;
-        break;
-      case trace::RecordKind::FinalConflict:
-        if (final_id.has_value()) {
-          throw CheckFailure("trace has more than one final conflict record");
-        }
-        final_id = rec.id;
-        break;
-      case trace::RecordKind::Level0:
-        level0.add(rec.var, rec.value, rec.antecedent);
-        mem.add(16);
-        break;
-      case trace::RecordKind::Assumption:
-        level0.add_assumption(rec.var, rec.value);
-        mem.add(16);
-        break;
-      case trace::RecordKind::End:
-        ended = true;
-        break;
-    }
-  }
-  if (!ended) {
-    throw CheckFailure("trace truncated: missing end record");
-  }
-  if (!final_id.has_value()) {
-    throw CheckFailure(
-        "trace has no final conflicting clause; it does not claim "
-        "unsatisfiability");
-  }
-  return *final_id;
+      });
+  mem.add(scan.trail_records * 16);
+  return require_final_conflict(scan.final_id);
 }
 
 Level0Table::Level0Table(Var num_vars) : entries_(num_vars) {}

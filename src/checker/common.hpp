@@ -155,8 +155,9 @@ class ClauseStore {
 /// Accounted footprint of one loaded derivation record: the source IDs in
 /// the pool (stored narrowed to 32 bits — see DerivationIndex) plus the
 /// per-record index entry. Shared by the depth-first and parallel checkers
-/// so the two report identical peak memory for the same trace.
-[[nodiscard]] inline std::size_t derivation_record_bytes(
+/// so the two report identical peak memory for the same trace, and by the
+/// window checker as the unit its window budget is measured in.
+[[nodiscard]] constexpr std::size_t derivation_record_bytes(
     std::size_t num_sources) {
   return num_sources * sizeof(std::uint32_t) + 8;
 }
@@ -256,17 +257,6 @@ void plan_cone(ClauseId root, const DerivationIndex& derivations,
                                          SortedClause& scratch);
 [[nodiscard]] std::string tautological_original(ClauseId id);
 
-/// Single-pass trace load for checkers that keep the whole DAG in memory
-/// (depth-first, parallel): fills `derivations` and `level0`, accounts the
-/// loaded bytes in `mem`, counts derivations in `stats`, and returns the
-/// final conflict ID. Throws CheckFailure on any structural violation,
-/// including a missing end record, and when the trace has no final
-/// conflict (it then does not claim unsatisfiability).
-ClauseId load_full_trace(trace::TraceReader& reader,
-                         DerivationIndex& derivations,
-                         class Level0Table& level0, util::MemTracker& mem,
-                         CheckStats& stats);
-
 /// The final-trail assignment table reconstructed from the trace's Level0
 /// and Assumption records (Section 3.1, item 3; assumptions are the
 /// incremental-query extension). Implied variables carry an antecedent
@@ -327,6 +317,75 @@ class Level0Table {
   std::size_t num_assumed_ = 0;
 };
 
+/// What scan_trace() gathers besides the derivation records it hands on.
+struct TraceScan {
+  /// The final conflict record's clause ID; nullopt when the trace has
+  /// none (see require_final_conflict).
+  std::optional<ClauseId> final_id;
+  /// Level0 plus Assumption records read.
+  std::uint64_t trail_records = 0;
+};
+
+/// The one record loop every checker runs over a trace: reads `reader`
+/// from its current position through the End record, registers Level0
+/// and Assumption records in `level0`, and passes each derivation record
+/// to `on_derivation(const trace::Record&)`, which validates and keeps
+/// what its checker needs. Throws CheckFailure on a second final conflict
+/// record and on a trace that ends without its End record.
+template <class OnDerivation>
+TraceScan scan_trace(trace::TraceReader& reader, Level0Table& level0,
+                     OnDerivation&& on_derivation) {
+  TraceScan scan;
+  trace::Record rec;
+  while (reader.next(rec)) {
+    switch (rec.kind) {
+      case trace::RecordKind::Derivation:
+        on_derivation(rec);
+        break;
+      case trace::RecordKind::FinalConflict:
+        if (scan.final_id.has_value()) {
+          throw CheckFailure("trace has more than one final conflict record");
+        }
+        scan.final_id = rec.id;
+        break;
+      case trace::RecordKind::Level0:
+        level0.add(rec.var, rec.value, rec.antecedent);
+        ++scan.trail_records;
+        break;
+      case trace::RecordKind::Assumption:
+        level0.add_assumption(rec.var, rec.value);
+        ++scan.trail_records;
+        break;
+      case trace::RecordKind::End:
+        return scan;
+    }
+  }
+  throw CheckFailure("trace truncated: missing end record");
+}
+
+/// The final conflict ID a scan found. Throws CheckFailure when there is
+/// none: the trace then does not claim unsatisfiability.
+ClauseId require_final_conflict(const std::optional<ClauseId>& final_id);
+
+/// Structure checks of the streaming checkers (breadth-first, window) on
+/// one derivation record, in this order: a learned (not original) ID,
+/// strictly above `last_id`, at least two sources, every source preceding
+/// the derived clause. Sets `last_id` to the record's ID. Throws
+/// CheckFailure otherwise. The whole-trace checkers validate through
+/// DerivationIndex::add instead, which also rejects duplicates.
+void check_derivation_record(const trace::Record& rec, ClauseId num_original,
+                             std::optional<ClauseId>& last_id);
+
+/// Single-pass trace load for checkers that keep the whole DAG in memory
+/// (depth-first, parallel): fills `derivations` and `level0`, accounts the
+/// loaded bytes in `mem`, counts derivations in `stats`, and returns the
+/// final conflict ID. Throws CheckFailure on any structural violation,
+/// including a missing end record, and when the trace has no final
+/// conflict (it then does not claim unsatisfiability).
+ClauseId load_full_trace(trace::TraceReader& reader,
+                         DerivationIndex& derivations, Level0Table& level0,
+                         util::MemTracker& mem, CheckStats& stats);
+
 /// Validates that `clause` really is the antecedent of `var` under the
 /// level-0 assignment: it contains the literal that makes `var` true, and
 /// every other literal is false and was assigned strictly earlier. This is
@@ -354,7 +413,7 @@ using ClauseFetcher = std::function<ClauseView(ClauseId)>;
 ///    every source of a derivation has been announced (as an original ID or
 ///    an earlier on_derived) before the derivation that consumes it.
 ///  - on_released() fires when a derived clause provably has no remaining
-///    uses (hybrid use-count exhaustion); it never precedes a later fetch.
+///    uses (window use-count exhaustion); it never precedes a later fetch.
 ///  - on_final() fires once, after the empty-clause (or assumption-clause)
 ///    derivation succeeds, with the antecedents in the order they were
 ///    resolved against the final conflicting clause.

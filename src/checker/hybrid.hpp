@@ -1,54 +1,18 @@
 #pragma once
 
-#include "src/checker/common.hpp"
-#include "src/checker/use_count.hpp"
+#include "src/checker/window.hpp"
 
 namespace satproof::checker {
 
-/// Options for the hybrid checker.
-struct HybridOptions {
-  /// Use-count storage, as in the breadth-first checker.
-  UseCountMode use_counts = UseCountMode::InMemory;
-
-  /// When non-null, clause storage borrows this arena instead of growing a
-  /// private one (see DepthFirstOptions::recycle_arena).
-  util::ClauseArena* recycle_arena = nullptr;
-
-  /// When non-null, receives replay-order derivation events, including
-  /// on_released() when a clause's use count exhausts (the emitter turns
-  /// those into LRAT deletion records). See DepthFirstOptions::observer.
-  CertObserver* observer = nullptr;
-};
-
-/// Hybrid proof checking — the checker the paper's conclusion asks for:
-///
-///   "It is desirable to have a checker that has the advantage of both the
-///    depth-first and breadth-first approaches without suffering from
-///    their respective shortcomings."
-///
-/// The insight: what makes depth-first fast is that it builds only the
-/// clauses reachable from the final conflict (19-90%); what makes it
-/// memory-hungry is *memoizing every built clause forever*. What makes
-/// breadth-first memory-light is the use-count-driven clause window; what
-/// makes it slow is building everything.
-///
-/// The hybrid therefore works in three passes:
-///   1. stream the trace, keeping only the *structure* (per derivation:
-///      its ID and source IDs — a few bytes per edge, no literals);
-///   2. mark backward reachability from the final conflicting clause and
-///      the level-0 antecedents over that structure, and count each
-///      reachable clause's uses *by reachable consumers only*;
-///   3. stream the trace again, building only reachable clauses
-///      breadth-first and releasing each as soon as its last reachable use
-///      is behind.
-///
-/// Memory: DAG structure + the clause window (no clause memoization), far
-/// below depth-first on long traces. Work: the same resolutions depth-first
-/// performs. The structure must still fit in memory — the paper's ultimate
-/// answer for traces whose *structure* exceeds memory is an external-memory
-/// graph traversal (Buchsbaum et al.), which is out of scope here.
-[[nodiscard]] CheckResult check_hybrid(const Formula& f,
-                                       trace::TraceReader& reader,
-                                       const HybridOptions& options = {});
+/// Hybrid proof checking: the window-shifting checker with no memory
+/// budget, so one window holds the whole derivation structure. It builds
+/// exactly the depth-first checker's clauses with breadth-first's
+/// use-count release (see check_window), decoding the trace once.
+[[nodiscard]] inline CheckResult check_hybrid(const Formula& f,
+                                              trace::TraceReader& reader) {
+  WindowOptions options;
+  options.mem_limit_bytes = 0;
+  return check_window(f, reader, options);
+}
 
 }  // namespace satproof::checker

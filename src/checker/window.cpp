@@ -10,6 +10,19 @@ namespace satproof::checker {
 
 namespace {
 
+/// Largest window budget. A window's CSR offsets are 32-bit, so its source
+/// pool must stay below 2^32 entries; every source costs at least one
+/// 32-bit slot of budget, so a window of this many bytes cannot outgrow
+/// them. An unlimited check (mem_limit_bytes == 0) uses this budget: one
+/// window unless the trace itself has 2^32 sources or more.
+constexpr std::size_t kMaxWindowBytes =
+    std::size_t{std::numeric_limits<std::uint32_t>::max()} *
+    sizeof(std::uint32_t);
+static_assert(derivation_record_bytes(1) - derivation_record_bytes(0) >=
+                  sizeof(std::uint32_t),
+              "a window of kMaxWindowBytes must hold fewer than 2^32 "
+              "sources");
+
 class WindowChecker {
  public:
   WindowChecker(const Formula& f, trace::TraceReader& reader,
@@ -19,24 +32,21 @@ class WindowChecker {
         options_(options),
         level0_(reader.num_vars()),
         counts_(make_use_count_store(options.use_counts)),
-        store_(options.recycle_arena) {}
+        store_(options.recycle_arena),
+        observer_(options.observer) {}
 
   CheckResult run() {
     CheckResult result;
     try {
       check_header(*formula_, reader_->num_vars(), reader_->num_original());
       window_budget_ = options_.mem_limit_bytes == 0
-                           ? std::numeric_limits<std::size_t>::max()
-                           : std::max<std::size_t>(
-                                 options_.mem_limit_bytes / 4, 1024);
+                           ? kMaxWindowBytes
+                           : std::clamp<std::size_t>(
+                                 options_.mem_limit_bytes / 4, 1024,
+                                 kMaxWindowBytes);
       {
         obs::Span span("parse");
         scan_and_partition();
-      }
-      if (!final_id_.has_value()) {
-        throw CheckFailure(
-            "trace has no final conflicting clause; it does not claim "
-            "unsatisfiability");
       }
       {
         obs::Span span("index");
@@ -56,9 +66,12 @@ class WindowChecker {
       {
         obs::Span span("final_derivation");
         const std::uint64_t before = stats_.resolutions;
-        remaining = derive_final_clause(*final_id_, fetch, level0_, stats_,
+        remaining = derive_final_clause(final_id_, fetch, level0_, stats_,
                                         &used_antecedents);
         final_resolutions = stats_.resolutions - before;
+        if (observer_ != nullptr && remaining.empty()) {
+          observer_->on_final(final_id_, used_antecedents);
+        }
       }
       if (!remaining.empty()) {
         validate_assumption_clause(remaining, level0_);
@@ -89,8 +102,7 @@ class WindowChecker {
       result.error = std::string("trace error: ") + e.what();
     }
     // The resident index only grows and the clause frontier lives entirely
-    // in the arena, so the two peaks compose additively (as in the hybrid
-    // checker).
+    // in the arena, so the two peaks compose additively.
     const util::ClauseArena& arena = store_.arena();
     stats_.peak_mem_bytes = mem_.peak_bytes() + arena.peak_bytes();
     stats_.arena_allocated_bytes = arena.allocated_bytes();
@@ -111,11 +123,12 @@ class WindowChecker {
   /// One derivation window: a contiguous run of derivation records whose
   /// source lists fit the window budget together.
   struct Window {
-    std::uint64_t pos = 0;           ///< reader position of the first record
-    std::uint64_t record_index = 0;  ///< records preceding it (seek fallback)
-    std::size_t first = 0;           ///< index into ids_ of its first deriv
-    std::uint32_t count = 0;         ///< derivations it covers
+    std::uint64_t pos = 0;    ///< seek token at or before its first record
+    std::size_t first = 0;    ///< index into ids_ of its first derivation
+    std::uint32_t count = 0;  ///< derivations it covers
   };
+
+  static constexpr std::size_t kNoWindow = ~std::size_t{0};
 
   [[nodiscard]] ClauseId num_original() const {
     return reader_->num_original();
@@ -150,45 +163,21 @@ class WindowChecker {
         std::to_string(window_budget_) + " bytes; increase --mem-limit");
   }
 
-  /// Pass A: one streaming read validating trace structure (the same
-  /// checks as the hybrid checker's pass 1), keeping only the derivation
-  /// IDs resident and recording window boundaries so that each window's
-  /// source lists fit the window budget.
+  /// Pass A: one streaming read validating trace structure, keeping the
+  /// derivation IDs resident and recording window boundaries so that each
+  /// window's source lists fit the window budget. The window being filled
+  /// is the CSR itself, so the last window stays loaded for pass B — and a
+  /// trace that fits one window is decoded exactly once.
   void scan_and_partition() {
     reader_->rewind();
     seekable_ = reader_->seekable();
-    trace::Record rec;
-    bool ended = false;
+    // Seek token of the next record: where a window starting there begins.
+    std::uint64_t next_pos = seekable_ ? reader_->tell() : 0;
     std::optional<ClauseId> last_id;
-    std::uint64_t record_index = 0;
     std::size_t cur_window_bytes = 0;
-    while (!ended) {
-      const std::uint64_t pos = seekable_ ? reader_->tell() : record_index;
-      if (!reader_->next(rec)) break;
-      switch (rec.kind) {
-        case trace::RecordKind::Derivation: {
-          if (rec.id < num_original()) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " reuses an original clause ID");
-          }
-          if (last_id.has_value() && rec.id <= *last_id) {
-            throw CheckFailure(
-                "derivation IDs must be strictly increasing (clause " +
-                std::to_string(rec.id) + " after " +
-                std::to_string(*last_id) + ")");
-          }
-          if (rec.sources.size() < 2) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " has fewer than two resolve sources");
-          }
-          for (const ClauseId s : rec.sources) {
-            if (s >= rec.id) {
-              throw CheckFailure(
-                  "derivation " + std::to_string(rec.id) +
-                  " references source " + std::to_string(s) +
-                  " that does not precede it");
-            }
-          }
+    const TraceScan scan =
+        scan_trace(*reader_, level0_, [&](const trace::Record& rec) {
+          check_derivation_record(rec, num_original(), last_id);
           // Sources precede rec.id, so bounding the ID makes the 32-bit
           // narrowing below lossless (same policy as DerivationIndex).
           if (rec.id > std::numeric_limits<std::uint32_t>::max()) {
@@ -199,41 +188,25 @@ class WindowChecker {
           if (cost > window_budget_) fail_budget_record(rec.id, cost);
           if (windows_.empty() ||
               cur_window_bytes + cost > window_budget_) {
-            windows_.push_back({pos, record_index, ids_.size(), 0});
+            windows_.push_back({next_pos, ids_.size(), 0});
             cur_window_bytes = 0;
+            clear_window();
           }
           cur_window_bytes += cost;
           ++windows_.back().count;
+          append_sources(rec.sources);
           if (dense_ids_ && !ids_.empty() &&
               rec.id != static_cast<ClauseId>(ids_.back()) + 1) {
             dense_ids_ = false;
           }
-          last_id = rec.id;
           ids_.push_back(static_cast<std::uint32_t>(rec.id));
           ++stats_.total_derivations;
-          break;
-        }
-        case trace::RecordKind::FinalConflict:
-          if (final_id_.has_value()) {
-            throw CheckFailure(
-                "trace has more than one final conflict record");
-          }
-          final_id_ = rec.id;
-          break;
-        case trace::RecordKind::Level0:
-          level0_.add(rec.var, rec.value, rec.antecedent);
-          break;
-        case trace::RecordKind::Assumption:
-          level0_.add_assumption(rec.var, rec.value);
-          break;
-        case trace::RecordKind::End:
-          ended = true;
-          break;
-      }
-      ++record_index;
-    }
-    if (!ended) throw CheckFailure("trace truncated: missing end record");
-    end_pos_ = seekable_ ? reader_->tell() : record_index;
+          if (seekable_) next_pos = reader_->tell();
+        });
+    final_id_ = require_final_conflict(scan.final_id);
+    end_pos_ = seekable_ ? reader_->tell() : 0;
+    reader_derivs_ = ids_.size();
+    if (!windows_.empty()) loaded_ = windows_.size() - 1;
     mem_.add(ids_.size() * sizeof(std::uint32_t) +
              windows_.size() * sizeof(Window));
   }
@@ -256,7 +229,7 @@ class WindowChecker {
       }
       reachable_[idx] = true;
     };
-    seed(*final_id_, "final conflicting clause");
+    seed(final_id_, "final conflicting clause");
     for (Var v = 0; v < reader_->num_vars(); ++v) {
       if (level0_.implied(v)) {
         seed(level0_.antecedent(v), "level-0 antecedent");
@@ -288,6 +261,7 @@ class WindowChecker {
           std::to_string(window_budget_) +
           "-byte shifting window; increase --mem-limit");
     }
+    account_window();  // the window pass A left loaded
 
     for (std::size_t w = windows_.size(); w-- > 0;) {
       load_window(w);
@@ -310,7 +284,7 @@ class WindowChecker {
     }
 
     // Pin what the final derivation needs.
-    if (*final_id_ >= num_original()) counts_->increment(ordinal(*final_id_));
+    if (final_id_ >= num_original()) counts_->increment(ordinal(final_id_));
     for (Var v = 0; v < reader_->num_vars(); ++v) {
       if (level0_.implied(v) && level0_.antecedent(v) >= num_original()) {
         counts_->increment(ordinal(level0_.antecedent(v)));
@@ -318,56 +292,54 @@ class WindowChecker {
     }
   }
 
-  /// Pass C: forward streaming replay. Re-reads the trace in order,
-  /// folding each reachable derivation against the frontier and releasing
-  /// clauses (and shifted-past trace pages) as soon as their reachable
-  /// uses are exhausted.
+  /// Pass C: forward replay, one window at a time, of the reachable
+  /// derivations against the frontier of clauses still referenced later;
+  /// each clause leaves the arena the moment its reachable uses are behind.
   void replay_windows() {
-    reader_->rewind();
-    trace::Record rec;
-    std::size_t idx = 0;
-    std::size_t widx = 0;
-    while (reader_->next(rec)) {
-      if (rec.kind == trace::RecordKind::End) break;
-      if (rec.kind != trace::RecordKind::Derivation) continue;
-      const std::size_t i = idx++;
-      if (widx + 1 < windows_.size() &&
-          i == windows_[widx + 1].first) {
-        reader_->release_hint(windows_[widx].pos, windows_[widx + 1].pos);
-        ++widx;
-      }
-      if (!reachable_[i]) continue;
-      chain_.start(fetch_clause(rec.sources[0]));
-      for (std::size_t k = 1; k < rec.sources.size(); ++k) {
-        const ResolveResult r = chain_.step(fetch_clause(rec.sources[k]));
-        ++stats_.resolutions;
-        if (r.status != ResolveStatus::Ok) {
-          throw CheckFailure(
-              "derivation of clause " + std::to_string(rec.id) +
-              ": resolving with source " + std::to_string(rec.sources[k]) +
-              " (step " + std::to_string(k) + ") failed: " +
-              (r.status == ResolveStatus::NoClash
-                   ? "no clashing variable"
-                   : "more than one clashing variable"));
+    for (std::size_t w = 0; w < windows_.size(); ++w) {
+      load_window(w);
+      const Window& win = windows_[w];
+      for (std::uint32_t i = 0; i < win.count; ++i) {
+        if (reachable_[win.first + i]) {
+          replay(ids_[win.first + i], window_sources(i));
         }
       }
-      ++stats_.clauses_built;
-      // One batched decrement per chain, exactly as in the hybrid replay,
-      // so release order — and hence free-list state and recycled-bytes —
-      // matches it for the same reachable set.
-      ord_scratch_.clear();
-      for (const ClauseId s : rec.sources) {
-        if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
+      release_window(w);
+    }
+  }
+
+  /// Builds clause `id` by left-folding resolution over `sources`, then
+  /// releases the sources whose last reachable use this was and keeps the
+  /// clause if a later use remains.
+  void replay(ClauseId id, std::span<const std::uint32_t> sources) {
+    chain_.start(fetch_clause(sources[0]));
+    for (std::size_t k = 1; k < sources.size(); ++k) {
+      const ResolveResult r = chain_.step(fetch_clause(sources[k]));
+      ++stats_.resolutions;
+      if (r.status != ResolveStatus::Ok) {
+        throw CheckFailure(derivation_failure(id, sources[k], k, r.status));
       }
-      exhausted_scratch_.clear();
-      counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
-      for (const std::uint64_t ord : exhausted_scratch_) {
-        const ClauseId victim = static_cast<ClauseId>(ord) + num_original();
-        if (store_.contains(victim)) store_.release(victim);
-      }
-      if (counts_->get(ordinal(rec.id)) > 0) {
-        store_.put(rec.id, chain_.lits());
-      }
+    }
+    ++stats_.clauses_built;
+    // Announce before the decrements below so a certificate's deletion
+    // records always trail the addition that may trigger them.
+    if (observer_ != nullptr) observer_->on_derived(id, chain_.lits(), sources);
+    // One batched decrement per chain; exhausted ordinals come back in
+    // decrement order, so release order — and hence the free-list state
+    // and recycled-bytes counter — matches the per-antecedent loop.
+    ord_scratch_.clear();
+    for (const ClauseId s : sources) {
+      if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
+    }
+    exhausted_scratch_.clear();
+    counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
+    for (const std::uint64_t ord : exhausted_scratch_) {
+      release(static_cast<ClauseId>(ord) + num_original());
+    }
+    if (counts_->get(ordinal(id)) > 0) {
+      // Stored unsorted, like the other replay backends: resolution is
+      // set-based and nothing downstream reads stored literal order.
+      store_.put(id, chain_.lits());
     }
   }
 
@@ -388,7 +360,7 @@ class WindowChecker {
       }
       reachable_[index_of(id)] = true;  // seeded ids were validated earlier
     };
-    seed(*final_id_);
+    seed(final_id_);
     for (const ClauseId a : used) seed(a);
 
     std::uint64_t built = 0;
@@ -415,40 +387,53 @@ class WindowChecker {
     stats_.resolutions = resolutions;
   }
 
-  /// Seeks to window `w` and loads its derivations' source lists into the
-  /// (reused) window CSR. Non-seekable readers rewind and skip — a
-  /// correctness fallback for tests; file-backed traces seek directly.
-  void load_window(std::size_t w) {
-    const Window& win = windows_[w];
-    if (seekable_) {
-      reader_->seek(win.pos);
-    } else {
-      reader_->rewind();
-      trace::Record skip;
-      for (std::uint64_t i = 0; i < win.record_index; ++i) {
-        if (!reader_->next(skip)) break;
-      }
-    }
+  void clear_window() {
     win_offset_.clear();
     win_pool_.clear();
     win_offset_.push_back(0);
-    std::uint32_t seen = 0;
-    trace::Record rec;
-    while (seen < win.count && reader_->next(rec)) {
-      if (rec.kind != trace::RecordKind::Derivation) continue;
-      for (const ClauseId s : rec.sources) {
-        win_pool_.push_back(static_cast<std::uint32_t>(s));
-      }
-      win_offset_.push_back(static_cast<std::uint32_t>(win_pool_.size()));
-      ++seen;
+  }
+
+  void append_sources(std::span<const ClauseId> sources) {
+    for (const ClauseId s : sources) {
+      win_pool_.push_back(static_cast<std::uint32_t>(s));
     }
-    if (seen < win.count) {
-      throw CheckFailure("trace shrank between checking passes");
-    }
+    win_offset_.push_back(static_cast<std::uint32_t>(win_pool_.size()));
+  }
+
+  /// Charges the loaded CSR, in place of the previous one, to the budget.
+  void account_window() {
     mem_.remove(win_bytes_);
     win_bytes_ = (win_pool_.size() + win_offset_.size()) *
                  sizeof(std::uint32_t);
     mem_.add(win_bytes_);
+  }
+
+  /// Makes window `w`'s source lists the loaded CSR; a no-op when they
+  /// already are. Seekable readers seek to the window. A forward-only
+  /// reader reads on from where it stands when `w` lies ahead (the forward
+  /// replay), and rewinds and skips only when `w` is behind it.
+  void load_window(std::size_t w) {
+    if (w == loaded_) return;
+    const Window& win = windows_[w];
+    if (seekable_) {
+      reader_->seek(win.pos);
+      reader_derivs_ = win.first;
+    } else if (reader_derivs_ > win.first) {
+      reader_->rewind();
+      reader_derivs_ = 0;
+    }
+    clear_window();
+    const std::size_t end = win.first + win.count;
+    trace::Record rec;
+    while (reader_derivs_ < end) {
+      if (!reader_->next(rec)) {
+        throw CheckFailure("trace shrank between checking passes");
+      }
+      if (rec.kind != trace::RecordKind::Derivation) continue;
+      if (reader_derivs_++ >= win.first) append_sources(rec.sources);
+    }
+    loaded_ = w;
+    account_window();
   }
 
   /// Source list of the i-th derivation of the currently loaded window.
@@ -458,8 +443,8 @@ class WindowChecker {
             win_offset_[i + 1] - win_offset_[i]};
   }
 
-  /// Drops window `w`'s trace pages from memory after a backward-sweep
-  /// visit; the next pass faults them back in on demand.
+  /// Drops window `w`'s trace pages from memory after a sweep visits it;
+  /// the next pass faults them back in on demand.
   void release_window(std::size_t w) {
     if (!seekable_) return;
     const std::uint64_t end =
@@ -500,12 +485,20 @@ class WindowChecker {
     return store_.view(id);
   }
 
+  void release(ClauseId id) {
+    // A clause built but never stored has nothing to release.
+    if (store_.contains(id)) {
+      store_.release(id);
+      if (observer_ != nullptr) observer_->on_released(id);
+    }
+  }
+
   const Formula* formula_;
   trace::TraceReader* reader_;
   WindowOptions options_;
   Level0Table level0_;
   std::unique_ptr<UseCountStore> counts_;
-  std::optional<ClauseId> final_id_;
+  ClauseId final_id_ = kInvalidClauseId;
 
   // Resident index (pass A): derivation IDs (32-bit, bounded at scan
   // time) and the window table — a few bytes per derivation, never the
@@ -518,10 +511,13 @@ class WindowChecker {
   std::uint64_t end_pos_ = 0;
   std::size_t window_budget_ = 0;
 
-  // One window's source lists (reused CSR buffers).
+  // One window's source lists (reused CSR buffers), which window they
+  // hold, and how many derivation records the reader has passed.
   std::vector<std::uint32_t> win_offset_;
   std::vector<std::uint32_t> win_pool_;
   std::size_t win_bytes_ = 0;
+  std::size_t loaded_ = kNoWindow;
+  std::size_t reader_derivs_ = 0;
 
   std::vector<ClauseId> implied_ants_;  ///< sorted unique pinned antecedents
   std::vector<std::uint8_t> core_seen_;  ///< per-original core membership
@@ -534,6 +530,7 @@ class WindowChecker {
   ChainResolver chain_;
   util::MemTracker mem_;
   CheckStats stats_;
+  CertObserver* observer_ = nullptr;
 };
 
 }  // namespace

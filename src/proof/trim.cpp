@@ -8,7 +8,7 @@
 namespace satproof::proof {
 
 TrimStats trim_trace(trace::TraceReader& in, trace::TraceWriter& out) {
-  // Pass 1: structure only (same layout as the hybrid checker).
+  // Pass 1: structure only (ID + source lists, no literals).
   std::vector<ClauseId> ids;
   std::vector<std::size_t> src_offset{0};
   std::vector<ClauseId> src_pool;

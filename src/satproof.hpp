@@ -11,7 +11,7 @@
 ///   solver    CDCL search with resolution-trace generation + assumptions
 ///   simplify  traceable preprocessing (subsume / strengthen / eliminate)
 ///   trace     the trace formats (memory / ASCII / binary) + fault injection
-///   checker   the independent checkers (depth-first / breadth-first / hybrid)
+///   checker   the independent checkers (depth-first / breadth-first / window)
 ///   proof     proof DAGs: metrics, export, trimming, RUP, interpolation
 ///   core      unsatisfiable cores: extract, iterate, minimize
 ///   circuit   netlists, word ops, Tseitin, miters, rewriting, sorting nets

@@ -42,7 +42,7 @@ class Client {
   };
 
   /// Submits one job. With `wait`, blocks until the server delivers the
-  /// result frame. With `certify` (requires `wait`, df/hybrid backends),
+  /// result frame. With `certify` (requires `wait`; df, hybrid or window),
   /// asks for an LRAT certificate and reads the RESULT_CERT frame that
   /// follows an ok result. Transport errors come back in the reply (never
   /// thrown).

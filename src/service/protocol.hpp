@@ -98,7 +98,7 @@ struct SubmitHeader {
 };
 
 inline constexpr std::uint8_t kSubmitFlagWait = 0x01;
-/// Request an LRAT certificate of the replay (df/hybrid backends only;
+/// Request an LRAT certificate of the replay (df/hybrid/window backends;
 /// requires kSubmitFlagWait — the certificate arrives as a kResultCert
 /// frame after the kResult). Unknown to pre-certification servers' flag
 /// validation era: the bit is simply ignored by legacy peers.

@@ -7,7 +7,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
 #include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/cnf/dimacs.hpp"
@@ -47,7 +46,6 @@ Backend select_backend_for_budget(std::uint64_t trace_bytes,
   // Division, not multiplication: declared trace sizes can be large
   // enough that 6x would overflow before the compare.
   if (trace_bytes <= mem_limit_bytes / 6) return Backend::kDf;
-  if (trace_bytes <= mem_limit_bytes / 3) return Backend::kHybrid;
   return Backend::kWindow;
 }
 
@@ -195,24 +193,21 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
   JobOutcome out;
   out.backend = backend;
   const bool certify = cert.sink != nullptr;
-  if (certify && backend != Backend::kDf && backend != Backend::kHybrid) {
-    out.error = "certificate emission requires the df or hybrid backend";
+  if (certify && !can_certify(backend)) {
+    out.error =
+        "certificate emission requires the df, hybrid or window backend";
     bump_global_counters(out);
     return out;
   }
-  // Per-job memory cap: a df/hybrid request whose estimated peak exceeds
-  // the budget runs under the cheapest backend that fits instead.
-  // Certifying runs are exempt (emission requires df/hybrid), and a
-  // budget-picked backend is never *upgraded* — hybrid stays hybrid even
-  // when df would fit.
-  if (mem_limit_bytes != 0 && !certify &&
-      (backend == Backend::kDf || backend == Backend::kHybrid)) {
-    const Backend fits = select_backend_for_budget(
-        trace_file_bytes(trace_path), mem_limit_bytes);
-    if (fits == Backend::kWindow ||
-        (fits == Backend::kHybrid && backend == Backend::kDf)) {
-      backend = fits;
-    }
+  // Per-job memory cap: a df or hybrid request whose estimated peak
+  // exceeds the budget runs as window instead. A hybrid request that fits
+  // stays hybrid, running at the budget (one window when the structure
+  // fits it).
+  if (mem_limit_bytes != 0 &&
+      (backend == Backend::kDf || backend == Backend::kHybrid) &&
+      select_backend_for_budget(trace_file_bytes(trace_path),
+                                mem_limit_bytes) == Backend::kWindow) {
+    backend = Backend::kWindow;
     out.backend = backend;
   }
   try {
@@ -262,25 +257,23 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         res = checker::check_breadth_first(f, *reader, bopts);
         break;
       }
-      case Backend::kHybrid: {
-        checker::HybridOptions hopts;
-        hopts.recycle_arena = recycle_arena;
-        hopts.observer = emitter.get();
-        res = checker::check_hybrid(f, *reader, hopts);
-        break;
-      }
       case Backend::kParallel: {
         checker::ParallelOptions popts;
         popts.jobs = jobs;
         res = checker::check_parallel(f, *reader, popts);
         break;
       }
+      case Backend::kHybrid:
       case Backend::kWindow: {
         checker::WindowOptions wopts;
-        // 0 here means "no cap was set"; keep the WindowOptions default
+        // Hybrid is window with no budget unless the job is capped; a
+        // window request without a cap keeps the WindowOptions default
         // budget rather than degrading to one unbounded window.
-        if (mem_limit_bytes != 0) wopts.mem_limit_bytes = mem_limit_bytes;
+        if (mem_limit_bytes != 0 || backend == Backend::kHybrid) {
+          wopts.mem_limit_bytes = mem_limit_bytes;
+        }
         wopts.recycle_arena = recycle_arena;
+        wopts.observer = emitter.get();
         res = checker::check_window(f, *reader, wopts);
         break;
       }

@@ -16,7 +16,7 @@ namespace satproof::service {
 enum class Backend : std::uint8_t {
   kDf = 0,        ///< depth-first resolution replay
   kBf = 1,        ///< breadth-first (bounded-memory) replay
-  kHybrid = 2,    ///< reachability-pruned breadth-first window
+  kHybrid = 2,    ///< window replay with no budget (one window)
   kParallel = 3,  ///< depth-first, independent sub-proofs on N workers
   kDrup = 4,      ///< forward DRUP (trace file holds a DRUP proof)
   kWindow = 5,    ///< window-shifting replay under a memory budget
@@ -27,13 +27,19 @@ inline constexpr std::uint8_t kNumBackends = 6;
 [[nodiscard]] std::optional<Backend> backend_from_name(std::string_view name);
 [[nodiscard]] const char* backend_name(Backend b);
 
+/// True for the backends that can stream an LRAT certificate of their
+/// replay: df, hybrid and window.
+[[nodiscard]] constexpr bool can_certify(Backend b) {
+  return b == Backend::kDf || b == Backend::kHybrid || b == Backend::kWindow;
+}
+
 /// Picks the fastest replay backend whose estimated peak fits
 /// `mem_limit_bytes`, from the declared trace size: depth-first while the
 /// whole trace plus its memoized clauses fit (~6x the trace bytes on the
-/// committed bench suite), hybrid while the resident DAG structure fits
-/// (~3x), and the window-shifting backend beyond that — its resident
-/// footprint is a few bytes per derivation, independent of trace length.
-/// A zero budget means "no cap" and selects depth-first.
+/// committed bench suite), and the window-shifting backend beyond that —
+/// its resident footprint is a few bytes per derivation plus one
+/// budget-sized window, independent of trace length. A zero budget means
+/// "no cap" and selects depth-first.
 [[nodiscard]] Backend select_backend_for_budget(std::uint64_t trace_bytes,
                                                 std::size_t mem_limit_bytes);
 
@@ -45,7 +51,7 @@ struct JobOutcome {
   bool ok = false;
   std::string error;  ///< checker/parse diagnostic when !ok
   Backend backend = Backend::kDf;
-  /// Replay backends (df/bf/hybrid/parallel); zeros for DRUP.
+  /// Replay backends (df/bf/hybrid/parallel/window); zeros for DRUP.
   checker::CheckStats stats;
   /// Non-empty for validated UNSAT-under-assumptions traces.
   std::vector<Lit> failed_assumption_clause;
@@ -103,18 +109,19 @@ struct CertOptions {
 /// reset() before use; the parallel and DRUP backends manage their own
 /// storage and ignore it). Outcomes are byte-identical either way.
 /// `cert`, when its sink is non-null, streams an LRAT certificate of the
-/// replay to that sink (df and hybrid backends only — others fail the
-/// job). A certified run demands unconditional unsatisfiability: traces
-/// that verify only under assumptions, and sink write failures, turn the
-/// outcome into ok == false even though the underlying check passed.
+/// replay to that sink (backends for which can_certify() holds — others
+/// fail the job). A certified run demands unconditional unsatisfiability:
+/// traces that verify only under assumptions, and sink write failures,
+/// turn the outcome into ok == false even though the underlying check
+/// passed.
 ///
 /// `mem_limit_bytes`, when non-zero, caps the checker's memory use: the
-/// window backend takes it as its budget, and a df/hybrid request whose
-/// estimated peak exceeds it (from the trace file size — see
-/// select_backend_for_budget) is downgraded to the cheapest backend that
-/// fits; JobOutcome::backend records what actually ran. Certifying runs
-/// are never downgraded (emission requires df/hybrid); bf, parallel, and
-/// DRUP are unaffected (bf is already budget-bounded, DRUP streams).
+/// window and hybrid backends take it as their budget, and a df or hybrid
+/// request whose estimated peak exceeds it (from the trace file size — see
+/// select_backend_for_budget) runs as window instead; JobOutcome::backend
+/// records what actually ran. Certifying runs are capped too (window
+/// certifies at any budget); bf, parallel, and DRUP are unaffected (bf is
+/// already budget-bounded, DRUP streams).
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,

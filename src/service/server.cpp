@@ -426,11 +426,11 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
                                   std::to_string(header.backend));
       }
       if ((header.flags & kSubmitFlagCertify) != 0) {
-        const auto b = static_cast<Backend>(header.backend);
-        if (b != Backend::kDf && b != Backend::kHybrid) {
+        if (!can_certify(static_cast<Backend>(header.backend))) {
           return protocol_error(
               ErrorCode::kBadRequest,
-              "certificate emission requires the df or hybrid backend");
+              "certificate emission requires the df, hybrid or window "
+              "backend");
         }
         if ((header.flags & kSubmitFlagWait) == 0) {
           // A certificate only travels on the result path; fire-and-forget
@@ -758,8 +758,8 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
   }
 
   // Attribute to the backend that actually ran: the per-job memory cap
-  // may have downgraded a df/hybrid request (outcome.backend tracks it;
-  // for jobs that expired in the queue it is still the requested one).
+  // may have run a df/hybrid request as window (outcome.backend tracks
+  // it; for jobs that expired in the queue it is still the requested one).
   if (timed_out) {
     metrics_.on_timeout(outcome.backend);
   } else {

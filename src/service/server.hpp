@@ -49,10 +49,9 @@ struct ServerOptions {
   bool certify = false;
   /// Per-worker checker memory cap in bytes (`satproof serve
   /// --mem-limit`). Passed to run_check for every job: df/hybrid requests
-  /// whose estimated peak exceeds it are downgraded to the cheapest
-  /// backend that fits (ultimately the window-shifting backend, whose
-  /// resident footprint is budget-bounded), so one multi-GB upload cannot
-  /// OOM a worker. 0 = no cap.
+  /// whose estimated peak exceeds it run on the window-shifting backend,
+  /// whose resident footprint is budget-bounded, so one multi-GB upload
+  /// cannot OOM a worker; certifying jobs included. 0 = no cap.
   std::size_t mem_limit_bytes = 0;
 };
 

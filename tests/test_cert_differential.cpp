@@ -1,7 +1,8 @@
 // Differential fuzzing of the certificate pipeline: every UNSAT instance
 // of the 500-instance random-3SAT harness (same seeds and shape as
-// test_differential.cpp) is exported to LRAT from both emitting backends
-// (depth-first and hybrid, text and binary form) and re-verified by the
+// test_differential.cpp) is exported to LRAT from the emitting backends
+// (depth-first, hybrid, and window at a budget of several windows; text
+// and binary form) and re-verified by the
 // trusted kernel. The kernel's verdict must agree with all five checker
 // backends, and its step counts must match the emitter's — any divergence
 // is a bug in the emitter, the kernel, or a checker.
@@ -19,10 +20,11 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
+#include "src/checker/window.hpp"
 #include "src/checker/parallel.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/cnf/model.hpp"
+#include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
@@ -33,6 +35,7 @@ namespace satproof {
 namespace {
 
 constexpr int kInstancesPerShard = 50;  // x 10 shards = 500 instances
+constexpr std::size_t kWindowBudget = 64 << 10;
 
 struct Export {
   checker::CheckResult check;
@@ -64,8 +67,9 @@ Export export_df(const Formula& f, const trace::MemoryTrace& t, bool binary) {
   return e;
 }
 
-Export export_hybrid(const Formula& f, const trace::MemoryTrace& t,
-                     bool binary) {
+// Window export at `mem_limit` (0 = no budget: the hybrid checker).
+Export export_window(const Formula& f, const trace::MemoryTrace& t,
+                     bool binary, std::size_t mem_limit) {
   Export e;
   std::ostringstream sink;
   std::unique_ptr<cert::LratWriter> w;
@@ -76,9 +80,10 @@ Export export_hybrid(const Formula& f, const trace::MemoryTrace& t,
   }
   cert::LratEmitter emitter(*w, f.num_clauses());
   trace::MemoryTraceReader r(t);
-  checker::HybridOptions opts;
+  checker::WindowOptions opts;
+  opts.mem_limit_bytes = mem_limit;
   opts.observer = &emitter;
-  e.check = checker::check_hybrid(f, r, opts);
+  e.check = checker::check_window(f, r, opts);
   EXPECT_TRUE(w->ok());
   e.cert = std::move(sink).str();
   e.additions = emitter.additions();
@@ -217,7 +222,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
 
     // Hybrid export: same verdict, and its deletion records (absent from
     // the df path, which releases nothing) must not break verification.
-    const Export hy_text = export_hybrid(f, t, /*binary=*/false);
+    const Export hy_text = export_window(f, t, /*binary=*/false, 0);
     ASSERT_TRUE(hy_text.check.ok) << hy_text.check.error;
     ASSERT_TRUE(hy_text.finished);
     const kern::VerifyResult kv_hy = kernel_verify(f, hy_text.cert);
@@ -231,7 +236,7 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     EXPECT_GE(kv_hy.additions, kv_df.additions);
     hybrid_deletions_total += kv_hy.deletions;
 
-    const Export hy_bin = export_hybrid(f, t, /*binary=*/true);
+    const Export hy_bin = export_window(f, t, /*binary=*/true, 0);
     ASSERT_TRUE(hy_bin.check.ok) << hy_bin.check.error;
     const kern::VerifyResult kv_hyb = kernel_verify(f, hy_bin.cert);
     EXPECT_TRUE(kv_hyb.verified) << "record " << kv_hyb.line << ": "
@@ -239,12 +244,66 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     EXPECT_EQ(kv_hyb.additions, kv_hy.additions);
     EXPECT_EQ(kv_hyb.deletions, kv_hy.deletions);
     expect_dense_ids(f, hy_bin.cert, /*binary=*/true);
+
+    // Window export under a budget: the replay and release order do not
+    // depend on the budget, so the certificate must be hybrid's, byte for
+    // byte. These traces are small (about 1 KiB of structure at most), so
+    // this is one window each; WindowCertificateAcrossSeveralWindows
+    // covers traces the budget splits.
+    for (const bool binary : {false, true}) {
+      SCOPED_TRACE(binary ? "window-64k binary" : "window-64k text");
+      const Export wn = export_window(f, t, binary, kWindowBudget);
+      ASSERT_TRUE(wn.check.ok) << wn.check.error;
+      ASSERT_TRUE(wn.finished);
+      const kern::VerifyResult kv_wn = kernel_verify(f, wn.cert);
+      EXPECT_TRUE(kv_wn.verified) << "line " << kv_wn.line << ": "
+                                  << kv_wn.error;
+      EXPECT_EQ(kv_wn.additions, wn.additions);
+      EXPECT_EQ(kv_wn.deletions, wn.deletions);
+      expect_dense_ids(f, wn.cert, binary);
+      EXPECT_EQ(wn.cert, binary ? hy_bin.cert : hy_text.cert);
+    }
   }
   // The ratio sweep straddles the phase transition, so a healthy fraction
   // of every shard must actually exercise the certificate path, and the
   // hybrid runs must exercise deletion records somewhere in the shard.
   EXPECT_GE(unsat_seen, kInstancesPerShard / 5);
   EXPECT_GT(hybrid_deletions_total, 0u);
+}
+
+// Pigeonhole traces large enough that a 64 KiB budget (16 KiB windows)
+// splits their structure into several windows: each window certificate
+// must kernel-verify with dense addition IDs and equal hybrid's.
+TEST(CertDifferential, WindowCertificateAcrossSeveralWindows) {
+  for (const unsigned holes : {6u, 7u}) {
+    const Formula f = encode::pigeonhole(holes);
+    solver::Solver s;
+    s.add_formula(f);
+    trace::MemoryTraceWriter trace_writer;
+    s.set_trace_writer(&trace_writer);
+    ASSERT_EQ(s.solve(), solver::SolveResult::Unsatisfiable);
+    const trace::MemoryTrace t = trace_writer.take();
+    std::size_t structure = 0;
+    for (const auto& d : t.derivations) {
+      structure += checker::derivation_record_bytes(d.sources.size());
+    }
+    ASSERT_GT(structure, 2 * (kWindowBudget / 4)) << "php" << holes;
+    for (const bool binary : {false, true}) {
+      SCOPED_TRACE("php" + std::to_string(holes) +
+                   (binary ? " binary" : " text"));
+      const Export hy = export_window(f, t, binary, 0);
+      const Export wn = export_window(f, t, binary, kWindowBudget);
+      ASSERT_TRUE(wn.check.ok) << wn.check.error;
+      ASSERT_TRUE(wn.finished);
+      const kern::VerifyResult kv = kernel_verify(f, wn.cert);
+      EXPECT_TRUE(kv.verified) << "line " << kv.line << ": " << kv.error;
+      EXPECT_EQ(kv.additions, wn.additions);
+      EXPECT_EQ(kv.deletions, wn.deletions);
+      EXPECT_GT(wn.deletions, 0u);
+      expect_dense_ids(f, wn.cert, binary);
+      EXPECT_EQ(wn.cert, hy.cert);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CertDifferentialFuzz,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -506,6 +507,30 @@ TEST_F(ServiceE2E, CertifySubmitReturnsKernelVerifiableCertificate) {
             std::string::npos);
 }
 
+TEST_F(ServiceE2E, CertifiedSubmitUnderMemLimitRunsWindowAndVerifies) {
+  // A budget the php8 trace exceeds six times over: the df request runs
+  // as window at that budget, certificate included.
+  const std::uint64_t trace_bytes = read_file(fx_->trace8()).size();
+  ServerOptions opts;
+  opts.certify = true;
+  opts.mem_limit_bytes = static_cast<std::size_t>(trace_bytes);
+  start_server(opts);
+  Client client = connect();
+  const Client::SubmitReply reply =
+      client.submit(fx_->php8(), fx_->trace8(), Backend::kDf, /*wait=*/true,
+                    /*jobs=*/0, /*timeout_ms=*/0, /*certify=*/true);
+  ASSERT_TRUE(reply.transport_ok) << reply.error;
+  ASSERT_EQ(reply.status, JobStatus::kOk) << reply.verdict;
+  EXPECT_NE(reply.result_json.find("\"backend\":\"window\""),
+            std::string::npos)
+      << reply.result_json;
+  ASSERT_TRUE(reply.have_certificate);
+  std::ifstream cnf_in(fx_->php8());
+  std::istringstream cert_in(reply.certificate);
+  const kern::VerifyResult kv = kern::verify_lrat(cnf_in, cert_in);
+  EXPECT_TRUE(kv.verified) << "line " << kv.line << ": " << kv.error;
+}
+
 TEST_F(ServiceE2E, CertifyWithWrongBackendOrWithoutWaitIsBadRequest) {
   start_server();
   for (const bool with_wait : {true, false}) {
@@ -544,6 +569,39 @@ TEST_F(ServiceE2E, LegacyClientsNeverSeeCertFrames) {
       client.submit(fx_->php4(), fx_->trace4(), Backend::kDf, /*wait=*/true);
   ASSERT_TRUE(second.transport_ok) << second.error;
   EXPECT_EQ(second.status, JobStatus::kOk);
+}
+
+// The budget picks df while the trace is at most a sixth of it, window
+// beyond that; the division keeps sizes near UINT64_MAX from overflowing.
+TEST(BudgetSelection, PicksDfOrWindow) {
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  struct Row {
+    std::uint64_t trace_bytes;
+    std::size_t mem_limit;
+    Backend expected;
+  };
+  const Row rows[] = {
+      {0, 0, Backend::kDf},
+      {kMax64, 0, Backend::kDf},  // no cap
+      {0, 600, Backend::kDf},
+      {100, 600, Backend::kDf},  // exactly a sixth
+      {101, 600, Backend::kWindow},
+      {300, 600, Backend::kWindow},
+      {100, 605, Backend::kDf},      // the sixth rounds down
+      {101, 605, Backend::kWindow},
+      {0, 5, Backend::kDf},
+      {1, 5, Backend::kWindow},
+      {kMaxSize / 6, kMaxSize, Backend::kDf},
+      {kMaxSize / 6 + 1, kMaxSize, Backend::kWindow},
+      {kMax64, kMaxSize, Backend::kWindow},
+      {kMax64, 1u << 20, Backend::kWindow},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(select_backend_for_budget(row.trace_bytes, row.mem_limit),
+              row.expected)
+        << row.trace_bytes << " bytes under " << row.mem_limit;
+  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
 #include "src/checker/parallel.hpp"
 #include "src/circuit/tseitin.hpp"
 #include "src/cnf/dimacs.hpp"
@@ -87,7 +86,8 @@ usage:
                  [--mem-limit=N] [--stats] [--trace-out FILE]
       replay a trace against the formula; exit 0 iff the proof is valid.
       --checker picks the backend: df (default) depth-first resolution
-      replay; bf breadth-first; hybrid the bounded-memory hybrid; parallel
+      replay; bf breadth-first; hybrid the window replay with no budget
+      (df's clauses, bf's use-count release, one trace decode); parallel
       depth-first with independent sub-proofs built on N worker threads
       (--jobs, default: all hardware threads; identical verdict, core and
       stats to df); rup cross-validates every derived clause by reverse unit
@@ -97,9 +97,9 @@ usage:
       for small traces and the memory-light hybrid for large ones (the
       selection is recorded in the --stats=json "backend" field).
       --mem-limit=N caps checker memory (K/M/G suffixes accepted): it is
-      the window backend's budget, steers --checker=auto by the budget
-      and trace size, and downgrades df/hybrid requests that would not
-      fit (see docs/CHECKERS.md). The
+      the window and hybrid backends' budget, steers --checker=auto by
+      the budget and trace size, and runs df/hybrid requests that would
+      not fit as window (see docs/CHECKERS.md). The
       flags --bf, --hybrid and --rup remain as shorthands. --stats
       appends a line with clause-arena traffic (bytes
       allocated/recycled/peak) and total peak checker memory;
@@ -111,7 +111,7 @@ usage:
       checker's stage spans (parse/index/replay/...).
 
   satproof export-lrat <file.cnf> <trace-file> -o cert.lrat
-                       [--checker=df|hybrid|auto] [--binary-cert]
+                       [--checker=df|hybrid|window|auto] [--binary-cert]
       replay the trace (df by default) and stream a hint-annotated LRAT
       certificate of unsatisfiability to the output file; exit 0 iff the
       check passed and the certificate was written. --binary-cert emits
@@ -133,9 +133,9 @@ usage:
                        slower than N ms (0 = off, the default)
       --mem-limit N    per-worker checker memory cap in bytes (K/M/G
                        suffixes accepted): df/hybrid jobs that would not
-                       fit are downgraded, ultimately to the
-                       window-shifting backend, so one huge upload cannot
-                       OOM a worker (0 = no cap, the default)
+                       fit run on the window-shifting backend, certified
+                       jobs included, so one huge upload cannot OOM a
+                       worker (0 = no cap, the default)
       --certify        re-verify every certified job's LRAT output with
                        the trusted kernel before replying (counted in the
                        satproofd_certified_total metrics)
@@ -149,7 +149,7 @@ usage:
       df | bf | hybrid | parallel | drup | window (default df; drup
       treats the trace argument as a DRUP proof; window replays under
       the daemon's --mem-limit budget). --wait blocks for the verdict and
-      exits 0 iff the proof checked out. --certify (df/hybrid only,
+      exits 0 iff the proof checked out. --certify (df/hybrid/window,
       implies --wait) asks the daemon for an LRAT certificate, delivered
       in a RESULT_CERT frame; --cert-out saves it to a file.
 
@@ -762,8 +762,10 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
   const bool binary_cert = args.take_flag("--binary-cert");
   std::string mode = "df";
   if (const auto v = args.take_option("--checker")) {
-    if (*v != "df" && *v != "hybrid" && *v != "auto") {
-      throw CliError("export-lrat --checker expects df, hybrid or auto");
+    const auto b = service::backend_from_name(*v);
+    if (*v != "auto" && !(b && service::can_certify(*b))) {
+      throw CliError(
+          "export-lrat --checker expects df, hybrid, window or auto");
     }
     mode = *v;
   }
