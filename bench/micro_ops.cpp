@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: resolution
 // (reference sorted-merge vs the marker-based ChainResolver), solver BCP,
-// trace codecs, and CNF parsing.
+// trace codecs, and CNF and DRUP parsing.
 
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
+#include "src/checker/drup.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/circuit/miter.hpp"
@@ -14,6 +15,7 @@
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/drup.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/varint.hpp"
 
@@ -147,6 +149,25 @@ void BM_DimacsParse(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_DimacsParse);
+
+void BM_DrupParse(benchmark::State& state) {
+  // A solver-written DRUP proof, deletion lines included.
+  const Formula f = encode::pigeonhole(7);
+  std::ostringstream out;
+  trace::DrupWriter w(out);
+  solver::Solver s;
+  s.add_formula(f);
+  s.set_drup_writer(&w);
+  (void)s.solve();
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(checker::read_drup(in, f.num_vars()).steps.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_DrupParse);
 
 void BM_TseitinMultiplierMiter(benchmark::State& state) {
   for (auto _ : state) {

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <istream>
-#include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/checker/resolution.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/arena.hpp"
+#include "src/util/line_scanner.hpp"
 
 namespace satproof::checker {
 
@@ -235,53 +236,73 @@ class DrupEngine {
 
 }  // namespace
 
-DrupCheckResult check_drup(const Formula& f, std::istream& proof) {
-  DrupCheckResult result;
-
-  // Find the variable bound: the proof may mention fresh variables only if
-  // the solver introduced them, which ours does not; still, parse first
-  // into memory-light records while tracking the max var.
-  Var num_vars = f.num_vars();
-  struct Line {
-    bool deletion;
-    SortedClause lits;
-  };
-  std::vector<Line> lines;
-  std::string text;
-  obs::Span parse_span_holder("parse");
-  while (std::getline(proof, text)) {
+DrupProof read_drup(std::istream& proof, Var num_vars) {
+  DrupProof out;
+  util::LineScanner scanner(proof);
+  std::string_view text;
+  std::vector<Lit> raw;
+  while (scanner.next(text)) {
     if (text.empty() || text[0] == 'c') continue;
-    std::istringstream ls(text);
-    Line line{false, {}};
-    std::string first;
-    ls >> first;
-    if (first == "d") {
-      line.deletion = true;
-    } else {
-      ls.clear();
-      ls.seekg(0);
+    util::TokenCursor ls(text);
+    DrupStep step;
+    util::TokenCursor after_first = ls;
+    if (after_first.next_word() == "d") {
+      step.deletion = true;
+      ls = after_first;
     }
     std::int64_t d = 0;
     bool terminated = false;
-    std::vector<Lit> raw;
-    while (ls >> d) {
+    std::uint64_t undeclared = 0;  // first variable beyond num_vars, if any
+    raw.clear();
+    while (ls.next(d)) {
       if (d == 0) {
         terminated = true;
         break;
       }
+      const std::uint64_t v = util::magnitude(d);
+      if (v > num_vars) {
+        if (undeclared == 0) undeclared = v;
+        continue;
+      }
       raw.push_back(Lit::from_dimacs(d));
-      num_vars = std::max(num_vars, raw.back().var() + 1);
     }
     if (!terminated) {
-      result.error = "DRUP line not terminated by 0: '" + text + "'";
-      return result;
+      out.error = "DRUP line not terminated by 0: '" + std::string(text) + "'";
+      return out;
     }
-    line.lits = canonicalize(raw);
-    lines.push_back(std::move(line));
+    if (undeclared != 0) {
+      if (!step.deletion) {
+        out.error = "DRUP added clause uses undeclared variable " +
+                    std::to_string(undeclared) + " (the formula has " +
+                    std::to_string(num_vars) + "): '" + std::string(text) +
+                    "'";
+        return out;
+      }
+      // No clause in the database mentions the variable, so this
+      // deletion fails when replay reaches it.
+      step.absent = true;
+    } else {
+      step.lits = canonicalize(raw);
+    }
+    out.steps.push_back(std::move(step));
   }
-  parse_span_holder.finish();
+  return out;
+}
 
-  DrupEngine engine(num_vars);
+DrupCheckResult check_drup(const Formula& f, std::istream& proof) {
+  DrupCheckResult result;
+
+  // Read the whole proof first; the engine is sized from the formula
+  // alone, since every added clause stays within its variables.
+  obs::Span parse_span_holder("parse");
+  DrupProof parsed = read_drup(proof, f.num_vars());
+  parse_span_holder.finish();
+  if (!parsed.error.empty()) {
+    result.error = std::move(parsed.error);
+    return result;
+  }
+
+  DrupEngine engine(f.num_vars());
   {
     obs::Span span("index");
     for (ClauseId id = 0; id < f.num_clauses(); ++id) {
@@ -291,9 +312,9 @@ DrupCheckResult check_drup(const Formula& f, std::istream& proof) {
   }
 
   obs::Span replay_span("replay");
-  for (const Line& line : lines) {
+  for (const DrupStep& line : parsed.steps) {
     if (line.deletion) {
-      if (!engine.delete_clause(line.lits)) {
+      if (line.absent || !engine.delete_clause(line.lits)) {
         result.error = "deletion of a clause not in the database";
         return result;
       }

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "src/checker/resolution.hpp"
 #include "src/cnf/formula.hpp"
 
 namespace satproof::checker {
@@ -16,6 +18,28 @@ struct DrupCheckResult {
   std::uint64_t deletions = 0;        ///< deletion lines applied
   std::uint64_t propagations = 0;     ///< unit propagations performed
 };
+
+/// One line of a DRUP proof: an added clause, or a `d` deletion line.
+struct DrupStep {
+  bool deletion = false;
+  /// A deletion of a clause over a variable the formula does not have; no
+  /// such clause can be in the database. `lits` is then left empty.
+  bool absent = false;
+  SortedClause lits;  ///< canonical literals
+};
+
+/// A DRUP proof read into memory, or the reason it could not be read.
+struct DrupProof {
+  std::vector<DrupStep> steps;
+  std::string error;  ///< empty when every line was read
+};
+
+/// Reads a textual DRUP proof over a formula with `num_vars` variables:
+/// one clause per line, literals terminated by 0, `d` before a deletion,
+/// `c` comment lines. Each line must reach its 0. An added clause over a
+/// variable above `num_vars` is an error, so a proof cannot size the
+/// checker; a deletion over one is kept as an absent step.
+[[nodiscard]] DrupProof read_drup(std::istream& proof, Var num_vars);
 
 /// Forward DRUP proof checking — validating the modern descendant of the
 /// paper's trace format.

@@ -1,11 +1,16 @@
 #include "src/cnf/dimacs.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#include "src/util/line_scanner.hpp"
+#include "src/util/view_streambuf.hpp"
 
 namespace satproof::dimacs {
 
@@ -24,13 +29,13 @@ Formula parse(std::istream& in) {
   std::int64_t declared_vars = 0;
   std::int64_t declared_clauses = 0;
   std::vector<Lit> current;
-  std::size_t line_no = 0;
-  std::string line;
+  util::LineScanner scanner(in);
+  std::string_view line;
 
-  while (std::getline(in, line)) {
-    ++line_no;
+  while (scanner.next(line)) {
+    const std::size_t line_no = scanner.line_number();
     // Tolerate Windows line endings.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (line[0] == 'c') continue;
     // SATLIB files end with a '%' line followed by a lone '0'; everything
@@ -38,29 +43,38 @@ Formula parse(std::istream& in) {
     if (line[0] == '%') break;
     if (line[0] == 'p') {
       if (saw_header) fail(line_no, "duplicate header");
-      std::istringstream hs(line);
+      std::istringstream hs{std::string(line)};
       std::string p, fmt;
       hs >> p >> fmt >> declared_vars >> declared_clauses;
       if (!hs || fmt != "cnf" || declared_vars < 0 || declared_clauses < 0) {
         fail(line_no, "malformed header (expected 'p cnf <vars> <clauses>')");
       }
+      // Literals are 32-bit codes: a larger count would alias variables.
+      if (declared_vars > kMaxVars) {
+        fail(line_no, "declared variable count " +
+                          std::to_string(declared_vars) + " exceeds " +
+                          std::to_string(kMaxVars));
+      }
       saw_header = true;
       continue;
     }
     if (!saw_header) fail(line_no, "literals before 'p cnf' header");
-    std::istringstream ls(line);
+    util::TokenCursor ls(line);
     std::int64_t d = 0;
-    while (ls >> d) {
+    while (ls.next(d)) {
       if (d == 0) {
         f.add_clause(current);
         current.clear();
       } else {
-        const std::int64_t v = d < 0 ? -d : d;
-        if (v > declared_vars) fail(line_no, "literal exceeds declared vars");
+        if (util::magnitude(d) > static_cast<std::uint64_t>(declared_vars)) {
+          fail(line_no, "literal exceeds declared vars");
+        }
         current.push_back(Lit::from_dimacs(d));
       }
     }
-    if (!ls.eof()) fail(line_no, "non-integer token");
+    // A bad token that runs to the end of the line is dropped, as `>>`
+    // leaves eofbit set for it.
+    if (!ls.at_end()) fail(line_no, "non-integer token");
   }
   if (!current.empty()) {
     throw std::runtime_error("dimacs: unterminated final clause (missing 0)");
@@ -82,7 +96,8 @@ Formula parse(std::istream& in) {
 }
 
 Formula parse_string(const std::string& text) {
-  std::istringstream in(text);
+  util::ViewStreambuf buf(text);
+  std::istream in(&buf);
   return parse(in);
 }
 
@@ -93,10 +108,12 @@ Formula parse_file(const std::string& path) {
 }
 
 void write(std::ostream& out, const Formula& f, const std::string& comment) {
-  if (!comment.empty()) {
-    std::istringstream cs(comment);
-    std::string cl;
-    while (std::getline(cs, cl)) out << "c " << cl << '\n';
+  // One "c " line per comment line; a final '\n' ends the last line.
+  std::string_view rest = comment;
+  while (!rest.empty()) {
+    const std::size_t nl = std::min(rest.find('\n'), rest.size());
+    out << "c " << rest.substr(0, nl) << '\n';
+    rest.remove_prefix(std::min(nl + 1, rest.size()));
   }
   out << "p cnf " << f.num_vars() << ' ' << f.num_clauses() << '\n';
   for (ClauseId id = 0; id < f.num_clauses(); ++id) {

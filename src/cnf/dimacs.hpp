@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -7,14 +8,20 @@
 
 namespace satproof::dimacs {
 
+/// Largest variable count a header may declare: 2^28, the trusted kernel's
+/// own bound, so this parser accepts no variable count the kernel refuses.
+inline constexpr std::int64_t kMaxVars = std::int64_t{1} << 28;
+
 /// Parses a DIMACS CNF stream.
 ///
 /// Accepts the standard format: optional comment lines (`c ...`), a header
 /// `p cnf <vars> <clauses>`, then whitespace-separated signed literals with
 /// clauses terminated by 0. The header's variable count is honoured even
 /// when some variables never occur (the paper's Table 1/Table 3 discussion
-/// distinguishes declared from used variables). Throws std::runtime_error
-/// with a line number on malformed input.
+/// distinguishes declared from used variables), up to kMaxVars. Lines may
+/// end in CRLF, and a `%` line ends the clauses (the SATLIB trailer).
+/// Reads `in` in 64 KiB chunks, so it may consume bytes past a `%` line.
+/// Throws std::runtime_error with a line number on malformed input.
 [[nodiscard]] Formula parse(std::istream& in);
 
 /// Parses a DIMACS CNF string.

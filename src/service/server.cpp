@@ -11,6 +11,7 @@
 
 #include "src/cert/kernel.hpp"
 #include "src/obs/trace.hpp"
+#include "src/util/view_streambuf.hpp"
 
 namespace satproof::service {
 
@@ -717,7 +718,9 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
         obs::Span kern_span("kernel_verify");
         std::ifstream cnf_in(request.cnf_file.path(),
                              std::ios::in | std::ios::binary);
-        std::istringstream cert_in(outcome.certificate);
+        // The kernel reads the certificate in place, not from a copy.
+        util::ViewStreambuf cert_buf(outcome.certificate);
+        std::istream cert_in(&cert_buf);
         const kern::VerifyResult kv = kern::verify_lrat(cnf_in, cert_in);
         metrics_.on_certified(kv.verified);
         if (!kv.verified) {

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace satproof::trace {
 
@@ -91,45 +92,46 @@ void AsciiTraceWriter::end() {
   out_->flush();
 }
 
-AsciiTraceReader::AsciiTraceReader(std::istream& in) : in_(&in) {
-  std::string line;
-  while (std::getline(*in_, line)) {
-    ++line_no_;
+AsciiTraceReader::AsciiTraceReader(std::istream& in)
+    : in_(&in), start_(in.tellg()), scanner_(in) {
+  std::string_view line;
+  while (scanner_.next(line)) {
     if (line.empty() || line[0] == 'c') continue;
-    std::istringstream hs(line);
+    std::istringstream hs{std::string(line)};
     std::string p, kind;
     std::uint64_t vars = 0, orig = 0;
     hs >> p >> kind >> vars >> orig;
     if (!hs || p != "p" || kind != "trace") {
-      fail(line_no_, "expected header 'p trace <vars> <original>'");
+      fail(scanner_.line_number(),
+           "expected header 'p trace <vars> <original>'");
     }
     num_vars_ = static_cast<Var>(vars);
     num_original_ = orig;
-    body_start_ = in_->tellg();
+    body_offset_ = scanner_.offset();
+    body_line_ = scanner_.line_number();
     return;
   }
-  fail(line_no_, "missing header");
+  fail(scanner_.line_number(), "missing header");
 }
 
 bool AsciiTraceReader::next(Record& out) {
   if (done_) return false;
-  std::string line;
-  while (std::getline(*in_, line)) {
-    ++line_no_;
+  std::string_view line;
+  while (scanner_.next(line)) {
+    const std::size_t line_no = scanner_.line_number();
     if (line.empty() || line[0] == 'c') continue;
-    std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
+    util::TokenCursor ls(line);
+    const char tag = ls.next_char();
     switch (tag) {
       case 'd': {
         out.kind = RecordKind::Derivation;
         out.sources.clear();
         std::uint64_t id = 0;
-        if (!(ls >> id)) fail(line_no_, "derivation missing id");
+        if (!ls.next(id)) fail(line_no, "derivation missing id");
         out.id = id;
         std::uint64_t s = 0;
         bool terminated = false;
-        while (ls >> s) {
+        while (ls.next(s)) {
           if (s == 0) {
             terminated = true;
             break;
@@ -138,16 +140,16 @@ bool AsciiTraceReader::next(Record& out) {
           // the list, mirroring the DIMACS convention.
           out.sources.push_back(s - 1);
         }
-        if (!terminated) fail(line_no_, "derivation not terminated by 0");
+        if (!terminated) fail(line_no, "derivation not terminated by 0");
         if (out.sources.size() < 2) {
-          fail(line_no_, "derivation needs at least two sources");
+          fail(line_no, "derivation needs at least two sources");
         }
         return true;
       }
       case 'f': {
         out.kind = RecordKind::FinalConflict;
         std::uint64_t id = 0;
-        if (!(ls >> id)) fail(line_no_, "final conflict missing id");
+        if (!ls.next(id)) fail(line_no, "final conflict missing id");
         out.id = id;
         out.sources.clear();
         return true;
@@ -156,11 +158,10 @@ bool AsciiTraceReader::next(Record& out) {
         out.kind = RecordKind::Level0;
         std::int64_t signed_var = 0;
         std::uint64_t ante = 0;
-        if (!(ls >> signed_var >> ante) || signed_var == 0) {
-          fail(line_no_, "malformed level-0 record");
+        if (!ls.next(signed_var) || !ls.next(ante) || signed_var == 0) {
+          fail(line_no, "malformed level-0 record");
         }
-        out.var = static_cast<Var>((signed_var < 0 ? -signed_var : signed_var) -
-                                   1);
+        out.var = static_cast<Var>(util::magnitude(signed_var) - 1);
         out.value = signed_var > 0;
         out.antecedent = ante;
         out.sources.clear();
@@ -169,11 +170,10 @@ bool AsciiTraceReader::next(Record& out) {
       case 'u': {
         out.kind = RecordKind::Assumption;
         std::int64_t signed_var = 0;
-        if (!(ls >> signed_var) || signed_var == 0) {
-          fail(line_no_, "malformed assumption record");
+        if (!ls.next(signed_var) || signed_var == 0) {
+          fail(line_no, "malformed assumption record");
         }
-        out.var = static_cast<Var>(
-            (signed_var < 0 ? -signed_var : signed_var) - 1);
+        out.var = static_cast<Var>(util::magnitude(signed_var) - 1);
         out.value = signed_var > 0;
         out.antecedent = kInvalidClauseId;
         out.sources.clear();
@@ -186,16 +186,20 @@ bool AsciiTraceReader::next(Record& out) {
         return true;
       }
       default:
-        fail(line_no_, std::string("unknown record tag '") + tag + "'");
+        fail(line_no, std::string("unknown record tag '") + tag + "'");
     }
   }
-  fail(line_no_, "trace truncated: no 'e' end record");
+  fail(scanner_.line_number(), "trace truncated: no 'e' end record");
 }
 
 void AsciiTraceReader::rewind() {
   in_->clear();
-  in_->seekg(body_start_);
+  if (start_ == std::streampos(-1)) {
+    throw std::runtime_error("ascii trace: rewind failed");
+  }
+  in_->seekg(start_ + static_cast<std::streamoff>(body_offset_));
   if (!*in_) throw std::runtime_error("ascii trace: rewind failed");
+  scanner_.restart(body_offset_, body_line_);
   done_ = false;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/trace/events.hpp"
+#include "src/util/line_scanner.hpp"
 
 namespace satproof::trace {
 
@@ -40,13 +41,17 @@ class AsciiTraceWriter final : public TraceWriter {
   std::string buf_;  ///< per-record formatting buffer (reused)
 };
 
-/// Streaming reader for the ASCII trace format. Supports rewind() by
-/// re-seeking the underlying stream, so it can feed the breadth-first
-/// checker's two passes directly from disk.
+/// Streaming reader for the ASCII trace format. It reads the stream in
+/// chunks through a util::LineScanner. Supports rewind() by re-seeking the
+/// underlying stream to the first line after the header and dropping the
+/// scanner's buffer, so it can feed the breadth-first checker's two passes
+/// directly from disk.
 class AsciiTraceReader final : public TraceReader {
  public:
   /// Reads from `in`, which must outlive the reader and be seekable if
-  /// rewind() is used. Parses the header eagerly; throws on a bad header.
+  /// rewind() is used. The reader reads ahead of the records it returns,
+  /// so nothing else may read `in` meanwhile. Parses the header eagerly;
+  /// throws on a bad header.
   explicit AsciiTraceReader(std::istream& in);
 
   [[nodiscard]] Var num_vars() const override { return num_vars_; }
@@ -58,11 +63,13 @@ class AsciiTraceReader final : public TraceReader {
 
  private:
   std::istream* in_;
-  std::streampos body_start_{};
+  std::streampos start_;  ///< stream position of the first byte scanned
+  util::LineScanner scanner_;
+  std::uint64_t body_offset_ = 0;  ///< scanner offset of the first body line
+  std::size_t body_line_ = 0;      ///< line number of the header line
   Var num_vars_ = 0;
   ClauseId num_original_ = 0;
   bool done_ = false;
-  std::size_t line_no_ = 0;
 };
 
 }  // namespace satproof::trace

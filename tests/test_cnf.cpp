@@ -150,6 +150,28 @@ TEST(Dimacs, RejectsNonInteger) {
   EXPECT_THROW(dimacs::parse_string("p cnf 2 1\n1 x 0\n"), std::runtime_error);
 }
 
+TEST(Dimacs, RejectsVariableCountThatWouldAlias) {
+  // Lit codes are 32 bits: without the cap, variable 2^31 + 1 aliases
+  // variable 1 and this satisfiable formula parses as (1) (-1).
+  try {
+    (void)dimacs::parse_string("p cnf 2147483649 2\n1 0\n-2147483649 0\n");
+    FAIL() << "expected the header to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "dimacs: line 1: declared variable count 2147483649 exceeds "
+              "268435456");
+  }
+  // 2^32 + 1 would otherwise parse as a 1-variable formula.
+  EXPECT_THROW((void)dimacs::parse_string("p cnf 4294967297 1\n1 0\n"),
+               std::runtime_error);
+}
+
+TEST(Dimacs, AcceptsVariableCountAtKernelBound) {
+  const Formula f = dimacs::parse_string("p cnf 268435456 1\n-268435456 0\n");
+  EXPECT_EQ(f.num_vars(), Var{1} << 28);
+  EXPECT_EQ(f.clause(0)[0], Lit::neg((Var{1} << 28) - 1));
+}
+
 TEST(Dimacs, SatlibTrailerIgnored) {
   // SATLIB benchmark files end with "%\n0\n"; the trailer must not be read
   // as an empty clause.

@@ -104,6 +104,33 @@ TEST(Drup, BogusDeletionRejected) {
   EXPECT_NE(res.error.find("deletion"), std::string::npos);
 }
 
+TEST(Drup, AddedClauseOverUndeclaredVariableRejected) {
+  // (1) (-1) is refuted by any proof, and the added clause is trivially
+  // RUP; it is still rejected, before the engine is sized, because its
+  // variable is not the formula's.
+  Formula f(1);
+  f.add_clause({Lit::pos(0)});
+  f.add_clause({Lit::neg(0)});
+  const std::string undeclared = std::to_string(f.num_vars() + 1);
+  std::istringstream in(undeclared + " 0\n0\n");
+  const DrupCheckResult res = check_drup(f, in);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.error, "DRUP added clause uses undeclared variable " +
+                           undeclared + " (the formula has 1): '" +
+                           undeclared + " 0'");
+  EXPECT_EQ(res.clauses_checked, 0u);
+}
+
+TEST(Drup, DeletionOverUndeclaredVariableRejected) {
+  const Formula f = encode::pigeonhole(3);
+  const std::string proof = "d 1 -" + std::to_string(f.num_vars() + 1) +
+                            " 0\n" + solve_drup(f);
+  std::istringstream in(proof);
+  const DrupCheckResult res = check_drup(f, in);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.error, "deletion of a clause not in the database");
+}
+
 TEST(Drup, UnterminatedLineRejected) {
   const Formula f = encode::pigeonhole(3);
   std::istringstream in("1 2 3\n");
