@@ -16,7 +16,7 @@ struct DrupCheckResult {
   std::string error;
   std::uint64_t clauses_checked = 0;  ///< added clauses verified RUP
   std::uint64_t deletions = 0;        ///< deletion lines applied
-  std::uint64_t propagations = 0;     ///< unit propagations performed
+  std::uint64_t propagations = 0;     ///< unit propagations; see check_drup
 };
 
 /// One line of a DRUP proof: an added clause, or a `d` deletion line.
@@ -53,10 +53,15 @@ struct DrupProof {
 /// checking faithful: a clause deleted by the solver must not help justify
 /// a later one.
 ///
-/// The checker maintains a persistent top-level propagation prefix,
-/// rebuilt lazily after deletion batches (deleting a clause can invalidate
-/// implied top-level literals).
+/// Runs in two passes. A sequential resolve pass numbers the clauses and
+/// maps each deletion to the live clause it removes, stopping at the first
+/// empty lemma or the first deletion of a clause not in the database. The
+/// RUP checks then run on `jobs` workers (0 = hardware threads; see
+/// replay_rup). The verdict, the diagnostic, `clauses_checked` and
+/// `deletions` are the sequential ones at every `jobs`: the earliest
+/// failing step wins. `propagations` is repeatable for a given `jobs`.
 [[nodiscard]] DrupCheckResult check_drup(const Formula& f,
-                                         std::istream& proof);
+                                         std::istream& proof,
+                                         unsigned jobs = 0);
 
 }  // namespace satproof::checker

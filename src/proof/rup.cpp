@@ -1,143 +1,13 @@
 #include "src/proof/rup.hpp"
 
+#include <algorithm>
 #include <vector>
 
-#include "src/checker/resolution.hpp"
+#include "src/checker/rup_engine.hpp"
 
 namespace satproof::proof {
 
-namespace {
-
-/// Minimal two-watched-literal propagation engine for RUP checks. Clauses
-/// are appended incrementally (originals, then each verified derived
-/// clause). Implied-at-top-level literals accumulate on a *persistent*
-/// trail prefix — re-propagating them per check would make the whole run
-/// quadratic — and each rup_check() assumes the clause negation on top of
-/// that prefix, propagates, and rolls back to the prefix.
-class RupEngine {
- public:
-  explicit RupEngine(Var num_vars)
-      : assign_(num_vars, LBool::Undef), watches_(2 * num_vars) {}
-
-  /// Adds a clause to the database. The clause is simplified against the
-  /// persistent prefix first (prefix assignments never retract): clauses
-  /// satisfied there are dropped, falsified literals are stripped, and a
-  /// resulting unit extends the persistent prefix instead of being stored.
-  void add_clause(const checker::SortedClause& lits) {
-    if (has_conflict_) return;
-    checker::SortedClause stored;
-    stored.reserve(lits.size());
-    for (const Lit lit : lits) {
-      const LBool v = value(lit);
-      if (v == LBool::True) return;  // permanently satisfied
-      if (v == LBool::Undef) stored.push_back(lit);
-    }
-    if (stored.empty()) {
-      has_conflict_ = true;
-      return;
-    }
-    if (stored.size() == 1) {
-      std::uint64_t sink = 0;
-      if (!enqueue(stored[0]) || propagate(sink)) has_conflict_ = true;
-      persistent_size_ = trail_.size();
-      return;
-    }
-    const std::uint32_t index = static_cast<std::uint32_t>(clauses_.size());
-    clauses_.push_back(std::move(stored));
-    const auto& c = clauses_.back();
-    watches_[(~c[0]).code()].push_back(index);
-    watches_[(~c[1]).code()].push_back(index);
-  }
-
-  /// True when assuming the negation of `clause` propagates to a conflict.
-  [[nodiscard]] bool rup_check(const checker::SortedClause& clause,
-                               std::uint64_t& propagations) {
-    if (has_conflict_) return true;
-    bool conflict = false;
-    for (const Lit lit : clause) {
-      if (!enqueue(~lit)) {
-        conflict = true;
-        break;
-      }
-    }
-    if (!conflict) conflict = propagate(propagations);
-    // Roll back to the persistent prefix.
-    while (trail_.size() > persistent_size_) {
-      assign_[trail_.back().var()] = LBool::Undef;
-      trail_.pop_back();
-    }
-    qhead_ = persistent_size_;
-    return conflict;
-  }
-
- private:
-  [[nodiscard]] LBool value(Lit p) const {
-    const LBool v = assign_[p.var()];
-    if (v == LBool::Undef) return LBool::Undef;
-    return p.negated() ? ~v : v;
-  }
-
-  /// Returns false on conflict with the current assignment.
-  bool enqueue(Lit p) {
-    const LBool v = value(p);
-    if (v == LBool::False) return false;
-    if (v == LBool::True) return true;
-    assign_[p.var()] = p.negated() ? LBool::False : LBool::True;
-    trail_.push_back(p);
-    return true;
-  }
-
-  /// Standard watched-literal BCP; true when a conflict was found.
-  bool propagate(std::uint64_t& propagations) {
-    while (qhead_ < trail_.size()) {
-      const Lit p = trail_[qhead_++];
-      ++propagations;
-      auto& ws = watches_[p.code()];
-      std::size_t i = 0, j = 0;
-      while (i < ws.size()) {
-        const std::uint32_t ci = ws[i];
-        auto& c = clauses_[ci];
-        const Lit false_lit = ~p;
-        if (c[0] == false_lit) std::swap(c[0], c[1]);
-        ++i;
-        if (value(c[0]) == LBool::True) {
-          ws[j++] = ci;
-          continue;
-        }
-        bool moved = false;
-        for (std::size_t k = 2; k < c.size(); ++k) {
-          if (value(c[k]) != LBool::False) {
-            std::swap(c[1], c[k]);
-            watches_[(~c[1]).code()].push_back(ci);
-            moved = true;
-            break;
-          }
-        }
-        if (moved) continue;
-        ws[j++] = ci;
-        if (!enqueue(c[0])) {
-          while (i < ws.size()) ws[j++] = ws[i++];
-          ws.resize(j);
-          return true;
-        }
-      }
-      ws.resize(j);
-    }
-    return false;
-  }
-
-  std::vector<LBool> assign_;
-  std::vector<std::vector<std::uint32_t>> watches_;  // by Lit::code()
-  std::vector<checker::SortedClause> clauses_;
-  std::vector<Lit> trail_;
-  std::size_t qhead_ = 0;
-  std::size_t persistent_size_ = 0;  ///< trail prefix that never rolls back
-  bool has_conflict_ = false;        ///< persistent prefix already conflicts
-};
-
-}  // namespace
-
-RupResult check_rup(const Formula& f, const ProofDag& dag) {
+RupResult check_rup(const Formula& f, const ProofDag& dag, unsigned jobs) {
   RupResult result;
 
   Var num_vars = f.num_vars();
@@ -146,45 +16,49 @@ RupResult check_rup(const Formula& f, const ProofDag& dag) {
       num_vars = std::max(num_vars, lit.var() + 1);
     }
   }
-  RupEngine engine(num_vars);
-
   // Seed with every original clause (tautologies are permanently satisfied
-  // and contribute nothing to propagation).
+  // and contribute nothing to propagation), then add each derived clause
+  // in DAG order. The first leaf that is not an original clause ends the
+  // replay there.
+  checker::RupProof proof(num_vars);
   for (ClauseId id = 0; id < f.num_clauses(); ++id) {
-    const checker::SortedClause canon =
-        checker::canonicalize(f.clause(id));
-    if (!checker::is_tautology(canon)) engine.add_clause(canon);
+    proof.add_canonical(f.clause(id));
   }
-
+  proof.num_original = proof.num_clauses();
+  std::vector<ClauseId> derived_ids;  // node ID of each addition step
+  const ProofDag::Node* foreign_leaf = nullptr;
   for (const auto& node : dag.nodes) {
-    if (node.sources.empty()) {
-      // Leaf: must literally be an original clause.
-      if (node.id >= dag.num_original) {
-        result.error = "leaf node " + std::to_string(node.id) +
-                       " is not an original clause";
-        return result;
-      }
-      continue;
+    if (!node.sources.empty()) {
+      proof.steps.push_back({proof.add(node.lits), false});
+      derived_ids.push_back(node.id);
+    } else if (node.id >= dag.num_original) {
+      foreign_leaf = &node;
+      break;
     }
-    if (!engine.rup_check(node.lits, result.propagations)) {
-      result.error =
-          "derived clause " + std::to_string(node.id) +
-          " is not RUP: assuming its negation does not propagate to a "
-          "conflict";
-      return result;
-    }
-    ++result.clauses_checked;
-    engine.add_clause(node.lits);
   }
 
-  result.ok = true;
+  const checker::RupReplayResult replay = checker::replay_rup(proof, jobs);
+  result.propagations = replay.propagations;
+  result.clauses_checked = replay.failed_step;
+  if (replay.failed_step < proof.steps.size()) {
+    result.error = "derived clause " +
+                   std::to_string(derived_ids[replay.failed_step]) +
+                   " is not RUP: assuming its negation does not propagate "
+                   "to a conflict";
+  } else if (foreign_leaf != nullptr) {
+    result.error = "leaf node " + std::to_string(foreign_leaf->id) +
+                   " is not an original clause";
+  } else {
+    result.ok = true;
+  }
   return result;
 }
 
-RupResult check_trace_rup(const Formula& f, trace::TraceReader& reader) {
+RupResult check_trace_rup(const Formula& f, trace::TraceReader& reader,
+                          unsigned jobs) {
   try {
     const ProofDag dag = extract_proof(f, reader);
-    return check_rup(f, dag);
+    return check_rup(f, dag, jobs);
   } catch (const ProofError& e) {
     RupResult result;
     result.error = e.what();

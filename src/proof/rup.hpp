@@ -32,13 +32,18 @@ struct RupResult {
 /// steps, the other re-derives each conclusion semantically, sharing no
 /// code path beyond the clause parser.
 ///
-/// The propagation engine here is deliberately self-contained (its own
-/// watched-literal scheme), independent of both the solver and the
-/// resolution checkers.
-[[nodiscard]] RupResult check_rup(const Formula& f, const ProofDag& dag);
+/// The checks run on the DRUP checker's propagation engine
+/// (checker::replay_rup), which shares no code with the solver or the
+/// resolution checkers, on `jobs` workers (0 = hardware threads). The
+/// verdict, the diagnostic and `clauses_checked` are the same at every
+/// `jobs`: the earliest failing node wins. `propagations` is repeatable
+/// for a given `jobs`.
+[[nodiscard]] RupResult check_rup(const Formula& f, const ProofDag& dag,
+                                  unsigned jobs = 0);
 
 /// Convenience: extract the proof DAG from a trace and RUP-check it.
 [[nodiscard]] RupResult check_trace_rup(const Formula& f,
-                                        trace::TraceReader& reader);
+                                        trace::TraceReader& reader,
+                                        unsigned jobs = 0);
 
 }  // namespace satproof::proof

@@ -218,7 +218,7 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
     if (backend == Backend::kDrup) {
       std::ifstream proof(trace_path);
       if (!proof) throw std::runtime_error("cannot open " + trace_path);
-      const checker::DrupCheckResult res = checker::check_drup(f, proof);
+      const checker::DrupCheckResult res = checker::check_drup(f, proof, jobs);
       out.ok = res.ok;
       out.error = res.error;
       out.drup_clauses_checked = res.clauses_checked;

@@ -100,8 +100,9 @@ struct CertOptions {
 /// JobOutcome with ok == false, exactly like a rejected proof, so a bad
 /// job can never take down the service.
 ///
-/// `jobs` is the parallel backend's worker count (0 = hardware threads);
-/// other backends ignore it.
+/// `jobs` is the worker count of the parallel and DRUP backends (0 =
+/// hardware threads); other backends ignore it. DRUP's
+/// `drup_propagations` depends on it; its verdict and other counts do not.
 ///
 /// `recycle_arena`, when non-null, backs the df/bf/hybrid/window clause
 /// store so
@@ -121,7 +122,7 @@ struct CertOptions {
 /// select_backend_for_budget) runs as window instead; JobOutcome::backend
 /// records what actually ran. Certifying runs are capped too (window
 /// certifies at any budget); bf, parallel, and DRUP are unaffected (bf is
-/// already budget-bounded, DRUP streams).
+/// already budget-bounded).
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "src/cnf/dimacs.hpp"
+
 namespace satproof::trace {
 
 namespace {
@@ -13,6 +15,17 @@ namespace {
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::runtime_error("ascii trace: line " + std::to_string(line) + ": " +
                            what);
+}
+
+/// `v` as a Var, or a failure naming `what` when it is above
+/// dimacs::kMaxVars: a larger value would alias a smaller variable.
+Var check_var(std::size_t line, const char* what, std::uint64_t v) {
+  const auto max = static_cast<std::uint64_t>(dimacs::kMaxVars);
+  if (v > max) {
+    fail(line, std::string(what) + " " + std::to_string(v) + " exceeds " +
+                   std::to_string(max));
+  }
+  return static_cast<Var>(v);
 }
 
 }  // namespace
@@ -105,7 +118,8 @@ AsciiTraceReader::AsciiTraceReader(std::istream& in)
       fail(scanner_.line_number(),
            "expected header 'p trace <vars> <original>'");
     }
-    num_vars_ = static_cast<Var>(vars);
+    num_vars_ = check_var(scanner_.line_number(), "header variable count",
+                          vars);
     num_original_ = orig;
     body_offset_ = scanner_.offset();
     body_line_ = scanner_.line_number();
@@ -161,7 +175,8 @@ bool AsciiTraceReader::next(Record& out) {
         if (!ls.next(signed_var) || !ls.next(ante) || signed_var == 0) {
           fail(line_no, "malformed level-0 record");
         }
-        out.var = static_cast<Var>(util::magnitude(signed_var) - 1);
+        out.var = check_var(line_no, "level-0 record variable",
+                            util::magnitude(signed_var)) - 1;
         out.value = signed_var > 0;
         out.antecedent = ante;
         out.sources.clear();
@@ -173,7 +188,8 @@ bool AsciiTraceReader::next(Record& out) {
         if (!ls.next(signed_var) || signed_var == 0) {
           fail(line_no, "malformed assumption record");
         }
-        out.var = static_cast<Var>(util::magnitude(signed_var) - 1);
+        out.var = check_var(line_no, "assumption record variable",
+                            util::magnitude(signed_var)) - 1;
         out.value = signed_var > 0;
         out.antecedent = kInvalidClauseId;
         out.sources.clear();

@@ -3,6 +3,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "src/cnf/dimacs.hpp"
 #include "src/util/varint.hpp"
 
 namespace satproof::trace {
@@ -22,6 +23,17 @@ constexpr int kMaxVarintBytes = 10;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("binary trace: " + what);
+}
+
+/// `v` as a Var, or a failure naming `what` when it is above
+/// dimacs::kMaxVars: a larger value would alias a smaller variable.
+Var check_var(const char* what, std::uint64_t v) {
+  const auto max = static_cast<std::uint64_t>(dimacs::kMaxVars);
+  if (v > max) {
+    fail(std::string(what) + " " + std::to_string(v) + " exceeds " +
+         std::to_string(max));
+  }
+  return static_cast<Var>(v);
 }
 
 }  // namespace
@@ -99,7 +111,7 @@ BinaryTraceReader::BinaryTraceReader(std::unique_ptr<util::ByteSource> source)
   }
   const int version = get();
   if (version != kVersion) fail("unsupported version");
-  num_vars_ = static_cast<Var>(read_u64("num_vars"));
+  num_vars_ = check_var("header num_vars", read_u64("num_vars"));
   num_original_ = read_u64("num_original");
   body_start_ = win_pos_ + static_cast<std::uint64_t>(p_ - win_begin_);
 }
@@ -172,7 +184,7 @@ bool BinaryTraceReader::next(Record& out) {
     case kTagLevel0: {
       out.kind = RecordKind::Level0;
       const std::uint64_t packed = read_u64("level-0 literal");
-      out.var = static_cast<Var>(packed >> 1);
+      out.var = check_var("level-0 record variable", (packed >> 1) + 1) - 1;
       out.value = (packed & 1) != 0;
       out.antecedent = read_u64("level-0 antecedent");
       out.sources.clear();
@@ -181,7 +193,7 @@ bool BinaryTraceReader::next(Record& out) {
     case kTagAssumption: {
       out.kind = RecordKind::Assumption;
       const std::uint64_t packed = read_u64("assumption literal");
-      out.var = static_cast<Var>(packed >> 1);
+      out.var = check_var("assumption record variable", (packed >> 1) + 1) - 1;
       out.value = (packed & 1) != 0;
       out.antecedent = kInvalidClauseId;
       out.sources.clear();

@@ -113,16 +113,6 @@ class ClauseArena {
 #endif
   }
 
-  /// Mutable literals of `ref`'s clause, for engines that reorder literals
-  /// in place (the DRUP propagator's watch swaps). The length header, when
-  /// present, must not be altered.
-  [[nodiscard]] std::span<Lit> mutable_view(Ref ref) {
-    const Chunk& c = chunks_[ref >> 16];
-    Lit* p = c.data.get() + (ref & 0xffffu);
-    if (c.binary) return {p, 2};
-    return {p + 1, p[0].code()};
-  }
-
   /// Hints the cache to load the start of `ref`'s block.
   void prefetch(Ref ref) const {
 #if defined(__GNUC__) || defined(__clang__)

@@ -3,9 +3,10 @@
 // test_differential.cpp) is exported to LRAT from the emitting backends
 // (depth-first, hybrid, and window at a budget of several windows; text
 // and binary form) and re-verified by the
-// trusted kernel. The kernel's verdict must agree with all five checker
-// backends, and its step counts must match the emitter's — any divergence
-// is a bug in the emitter, the kernel, or a checker.
+// trusted kernel. The kernel's verdict must agree with every checker
+// backend, DRUP and RUP included at one and at four jobs, and its step
+// counts must match the emitter's — any divergence is a bug in the
+// emitter, the kernel, or a checker.
 //
 // 500 seeded instances split into 10 shards so ctest can run them in
 // parallel and a failure names its shard/seed.
@@ -26,6 +27,7 @@
 #include "src/cnf/model.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
+#include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
@@ -191,11 +193,17 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     const checker::CheckResult bf = checker::check_breadth_first(f, r_bf);
     trace::MemoryTraceReader r_par(t);
     const checker::CheckResult par = checker::check_parallel(f, r_par);
-    std::istringstream drup_in(drup_text.str());
-    const checker::DrupCheckResult dr = checker::check_drup(f, drup_in);
     EXPECT_TRUE(bf.ok) << bf.error;
     EXPECT_TRUE(par.ok) << par.error;
-    EXPECT_TRUE(dr.ok) << dr.error;
+    for (const unsigned jobs : {1u, 4u}) {
+      std::istringstream drup_in(drup_text.str());
+      const checker::DrupCheckResult dr =
+          checker::check_drup(f, drup_in, jobs);
+      EXPECT_TRUE(dr.ok) << "jobs " << jobs << ": " << dr.error;
+      trace::MemoryTraceReader r_rup(t);
+      const proof::RupResult rup = proof::check_trace_rup(f, r_rup, jobs);
+      EXPECT_TRUE(rup.ok) << "jobs " << jobs << ": " << rup.error;
+    }
 
     // Depth-first export, text and binary: both must kernel-verify with
     // the emitter's own step counts.

@@ -1,6 +1,6 @@
 // Differential fuzzing across every checker backend: the same solver run
-// is validated by depth-first, breadth-first, hybrid, parallel, DRUP and
-// window-shifting checking, and all six must agree — same verdict on
+// is validated by depth-first, breadth-first, hybrid, parallel, DRUP, RUP
+// and window-shifting checking, and all seven must agree — same verdict on
 // every instance, and
 // (where a backend extracts one) the same unsat core. Instances are random
 // 3-SAT at clause/variable ratios straddling the phase transition (~4.27),
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "src/checker/breadth_first.hpp"
@@ -21,6 +22,7 @@
 #include "src/checker/window.hpp"
 #include "src/cnf/model.hpp"
 #include "src/encode/random_ksat.hpp"
+#include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
@@ -29,6 +31,9 @@ namespace satproof {
 namespace {
 
 constexpr int kInstancesPerShard = 50;  // x 10 shards = 500 instances
+
+/// Job counts the DRUP and RUP checkers run at: sequential, and on workers.
+constexpr unsigned kRupJobs[] = {1, 4};
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
@@ -64,6 +69,12 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
       EXPECT_FALSE(checker::check_depth_first(f, r).ok);
       trace::MemoryTraceReader r2(t);
       EXPECT_FALSE(checker::check_parallel(f, r2).ok);
+      for (const unsigned jobs : kRupJobs) {
+        std::istringstream drup_in(drup_text.str());
+        EXPECT_FALSE(checker::check_drup(f, drup_in, jobs).ok) << jobs;
+        trace::MemoryTraceReader r3(t);
+        EXPECT_FALSE(proof::check_trace_rup(f, r3, jobs).ok) << jobs;
+      }
       continue;
     }
     ASSERT_EQ(solved, solver::SolveResult::Unsatisfiable);
@@ -79,14 +90,33 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
     checker::ParallelOptions popts;
     popts.jobs = 1 + static_cast<unsigned>(i % 4);  // rotate 1..4 workers
     const checker::CheckResult par = checker::check_parallel(f, r4, popts);
-    std::istringstream drup_in(drup_text.str());
-    const checker::DrupCheckResult dr = checker::check_drup(f, drup_in);
 
     EXPECT_TRUE(df.ok) << df.error;
     EXPECT_TRUE(bf.ok) << bf.error;
     EXPECT_TRUE(hy.ok) << hy.error;
     EXPECT_TRUE(par.ok) << par.error;
-    EXPECT_TRUE(dr.ok) << dr.error;
+
+    // The unit-propagation checkers, sequential and on workers: the same
+    // verdict, and the same counts at every job count.
+    std::optional<checker::DrupCheckResult> drup_first;
+    std::optional<proof::RupResult> rup_first;
+    for (const unsigned jobs : kRupJobs) {
+      std::istringstream drup_in(drup_text.str());
+      const checker::DrupCheckResult dr =
+          checker::check_drup(f, drup_in, jobs);
+      EXPECT_TRUE(dr.ok) << "jobs " << jobs << ": " << dr.error;
+      trace::MemoryTraceReader r5(t);
+      const proof::RupResult rup = proof::check_trace_rup(f, r5, jobs);
+      EXPECT_TRUE(rup.ok) << "jobs " << jobs << ": " << rup.error;
+      if (!drup_first) {
+        drup_first = dr;
+        rup_first = rup;
+        continue;
+      }
+      EXPECT_EQ(dr.clauses_checked, drup_first->clauses_checked);
+      EXPECT_EQ(dr.deletions, drup_first->deletions);
+      EXPECT_EQ(rup.clauses_checked, rup_first->clauses_checked);
+    }
 
     // Stats agreement between the trace-replaying backends.
     EXPECT_EQ(df.stats.total_derivations, bf.stats.total_derivations);

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/checker/drup.hpp"
+#include "src/checker/rup_engine.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/encode/suite.hpp"
@@ -137,6 +140,147 @@ TEST(Drup, UnterminatedLineRejected) {
   const DrupCheckResult res = check_drup(f, in);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("terminated"), std::string::npos);
+}
+
+// ---- earliest failure at every job count --------------------------------
+//
+// The RUP checks run on workers that each own blocks of kRupBlock lemmas,
+// so these proofs place their faults in different blocks, and the verdict
+// must still be the sequential one: the first failing step wins.
+
+constexpr unsigned kJobCounts[] = {1, 2, 3, 4, 8};
+
+/// php(6) plus the clause (z1 z2 z3) over three fresh variables, so "z1 0"
+/// is a lemma that is never RUP before the proof's final steps, and
+/// "d z1 z2 0" deletes a clause that is never in the database.
+struct FaultFixture {
+  Formula formula;
+  std::vector<std::string> lines;  ///< the clean proof's lines
+  std::string not_rup;
+  std::string bogus_deletion;
+};
+
+const FaultFixture& fault_fixture() {
+  static const FaultFixture fx = [] {
+    FaultFixture out;
+    const Formula php = encode::pigeonhole(6);
+    std::istringstream proof(solve_drup(php));
+    for (std::string line; std::getline(proof, line);) {
+      out.lines.push_back(line);
+    }
+    out.formula = php;
+    const Var z = php.num_vars();
+    out.formula.add_clause({Lit::pos(z), Lit::pos(z + 1), Lit::pos(z + 2)});
+    out.not_rup = std::to_string(z + 1) + " 0";
+    out.bogus_deletion =
+        "d " + std::to_string(z + 1) + " " + std::to_string(z + 2) + " 0";
+    return out;
+  }();
+  return fx;
+}
+
+bool is_deletion(const std::string& line) { return line.rfind("d ", 0) == 0; }
+
+/// Inserts `line` before the proof's `lemma`-th added clause (0-based) and
+/// returns the line's index.
+std::size_t insert_before_lemma(std::vector<std::string>& lines,
+                                std::size_t lemma, const std::string& line) {
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (is_deletion(lines[i])) continue;
+    if (seen++ == lemma) {
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), line);
+      return i;
+    }
+  }
+  ADD_FAILURE() << "the proof has only " << seen << " lemmas";
+  return lines.size();
+}
+
+/// The result a sequential check reports when `lines[fault]` fails.
+DrupCheckResult failure_at(const std::vector<std::string>& lines,
+                           std::size_t fault, const std::string& error) {
+  DrupCheckResult out;
+  out.error = error;
+  for (std::size_t i = 0; i < fault; ++i) {
+    ++(is_deletion(lines[i]) ? out.deletions : out.clauses_checked);
+  }
+  return out;
+}
+
+/// Checks `lines` at every job count, twice each, against `expected`.
+void expect_same_at_every_jobs(const Formula& f,
+                               const std::vector<std::string>& lines,
+                               const DrupCheckResult& expected) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  for (const unsigned jobs : kJobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::istringstream in(text);
+    const DrupCheckResult res = check_drup(f, in, jobs);
+    EXPECT_EQ(res.ok, expected.ok);
+    EXPECT_EQ(res.error, expected.error);
+    EXPECT_EQ(res.clauses_checked, expected.clauses_checked);
+    EXPECT_EQ(res.deletions, expected.deletions);
+    std::istringstream again(text);
+    EXPECT_EQ(check_drup(f, again, jobs).propagations, res.propagations);
+  }
+}
+
+constexpr char kNotRup[] =
+    "added clause is not RUP at its position in the proof";
+constexpr char kNotInDatabase[] = "deletion of a clause not in the database";
+
+TEST(DrupEarliestFailure, FixtureSpansManyBlocks) {
+  const FaultFixture& fx = fault_fixture();
+  std::size_t lemmas = 0;
+  for (const std::string& line : fx.lines) lemmas += !is_deletion(line);
+  EXPECT_GT(lemmas, 8 * kRupBlock);
+  DrupCheckResult clean = failure_at(fx.lines, fx.lines.size(), "");
+  clean.ok = true;
+  expect_same_at_every_jobs(fx.formula, fx.lines, clean);
+}
+
+TEST(DrupEarliestFailure, EarlyBogusDeletionBeatsLateNonRupLemma) {
+  const FaultFixture& fx = fault_fixture();
+  std::vector<std::string> lines = fx.lines;
+  insert_before_lemma(lines, 5 * kRupBlock + 7, fx.not_rup);
+  const std::size_t fault = insert_before_lemma(lines, 10, fx.bogus_deletion);
+  expect_same_at_every_jobs(fx.formula, lines,
+                            failure_at(lines, fault, kNotInDatabase));
+}
+
+TEST(DrupEarliestFailure, EarlyNonRupLemmaBeatsLateBogusDeletion) {
+  const FaultFixture& fx = fault_fixture();
+  std::vector<std::string> lines = fx.lines;
+  insert_before_lemma(lines, 5 * kRupBlock + 7, fx.bogus_deletion);
+  const std::size_t fault = insert_before_lemma(lines, 10, fx.not_rup);
+  expect_same_at_every_jobs(fx.formula, lines,
+                            failure_at(lines, fault, kNotRup));
+}
+
+TEST(DrupEarliestFailure, EarlierOfTwoNonRupLemmasOnDifferentWorkers) {
+  // The later fault opens block 3, so its worker reaches it first; the
+  // earlier one closes block 2, owned by another worker at every count
+  // above one.
+  const FaultFixture& fx = fault_fixture();
+  std::vector<std::string> lines = fx.lines;
+  const std::size_t fault =
+      insert_before_lemma(lines, 3 * kRupBlock - 1, fx.not_rup);
+  insert_before_lemma(lines, 3 * kRupBlock, fx.not_rup);
+  expect_same_at_every_jobs(fx.formula, lines,
+                            failure_at(lines, fault, kNotRup));
+}
+
+TEST(DrupEarliestFailure, GarbageAfterTheEmptyClauseIsNotChecked) {
+  const FaultFixture& fx = fault_fixture();
+  std::vector<std::string> lines = fx.lines;
+  DrupCheckResult clean = failure_at(lines, lines.size(), "");
+  clean.ok = true;
+  for (std::size_t i = 0; i < 3 * kRupBlock; ++i) {
+    lines.push_back(i % 2 ? fx.not_rup : fx.bogus_deletion);
+  }
+  expect_same_at_every_jobs(fx.formula, lines, clean);
 }
 
 class DrupSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -178,7 +178,7 @@ class OracleAsciiReader {
       if (!hs || p != "p" || kind != "trace") {
         fail("expected header 'p trace <vars> <original>'");
       }
-      num_vars_ = static_cast<Var>(vars);
+      num_vars_ = in_range("header variable count", vars);
       num_original_ = orig;
       body_start_ = in_->tellg();
       return;
@@ -236,7 +236,8 @@ class OracleAsciiReader {
           if (!(ls >> signed_var >> ante) || signed_var == 0) {
             fail("malformed level-0 record");
           }
-          out.var = static_cast<Var>(magnitude(signed_var) - 1);
+          out.var =
+              in_range("level-0 record variable", magnitude(signed_var)) - 1;
           out.value = signed_var > 0;
           out.antecedent = ante;
           out.sources.clear();
@@ -248,7 +249,9 @@ class OracleAsciiReader {
           if (!(ls >> signed_var) || signed_var == 0) {
             fail("malformed assumption record");
           }
-          out.var = static_cast<Var>(magnitude(signed_var) - 1);
+          out.var =
+              in_range("assumption record variable", magnitude(signed_var)) -
+              1;
           out.value = signed_var > 0;
           out.antecedent = kInvalidClauseId;
           out.sources.clear();
@@ -278,6 +281,15 @@ class OracleAsciiReader {
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error("ascii trace: line " + std::to_string(line_no_) +
                              ": " + what);
+  }
+
+  /// `v` as a Var; fails above dimacs::kMaxVars, where it would alias.
+  Var in_range(const std::string& what, std::uint64_t v) const {
+    if (v > static_cast<std::uint64_t>(dimacs::kMaxVars)) {
+      fail(what + " " + std::to_string(v) + " exceeds " +
+           std::to_string(dimacs::kMaxVars));
+    }
+    return static_cast<Var>(v);
   }
 
   std::istream* in_;

@@ -16,9 +16,12 @@
 #include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/ascii.hpp"
+#include "src/trace/binary.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
+#include "src/util/varint.hpp"
 
 namespace satproof::checker {
 namespace {
@@ -200,6 +203,101 @@ TEST(CorruptTrace, ReorderedLevel0TrailRejected) {
   ASSERT_GE(t.level0.size(), 2u);
   std::reverse(t.level0.begin(), t.level0.end());
   expect_all_reject(f, t, "reversed level-0 trail");
+}
+
+// ------------------------------------- variables beyond dimacs::kMaxVars
+
+/// Reads every record of `trace`, returning the reader's diagnostic, or ""
+/// when the whole trace reads.
+template <typename Reader>
+std::string read_error(const std::string& trace) {
+  std::istringstream in(trace);
+  try {
+    Reader reader(in);
+    trace::Record record;
+    while (reader.next(record)) {
+    }
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// 2^32 + 1, which a 32-bit cast turns into 1.
+const std::string kAliasOf1 = std::to_string((std::uint64_t{1} << 32) + 1);
+
+TEST(TraceVariableRange, AsciiHeaderCountAboveLimitRejected) {
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>("p trace " + kAliasOf1 +
+                                                " 2\nf 0\ne\n"),
+            "ascii trace: line 1: header variable count " + kAliasOf1 +
+                " exceeds 268435456");
+  // The limit itself is a valid count.
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>("p trace 268435456 2\ne\n"),
+            "");
+}
+
+TEST(TraceVariableRange, AsciiRecordVariablesAboveLimitRejected) {
+  const std::string header = "c a comment\np trace 1 2\nf 0\n";
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>(header + "l -" + kAliasOf1 +
+                                                " 1\ne\n"),
+            "ascii trace: line 4: level-0 record variable " + kAliasOf1 +
+                " exceeds 268435456");
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>(header + "u " + kAliasOf1 +
+                                                "\ne\n"),
+            "ascii trace: line 4: assumption record variable " + kAliasOf1 +
+                " exceeds 268435456");
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>(
+                header + "l 268435456 1\nu -268435456\ne\n"),
+            "");
+  // Diagnostics of malformed records are unchanged.
+  EXPECT_EQ(read_error<trace::AsciiTraceReader>(header + "l 0 1\ne\n"),
+            "ascii trace: line 4: malformed level-0 record");
+}
+
+/// A binary trace: the header, then `body` (records without the end tag).
+std::string binary_trace(std::uint64_t num_vars,
+                         const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> bytes = {'S', 'P', 'R', 'F', 0x01};
+  util::append_varint(bytes, num_vars);
+  util::append_varint(bytes, 2);
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  bytes.push_back(0x04);  // end
+  return {bytes.begin(), bytes.end()};
+}
+
+/// A level-0 (tag 0x03, antecedent 1) or assumption (tag 0x05) record
+/// setting 0-based variable `var` true.
+std::vector<std::uint8_t> binary_record(std::uint8_t tag, std::uint64_t var) {
+  std::vector<std::uint8_t> out = {tag};
+  util::append_varint(out, var << 1 | 1);
+  if (tag == 0x03) util::append_varint(out, 1);
+  return out;
+}
+
+TEST(TraceVariableRange, BinaryHeaderCountAboveLimitRejected) {
+  EXPECT_EQ(read_error<trace::BinaryTraceReader>(
+                binary_trace((std::uint64_t{1} << 32) + 1, {})),
+            "binary trace: header num_vars " + kAliasOf1 +
+                " exceeds 268435456");
+  EXPECT_EQ(
+      read_error<trace::BinaryTraceReader>(binary_trace(1u << 28, {})), "");
+}
+
+TEST(TraceVariableRange, BinaryRecordVariablesAboveLimitRejected) {
+  const std::uint64_t alias = std::uint64_t{1} << 32;  // 0-based: 2^32 + 1
+  EXPECT_EQ(read_error<trace::BinaryTraceReader>(
+                binary_trace(1, binary_record(0x03, alias))),
+            "binary trace: level-0 record variable " + kAliasOf1 +
+                " exceeds 268435456");
+  EXPECT_EQ(read_error<trace::BinaryTraceReader>(
+                binary_trace(1, binary_record(0x05, alias))),
+            "binary trace: assumption record variable " + kAliasOf1 +
+                " exceeds 268435456");
+  const std::uint64_t last = (std::uint64_t{1} << 28) - 1;
+  std::vector<std::uint8_t> body = binary_record(0x03, last);
+  const std::vector<std::uint8_t> u = binary_record(0x05, last);
+  body.insert(body.end(), u.begin(), u.end());
+  EXPECT_EQ(read_error<trace::BinaryTraceReader>(binary_trace(1, body)), "");
 }
 
 // ----------------------------------------------------- DRUP proof corpus

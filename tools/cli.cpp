@@ -91,7 +91,8 @@ usage:
       depth-first with independent sub-proofs built on N worker threads
       (--jobs, default: all hardware threads; identical verdict, core and
       stats to df); rup cross-validates every derived clause by reverse unit
-      propagation instead of replaying resolutions; window replays the
+      propagation instead of replaying resolutions (on --jobs workers,
+      same verdict at any count); window replays the
       trace in budget-sized windows under --mem-limit (verdict, core and
       stats identical to df at a fraction of the memory); auto picks df
       for small traces and the memory-light hybrid for large ones (the
@@ -688,7 +689,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
     } else {
       reader = open_trace_reader(in, false);
     }
-    const proof::RupResult result = proof::check_trace_rup(f, *reader);
+    const proof::RupResult result = proof::check_trace_rup(f, *reader, jobs);
     if (result.ok) {
       out << "VERIFIED (RUP): " << result.clauses_checked
           << " derived clauses re-derived by unit propagation ("
