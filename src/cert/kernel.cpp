@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
+#include <cstring>
 #include <istream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,26 +24,156 @@ struct Reject {
   throw Reject{std::move(msg), line};
 }
 
+// One buffered reader under all three drivers: the stream is read in
+// 64 KiB istream::read blocks, and the drivers take tokens, lines or bytes
+// from the buffer. The unconsumed tail moves to the front before each
+// block, so a token or line that straddles a block stays contiguous (the
+// buffer grows for one longer than a block).
+class Reader {
+ public:
+  explicit Reader(std::istream& in) : in_(in), buf_(kBlock + 1) {}
+
+  int peek() {
+    return p_ < end_ || fill() ? static_cast<unsigned char>(buf_[p_]) : -1;
+  }
+
+  int get() {
+    const int c = peek();
+    if (c >= 0) ++p_;
+    return c;
+  }
+
+  // The next line without its '\n', NUL-terminated in place (the buffer
+  // keeps a spare byte past the data for a final line without one), as
+  // std::getline splits; false at end of input.
+  bool line(char*& first, char*& last) {
+    if (p_ == end_ && !fill()) return false;
+    std::size_t i = p_;
+    while (true) {
+      const void* nl = std::memchr(&buf_[i], '\n', end_ - i);
+      if (nl != nullptr) {
+        i = static_cast<std::size_t>(static_cast<const char*>(nl) - &buf_[0]);
+        break;
+      }
+      const std::size_t scanned = end_ - p_;
+      if (!fill()) {
+        i = end_;
+        break;
+      }
+      i = p_ + scanned;
+    }
+    buf_[i] = '\0';
+    first = &buf_[p_];
+    last = &buf_[i];
+    p_ = i < end_ ? i + 1 : i;
+    return true;
+  }
+
+  // The next whitespace-delimited token, as `istream >> std::string` reads
+  // one (the view lives until the next call); false at end of input.
+  bool token(std::string_view& tok) {
+    while (peek() >= 0 && is_space(buf_[p_])) ++p_;
+    if (p_ == end_) return false;
+    std::size_t i = p_;
+    while (true) {
+      while (i < end_ && !is_space(buf_[i])) ++i;
+      if (i < end_) break;
+      const std::size_t scanned = i - p_;
+      const bool more = fill();
+      i = p_ + scanned;
+      if (!more) break;
+    }
+    tok = std::string_view(&buf_[p_], i - p_);
+    p_ = i;
+    return true;
+  }
+
+  // A decimal integer as `istream >> std::int64_t` reads one: whitespace,
+  // one optional sign, digits up to the first non-digit; false when there
+  // are no digits or the value leaves the int64 range.
+  bool integer(std::int64_t& out) {
+    while (peek() >= 0 && is_space(buf_[p_])) ++p_;
+    const bool neg = peek() == '-';
+    if (neg || peek() == '+') ++p_;
+    const std::uint64_t limit = neg ? std::uint64_t{1} << 63 : INT64_MAX;
+    std::uint64_t v = 0;
+    bool digits = false;
+    bool overflow = false;
+    for (int c = peek(); c >= '0' && c <= '9'; c = peek()) {
+      ++p_;
+      digits = true;
+      const auto d = static_cast<std::uint64_t>(c - '0');
+      overflow = overflow || v > (limit - d) / 10;
+      v = v * 10 + d;
+    }
+    out = static_cast<std::int64_t>(neg ? 0 - v : v);
+    return digits && !overflow;
+  }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{1} << 16;
+
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  bool fill() {
+    std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(p_),
+              buf_.begin() + static_cast<std::ptrdiff_t>(end_), buf_.begin());
+    end_ -= p_;
+    p_ = 0;
+    if (buf_.size() < end_ + kBlock + 1) buf_.resize(end_ + kBlock + 1);
+    in_.read(&buf_[end_], static_cast<std::streamsize>(kBlock));
+    const auto n = static_cast<std::size_t>(in_.gcount());
+    end_ += n;
+    return n > 0;
+  }
+
+  std::istream& in_;
+  std::vector<char> buf_;
+  std::size_t p_ = 0;    // next unread byte
+  std::size_t end_ = 0;  // one past the buffered data
+};
+
 // Bounds a hostile CNF header (the assignment array is sized from it).
 constexpr std::int64_t kMaxVars = std::int64_t{1} << 28;
 
+// The original clauses in one flat literal array: clause i (0-based) is
+// lits[start[i], start[i + 1]).
 struct Cnf {
   std::int64_t num_vars = 0;
-  std::vector<std::vector<std::int32_t>> clauses;
+  std::vector<std::int32_t> lits;
+  std::vector<std::size_t> start{0};
 };
 
-Cnf parse_cnf(std::istream& in) {
+// A clause literal token, by strtoll's base-10 rules on the token read as
+// a C string: one optional sign, then digits through the token's end (or an
+// embedded NUL), in the int64 range.
+bool parse_literal(std::string_view tok, std::int64_t& lit) {
+  const char* q = tok.data();
+  const char* stop = q + tok.size();
+  if (const void* nul = std::memchr(q, '\0', tok.size()); nul != nullptr) {
+    stop = static_cast<const char*>(nul);
+  }
+  if (stop - q > 1 && *q == '+' && q[1] != '-') ++q;  // from_chars takes only '-'
+  const auto [end, ec] = std::from_chars(q, stop, lit);
+  return ec == std::errc() && end == stop;
+}
+
+Cnf parse_cnf(Reader& in) {
   Cnf f;
-  std::string tok;
+  std::string_view tok;
+  char* first = nullptr;
+  char* last = nullptr;
   std::int64_t declared = -1;
-  while (in >> tok) {
+  while (in.token(tok)) {
     if (tok[0] == 'c') {
-      std::getline(in, tok);
+      in.line(first, last);  // the comment's remainder
       continue;
     }
     if (tok == "p") {
-      if (!(in >> tok) || tok != "cnf" || !(in >> f.num_vars) ||
-          !(in >> declared)) {
+      if (!in.token(tok) || tok != "cnf" || !in.integer(f.num_vars) ||
+          !in.integer(declared)) {
         reject(0, "CNF: malformed problem line");
       }
       if (f.num_vars < 0 || f.num_vars > kMaxVars || declared < 0) {
@@ -51,56 +181,57 @@ Cnf parse_cnf(std::istream& in) {
       }
       break;
     }
-    reject(0, "CNF: expected a comment or problem line, got '" + tok + "'");
+    reject(0, "CNF: expected a comment or problem line, got '" +
+                  std::string(tok) + "'");
   }
   if (declared < 0) reject(0, "CNF: missing problem line");
-  std::vector<std::int32_t> cur;
-  while (in >> tok) {
+  while (in.token(tok)) {
     if (tok[0] == 'c') {
-      std::getline(in, tok);
+      in.line(first, last);  // the comment's remainder
       continue;
     }
-    char* end = nullptr;
-    errno = 0;
-    const std::int64_t lit = std::strtoll(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || errno != 0) {
-      reject(0, "CNF: bad token '" + tok + "'");
+    std::int64_t lit = 0;
+    if (!parse_literal(tok, lit)) {
+      reject(0, "CNF: bad token '" + std::string(tok) + "'");
     }
     if (lit == 0) {
-      f.clauses.push_back(cur);
-      cur.clear();
+      f.start.push_back(f.lits.size());
       continue;
     }
     if (lit > f.num_vars || lit < -f.num_vars) {
       reject(0, "CNF: literal " + std::to_string(lit) +
                     " exceeds the declared variable count");
     }
-    cur.push_back(static_cast<std::int32_t>(lit));
+    f.lits.push_back(static_cast<std::int32_t>(lit));
   }
-  if (!cur.empty()) reject(0, "CNF: last clause missing its terminating 0");
-  if (static_cast<std::int64_t>(f.clauses.size()) != declared) {
+  if (f.lits.size() != f.start.back()) {
+    reject(0, "CNF: last clause missing its terminating 0");
+  }
+  const std::size_t num_clauses = f.start.size() - 1;
+  if (static_cast<std::int64_t>(num_clauses) != declared) {
     reject(0, "CNF: header declares " + std::to_string(declared) +
-                  " clauses but the file has " +
-                  std::to_string(f.clauses.size()));
+                  " clauses but the file has " + std::to_string(num_clauses));
   }
   return f;
 }
 
 // The clause map: IDs in insertion order (strictly increasing, so the
-// array is sorted), literals and a liveness flag alongside. Originals
-// occupy IDs 1..num_clauses, LRAT convention. satproof's emitter numbers
-// the additions on from there without gaps, so lookup tries index id - 1
-// before falling back to a binary search.
+// array is sorted), a liveness flag alongside. Originals occupy IDs
+// 1..num_clauses, LRAT convention, and keep the CNF's flat literal array;
+// each addition owns a vector, so deleting it frees its literals. satproof's
+// emitter numbers the additions on from there without gaps, so lookup tries
+// index id - 1 before falling back to a binary search.
 class Kernel {
  public:
   explicit Kernel(Cnf&& f)
       : num_vars_(f.num_vars),
-        clauses_(std::move(f.clauses)),
-        alive_(clauses_.size(), 1),
-        val_(static_cast<std::size_t>(f.num_vars) + 1, 0),
-        last_id_(clauses_.size()) {
-    ids_.reserve(clauses_.size());
-    for (std::size_t i = 0; i < clauses_.size(); ++i) ids_.push_back(i + 1);
+        num_orig_(f.start.size() - 1),
+        orig_(std::move(f)),
+        alive_(num_orig_, 1),
+        val_(static_cast<std::size_t>(num_vars_) + 1, 0),
+        last_id_(num_orig_) {
+    ids_.reserve(num_orig_);
+    for (std::size_t i = 0; i < num_orig_; ++i) ids_.push_back(i + 1);
   }
 
   // One addition step; returns true when `lits` is the empty clause (the
@@ -128,11 +259,12 @@ class Kernel {
       }
     }
     for (std::size_t h = 0; !conflict && h < hints.size(); ++h) {
-      const std::vector<std::int32_t>& c = find(hints[h], line, "hint");
+      const Lits c = find(hints[h], line, "hint");
       std::int32_t unit = 0;
       bool satisfied = false;
       int unassigned = 0;
-      for (const std::int32_t lit : c) {
+      for (const std::int32_t* q = c.first; q != c.last; ++q) {
+        const std::int32_t lit = *q;
         const std::int8_t v = value(lit);
         if (v > 0) {
           satisfied = true;
@@ -168,7 +300,7 @@ class Kernel {
     trail_.clear();
     const bool empty = lits.empty();
     ids_.push_back(id);
-    clauses_.push_back(std::move(lits));
+    added_.push_back(std::move(lits));
     alive_.push_back(1);
     last_id_ = id;
     return empty;
@@ -182,12 +314,19 @@ class Kernel {
                          ", which was already deleted");
       }
       alive_[idx] = 0;
-      clauses_[idx].clear();
-      clauses_[idx].shrink_to_fit();
+      if (idx >= num_orig_) {
+        added_[idx - num_orig_].clear();
+        added_[idx - num_orig_].shrink_to_fit();
+      }
     }
   }
 
  private:
+  struct Lits {
+    const std::int32_t* first;
+    const std::int32_t* last;
+  };
+
   void check_range(std::int32_t lit, std::uint64_t line) const {
     const std::int64_t mag = lit > 0 ? lit : -static_cast<std::int64_t>(lit);
     if (mag == 0 || mag > num_vars_) {
@@ -214,19 +353,25 @@ class Kernel {
     return static_cast<std::size_t>(it - ids_.begin());
   }
 
-  const std::vector<std::int32_t>& find(std::uint64_t id, std::uint64_t line,
-                                        const char* what) const {
+  Lits find(std::uint64_t id, std::uint64_t line, const char* what) const {
     const std::size_t idx = index_of(id, line, what);
     if (alive_[idx] == 0) {
       reject(line, std::string(what) + " references deleted clause " +
                        std::to_string(id));
     }
-    return clauses_[idx];
+    if (idx >= num_orig_) {
+      const std::vector<std::int32_t>& c = added_[idx - num_orig_];
+      return {c.data(), c.data() + c.size()};
+    }
+    const std::int32_t* lits = orig_.lits.data();
+    return {lits + orig_.start[idx], lits + orig_.start[idx + 1]};
   }
 
   std::int64_t num_vars_;
-  std::vector<std::uint64_t> ids_;  // sorted; parallel to clauses_/alive_
-  std::vector<std::vector<std::int32_t>> clauses_;
+  std::size_t num_orig_;
+  Cnf orig_;
+  std::vector<std::uint64_t> ids_;  // sorted; parallel to alive_
+  std::vector<std::vector<std::int32_t>> added_;  // by index - num_orig_
   std::vector<char> alive_;
   std::vector<std::int8_t> val_;  // by var: 0 unassigned, +1 true, -1 false
   std::vector<std::int32_t> trail_;
@@ -266,14 +411,15 @@ struct LineScan {
   }
 };
 
-void run_text(std::istream& cert, Kernel& k, VerifyResult& r) {
-  std::string buf;
+void run_text(Reader& cert, Kernel& k, VerifyResult& r) {
+  char* first = nullptr;
+  char* last = nullptr;
   std::uint64_t lineno = 0;
   std::vector<std::int32_t> lits;
   std::vector<std::uint64_t> ids;
-  while (!r.verified && std::getline(cert, buf)) {
+  while (!r.verified && cert.line(first, last)) {
     ++lineno;
-    LineScan s{buf.c_str(), buf.c_str() + buf.size(), lineno};
+    LineScan s{first, last, lineno};
     while (*s.p == ' ' || *s.p == '\t' || *s.p == '\r') ++s.p;
     if (*s.p == '\0' || *s.p == 'c') continue;
     std::int64_t id = 0;
@@ -321,18 +467,21 @@ void run_text(std::istream& cert, Kernel& k, VerifyResult& r) {
 
 // ---- binary (GRIT-style) certificate driver ----
 
-std::uint64_t get_varint(std::istream& in, std::uint64_t rec) {
+// LEB128: 7 bits per byte, low first. The 10th byte carries bit 63 only,
+// so any higher bit there, or a continuation past it, overflows.
+std::uint64_t get_varint(Reader& in, std::uint64_t rec) {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     const int c = in.get();
     if (c < 0) reject(rec, "truncated record: unterminated varint");
+    if (shift == 63 && (c & 0x7e) != 0) reject(rec, "varint overflows 64 bits");
     v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
     if ((c & 0x80) == 0) return v;
   }
   reject(rec, "varint overflows 64 bits");
 }
 
-void run_binary(std::istream& cert, Kernel& k, VerifyResult& r) {
+void run_binary(Reader& cert, Kernel& k, VerifyResult& r) {
   std::uint64_t rec = 0;
   std::vector<std::int32_t> lits;
   std::vector<std::uint64_t> ids;
@@ -380,14 +529,15 @@ void run_binary(std::istream& cert, Kernel& k, VerifyResult& r) {
 VerifyResult verify_lrat(std::istream& cnf, std::istream& cert) {
   VerifyResult r;
   try {
-    Cnf f = parse_cnf(cnf);
-    Kernel k(std::move(f));
-    const int first = cert.peek();
+    Reader cnf_in(cnf);
+    Kernel k(parse_cnf(cnf_in));
+    Reader in(cert);
+    const int first = in.peek();
     if (first < 0) reject(0, "certificate is empty");
     if (first == 'a' || first == 'd') {
-      run_binary(cert, k, r);
+      run_binary(in, k, r);
     } else {
-      run_text(cert, k, r);
+      run_text(in, k, r);
     }
     if (!r.verified) {
       reject(r.line, "certificate ended without deriving the empty clause");

@@ -33,10 +33,10 @@ struct VerifyResult {
 /// is accepted and any remaining hints are ignored). A hint that is
 /// satisfied, or leaves two or more literals unassigned, rejects the
 /// certificate; so do unknown or deleted clause IDs, non-increasing
-/// addition IDs, negative (RAT) hints, and deletion of an unknown or
-/// already-deleted clause. The certificate is VERIFIED once the empty
-/// clause is derived; a certificate that ends without deriving it is
-/// REJECTED.
+/// addition IDs, negative (RAT) hints, deletion of an unknown or
+/// already-deleted clause, and a binary varint above 64 bits. The
+/// certificate is VERIFIED once the empty clause is derived; a certificate
+/// that ends without deriving it is REJECTED.
 VerifyResult verify_lrat(std::istream& cnf, std::istream& cert);
 
 }  // namespace satproof::kern

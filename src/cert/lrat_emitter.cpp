@@ -8,16 +8,18 @@ namespace {
 
 constexpr std::size_t kFlushThreshold = 1 << 16;
 
-void append_u64(std::string& buf, std::uint64_t v) {
-  char tmp[20];
-  const auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-  buf.append(tmp, end);
+// The widest number a text record holds: a u64 ID or an i64 literal.
+constexpr std::size_t kMaxDigits = 20;
+
+template <class Int>
+char* put_number(char* p, Int v) {
+  return std::to_chars(p, p + kMaxDigits, v).ptr;
 }
 
-void append_i64(std::string& buf, std::int64_t v) {
-  char tmp[21];
-  const auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-  buf.append(tmp, end);
+char* put_terminator(char* p) {
+  p[0] = ' ';
+  p[1] = '0';
+  return p + 2;
 }
 
 }  // namespace
@@ -26,45 +28,56 @@ void append_i64(std::string& buf, std::int64_t v) {
 
 void TextLratWriter::add(std::uint64_t id, std::span<const Lit> lits,
                          std::span<const std::uint64_t> hints) {
-  append_u64(buf_, id);
+  char* p = reserve((1 + lits.size() + hints.size()) * (kMaxDigits + 1) + 5);
+  p = put_number(p, id);
   for (const Lit lit : lits) {
-    buf_.push_back(' ');
-    append_i64(buf_, lit.to_dimacs());
+    *p++ = ' ';
+    p = put_number(p, lit.to_dimacs());
   }
-  buf_.append(" 0");
+  p = put_terminator(p);
   for (const std::uint64_t h : hints) {
-    buf_.push_back(' ');
-    append_u64(buf_, h);
+    *p++ = ' ';
+    p = put_number(p, h);
   }
-  buf_.append(" 0\n");
-  maybe_flush();
+  p = put_terminator(p);
+  *p++ = '\n';
+  commit(p);
 }
 
 void TextLratWriter::del(std::uint64_t at_id,
                          std::span<const std::uint64_t> ids) {
-  append_u64(buf_, at_id);
-  buf_.append(" d");
+  char* p = reserve((1 + ids.size()) * (kMaxDigits + 1) + 5);
+  p = put_number(p, at_id);
+  *p++ = ' ';
+  *p++ = 'd';
   for (const std::uint64_t id : ids) {
-    buf_.push_back(' ');
-    append_u64(buf_, id);
+    *p++ = ' ';
+    p = put_number(p, id);
   }
-  buf_.append(" 0\n");
-  maybe_flush();
+  p = put_terminator(p);
+  *p++ = '\n';
+  commit(p);
 }
 
 void TextLratWriter::finish() {
-  if (!buf_.empty()) {
-    out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
+  if (len_ != 0) {
+    out_->write(buf_.data(), static_cast<std::streamsize>(len_));
+    len_ = 0;
   }
   out_->flush();
   if (!out_->good()) ok_ = false;
 }
 
-void TextLratWriter::maybe_flush() {
-  if (buf_.size() < kFlushThreshold) return;
-  out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
+char* TextLratWriter::reserve(std::size_t n) {
+  if (buf_.size() < len_ + n) buf_.resize(len_ + n);
+  return buf_.data() + len_;
+}
+
+void TextLratWriter::commit(const char* end) {
+  len_ = static_cast<std::size_t>(end - buf_.data());
+  if (len_ < kFlushThreshold) return;
+  out_->write(buf_.data(), static_cast<std::streamsize>(len_));
+  len_ = 0;
   if (!out_->good()) ok_ = false;
 }
 

@@ -53,10 +53,16 @@ class TextLratWriter final : public LratWriter {
   [[nodiscard]] bool ok() const override { return ok_ && out_->good(); }
 
  private:
-  void maybe_flush();
+  /// Room for `n` more bytes after the buffered ones; returns where they
+  /// start. Records format their digits straight into it.
+  char* reserve(std::size_t n);
+  /// Ends the record at `end` (inside the reserved room) and flushes the
+  /// buffer once it holds 64 KiB.
+  void commit(const char* end);
 
   std::ostream* out_;
-  std::string buf_;
+  std::vector<char> buf_;  ///< buffered bytes are [0, len_)
+  std::size_t len_ = 0;
   bool ok_ = true;
 };
 

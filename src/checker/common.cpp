@@ -224,42 +224,63 @@ LBool Level0Table::lit_value(Lit lit) const {
   return val ? LBool::True : LBool::False;
 }
 
-void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
-                      const std::string& what) {
+namespace {
+
+// The antecedent check behind both check_antecedent overloads. Returns ""
+// when `clause` is a valid antecedent of `var`, else the diagnostic minus
+// the clause's name, so a caller builds that name only on failure.
+std::string antecedent_defect(ClauseView clause, Var var,
+                              const Level0Table& table) {
   // The antecedent must be unit under the prefix of the level-0 trail that
   // precedes `var`'s assignment, with `var`'s literal as the unit literal.
   bool found_unit = false;
   for (const Lit lit : clause) {
     if (lit.var() == var) {
       if (table.lit_value(lit) != LBool::True) {
-        throw CheckFailure(what + " contains " + lit_str(lit) +
-                           ", the opposite phase of the implied literal of x" +
-                           std::to_string(var));
+        return " contains " + lit_str(lit) +
+               ", the opposite phase of the implied literal of x" +
+               std::to_string(var);
       }
       found_unit = true;
       continue;
     }
     const LBool v = table.lit_value(lit);
     if (v == LBool::Undef) {
-      throw CheckFailure(what + " is not a valid antecedent of x" +
-                         std::to_string(var) + ": literal " + lit_str(lit) +
-                         " is unassigned at level 0");
+      return " is not a valid antecedent of x" + std::to_string(var) +
+             ": literal " + lit_str(lit) + " is unassigned at level 0";
     }
     if (v == LBool::True) {
-      throw CheckFailure(what + " is not a valid antecedent of x" +
-                         std::to_string(var) + ": literal " + lit_str(lit) +
-                         " is true, so the clause never became unit");
+      return " is not a valid antecedent of x" + std::to_string(var) +
+             ": literal " + lit_str(lit) +
+             " is true, so the clause never became unit";
     }
     if (table.order(lit.var()) >= table.order(var)) {
-      throw CheckFailure(what + " is not a valid antecedent of x" +
-                         std::to_string(var) + ": literal " + lit_str(lit) +
-                         " was assigned after x" + std::to_string(var));
+      return " is not a valid antecedent of x" + std::to_string(var) +
+             ": literal " + lit_str(lit) + " was assigned after x" +
+             std::to_string(var);
     }
   }
   if (!found_unit) {
-    throw CheckFailure(what + " does not contain variable x" +
-                       std::to_string(var) +
-                       ", so it cannot be its antecedent");
+    return " does not contain variable x" + std::to_string(var) +
+           ", so it cannot be its antecedent";
+  }
+  return {};
+}
+
+}  // namespace
+
+void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
+                      const std::string& what) {
+  const std::string defect = antecedent_defect(clause, var, table);
+  if (!defect.empty()) throw CheckFailure(what + defect);
+}
+
+void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
+                      ClauseId ante_id) {
+  const std::string defect = antecedent_defect(clause, var, table);
+  if (!defect.empty()) {
+    throw CheckFailure("antecedent clause " + std::to_string(ante_id) +
+                       " of x" + std::to_string(var) + defect);
   }
 }
 
@@ -269,6 +290,22 @@ SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
   if (used_antecedents != nullptr) used_antecedents->clear();
   ChainResolver chain;
   chain.reserve_vars(table.num_vars());
+  // The resolvable literals of the running clause (false, and implied:
+  // assumption decisions have no antecedent and stay in the clause), as a
+  // max-heap of order << 32 | literal code. Its top is the reverse
+  // chronological choice of Fig. 2's choose_literal. Trail orders are
+  // distinct per variable and only the false phase is pushed, so the top
+  // is unique. Each literal is pushed once, when it enters the clause, and
+  // leaves only as the chosen pivot, so the whole derivation costs
+  // O(|trail| log |trail| + total antecedent length).
+  std::vector<std::uint64_t> heap;
+  const auto enter = [&](Lit lit) {
+    const Var v = lit.var();
+    if (table.lit_value(lit) != LBool::False || !table.implied(v)) return;
+    heap.push_back(static_cast<std::uint64_t>(table.order(v)) << 32 |
+                   lit.code());
+    std::push_heap(heap.begin(), heap.end());
+  };
   {
     const ClauseView final_clause = fetch(final_id);
     for (const Lit lit : final_clause) {
@@ -288,28 +325,16 @@ SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
       }
     }
     chain.start(final_clause);
+    for (const Lit lit : chain.lits()) enter(lit);
   }
 
   std::size_t steps = 0;
   const std::size_t max_steps = table.size() + 1;
-  while (true) {
-    // Reverse chronological choice (Fig. 2's choose_literal) among the
-    // resolvable literals: false, and implied (assumption decisions have no
-    // antecedent and stay in the clause).
-    Lit chosen = Lit::invalid();
-    for (const Lit lit : chain.lits()) {
-      const Var v = lit.var();
-      if (!table.assigned(v)) {
-        throw CheckFailure("literal " + lit_str(lit) +
-                           " in the derivation has no final-trail assignment");
-      }
-      if (table.lit_value(lit) != LBool::False || !table.implied(v)) continue;
-      if (chosen == Lit::invalid() ||
-          table.order(v) > table.order(chosen.var())) {
-        chosen = lit;
-      }
-    }
-    if (chosen == Lit::invalid()) break;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const Lit chosen =
+        Lit::from_code(static_cast<std::uint32_t>(heap.back()));
+    heap.pop_back();
     if (++steps > max_steps) {
       throw CheckFailure(
           "final-clause derivation did not terminate within the trail "
@@ -318,10 +343,12 @@ SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
     const Var v = chosen.var();
     const ClauseId ante_id = table.antecedent(v);
     const ClauseView ante = fetch(ante_id);
-    check_antecedent(ante, v, table, "antecedent clause " +
-                                         std::to_string(ante_id) + " of x" +
-                                         std::to_string(v));
+    check_antecedent(ante, v, table, ante_id);
     if (used_antecedents != nullptr) used_antecedents->push_back(ante_id);
+    // step() swaps the last literal into the pivot's slot and appends the
+    // literals it adds, so the new ones are exactly the tail from
+    // size - 1 on.
+    const std::size_t kept = chain.lits().size() - 1;
     const ResolveResult r = chain.step(ante);
     ++stats.resolutions;
     if (r.status != ResolveStatus::Ok) {
@@ -330,6 +357,13 @@ SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
           std::to_string(ante_id) + " failed: " +
           (r.status == ResolveStatus::NoClash ? "no clashing variable"
                                               : "more than one clashing variable"));
+    }
+    for (const Lit lit : chain.lits().subspan(kept)) {
+      if (!table.assigned(lit.var())) {
+        throw CheckFailure("literal " + lit_str(lit) +
+                           " in the derivation has no final-trail assignment");
+      }
+      enter(lit);
     }
   }
 

@@ -395,6 +395,12 @@ ClauseId load_full_trace(trace::TraceReader& reader,
 void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
                       const std::string& what);
 
+/// The same check, naming the clause "antecedent clause <ante_id> of
+/// x<var>" as the final derivation does. The name is built only when the
+/// check throws.
+void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
+                      ClauseId ante_id);
+
 /// Callback that produces the canonical clause for an ID, or throws
 /// CheckFailure. The depth-first checker builds on demand; the breadth-first
 /// checker looks up its live window. The returned view stays valid until
@@ -441,7 +447,11 @@ class CertObserver {
 /// resolve on the *most recently assigned* remaining implied variable
 /// using its antecedent, until only unresolvable literals remain. Choosing
 /// literals in reverse chronological order guarantees no variable is
-/// chosen twice, so the loop performs at most |trail| resolutions.
+/// chosen twice, so the loop performs at most |trail| resolutions. The
+/// resolvable literals sit in a heap keyed by trail order and each literal
+/// is checked once, when it enters the running clause, so the derivation
+/// is linear in the antecedents it reads (plus a log factor per step), not
+/// trail length times clause width.
 ///
 /// Without assumptions the result must be the empty clause (checked here:
 /// every final-clause literal must be false and implied). With assumptions

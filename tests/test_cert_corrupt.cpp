@@ -362,6 +362,28 @@ TEST(CertCorrupt, BinaryTamperedHintRejects) {
   EXPECT_NE(r.error.find("satisfied"), std::string::npos) << r.error;
 }
 
+// A varint's 10th byte holds bit 63 only. The first record's literal
+// terminator written as 2^64 used to lose its high bit, read as 0, and
+// verify.
+TEST(CertCorrupt, BinaryVarintAbove64BitsRejects) {
+  std::string cert = valid_binary();
+  cert.replace(3, 1, std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02", 10));
+  const kern::VerifyResult r = verify(cert);
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 1u);
+  EXPECT_EQ(r.error, "varint overflows 64 bits");
+}
+
+TEST(CertCorrupt, BinaryVarintOfTenBytesIsRead) {
+  // 2^63, the largest value a 10th byte can carry, as the first hint.
+  std::string cert = valid_binary();
+  cert.replace(4, 1, std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01", 10));
+  const kern::VerifyResult r = verify(cert);
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 1u);
+  EXPECT_EQ(r.error, "hint references unknown clause 9223372036854775808");
+}
+
 // --- hostile CNF input -------------------------------------------------
 
 TEST(CertCorrupt, CnfLiteralOutOfRangeRejects) {

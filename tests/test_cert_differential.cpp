@@ -31,6 +31,7 @@
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/varint.hpp"
 
 namespace satproof {
@@ -316,6 +317,45 @@ TEST(CertDifferential, WindowCertificateAcrossSeveralWindows) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, CertDifferentialFuzz,
                          ::testing::Range(0, 10));
+
+// The text writer formats digits straight into its buffer; its bytes must
+// be what stream formatting of the same records gives, at the extremes of
+// every field and across its 64 KiB flushes.
+TEST(CertWriters, TextWriterMatchesStreamFormatting) {
+  std::ostringstream got_out;
+  std::ostringstream want;
+  cert::TextLratWriter w(got_out);
+  util::Rng rng(7);
+  const std::uint64_t ids[] = {1, 9, 10, 99, 100, 12345678901234567890ull,
+                               UINT64_MAX};
+  const Var vars[] = {0, 8, 9, 99, (Var{1} << 28) - 1, UINT32_MAX >> 1};
+  for (int rec = 0; rec < 4000; ++rec) {
+    const std::uint64_t id = ids[rng.next_below(std::size(ids))];
+    std::vector<Lit> lits(rng.next_below(rec % 500 == 0 ? 20000 : 8));
+    for (Lit& l : lits) {
+      l = Lit(vars[rng.next_below(std::size(vars))], rng.next_bool());
+    }
+    std::vector<std::uint64_t> hints(rng.next_below(rec % 700 == 0 ? 20000 : 8));
+    for (std::uint64_t& h : hints) h = ids[rng.next_below(std::size(ids))];
+    if (rng.next_bool(0.2)) {
+      w.del(id, hints);
+      want << id << " d";
+      for (const std::uint64_t h : hints) want << ' ' << h;
+      want << " 0\n";
+      continue;
+    }
+    w.add(id, lits, hints);
+    want << id;
+    for (const Lit l : lits) want << ' ' << l.to_dimacs();
+    want << " 0";
+    for (const std::uint64_t h : hints) want << ' ' << h;
+    want << " 0\n";
+  }
+  w.finish();
+  EXPECT_TRUE(w.ok());
+  EXPECT_GT(want.str().size(), std::size_t{4} << 16);
+  EXPECT_EQ(got_out.str(), want.str());
+}
 
 }  // namespace
 }  // namespace satproof
