@@ -69,11 +69,19 @@ class Reader {
     return true;
   }
 
+  // Skips to the end of the line, leaving its '\n' unread, so the next
+  // token() sees that the token after it starts a line.
+  void skip_line() {
+    while (peek() >= 0 && buf_[p_] != '\n') ++p_;
+  }
+
   // The next whitespace-delimited token, as `istream >> std::string` reads
   // one (the view lives until the next call); false at end of input.
-  bool token(std::string_view& tok) {
+  // `line_start` tells whether the token is the first byte of its line.
+  bool token(std::string_view& tok, bool& line_start) {
     while (peek() >= 0 && is_space(buf_[p_])) ++p_;
     if (p_ == end_) return false;
+    line_start = (p_ > 0 ? buf_[p_ - 1] : before_) == '\n';
     std::size_t i = p_;
     while (true) {
       while (i < end_ && !is_space(buf_[i])) ++i;
@@ -118,6 +126,7 @@ class Reader {
   }
 
   bool fill() {
+    if (p_ > 0) before_ = buf_[p_ - 1];
     std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(p_),
               buf_.begin() + static_cast<std::ptrdiff_t>(end_), buf_.begin());
     end_ -= p_;
@@ -133,6 +142,7 @@ class Reader {
   std::vector<char> buf_;
   std::size_t p_ = 0;    // next unread byte
   std::size_t end_ = 0;  // one past the buffered data
+  char before_ = '\n';   // the byte before buf_[0]; input starts a line
 };
 
 // Bounds a hostile CNF header (the assignment array is sized from it).
@@ -163,17 +173,18 @@ bool parse_literal(std::string_view tok, std::int64_t& lit) {
 Cnf parse_cnf(Reader& in) {
   Cnf f;
   std::string_view tok;
-  char* first = nullptr;
-  char* last = nullptr;
   std::int64_t declared = -1;
-  while (in.token(tok)) {
-    if (tok[0] == 'c') {
-      in.line(first, last);  // the comment's remainder
+  // A comment is a line whose first byte is 'c', as dimacs::parse reads
+  // one; a 'c' token anywhere else is not a comment.
+  bool line_start = false;
+  while (in.token(tok, line_start)) {
+    if (line_start && tok[0] == 'c') {
+      in.skip_line();  // the comment's remainder
       continue;
     }
     if (tok == "p") {
-      if (!in.token(tok) || tok != "cnf" || !in.integer(f.num_vars) ||
-          !in.integer(declared)) {
+      if (!in.token(tok, line_start) || tok != "cnf" ||
+          !in.integer(f.num_vars) || !in.integer(declared)) {
         reject(0, "CNF: malformed problem line");
       }
       if (f.num_vars < 0 || f.num_vars > kMaxVars || declared < 0) {
@@ -185,9 +196,9 @@ Cnf parse_cnf(Reader& in) {
                   std::string(tok) + "'");
   }
   if (declared < 0) reject(0, "CNF: missing problem line");
-  while (in.token(tok)) {
-    if (tok[0] == 'c') {
-      in.line(first, last);  // the comment's remainder
+  while (in.token(tok, line_start)) {
+    if (line_start && tok[0] == 'c') {
+      in.skip_line();  // the comment's remainder
       continue;
     }
     std::int64_t lit = 0;

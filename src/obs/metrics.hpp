@@ -1,16 +1,15 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
-
-namespace satproof::util {
-class JsonWriter;
-}
 
 namespace satproof::obs {
 
@@ -18,9 +17,6 @@ namespace satproof::obs {
 /// `MetricsRegistry::counter` and bumped lock-free afterwards.
 class Counter {
  public:
-  Counter(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-
   void inc(std::uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
@@ -28,52 +24,129 @@ class Counter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const std::string& help() const { return help_; }
-
  private:
-  const std::string name_;
-  const std::string help_;
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Process-global registry of counters and callback gauges, serialized by
-/// `satproof check --stats=json` and by satproofd's Prometheus endpoint.
-///
-/// Counter names follow Prometheus conventions: `snake_case`, a
-/// `satproof_` prefix, `_total` suffix for counters, unit suffixes
-/// (`_bytes`) where applicable.
+/// Latency histogram with fixed log2 bounds, bumped lock-free: bucket i
+/// counts observations of at most 2^(i+1) microseconds, and the last one
+/// is `+Inf`. Rendered as the standard `_bucket{le}` / `_sum` / `_count`
+/// series, so a consumer recovers any quantile with `histogram_quantile`.
+class Histogram {
+ public:
+  static constexpr std::size_t kBuckets = 40;
+
+  void observe(double seconds);
+
+  /// Upper bound of bucket `i` in seconds (infinity for the last one).
+  [[nodiscard]] static double upper_bound(std::size_t i);
+  /// Observations in bucket `i` alone (not cumulative).
+  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double sum_seconds() const {
+    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
+           1e9;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_ns_{0};
+};
+
+/// A series' label pairs, rendered in order as `{key="value",...}`.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+enum class MetricType { kCounter, kGauge, kHistogram };
+
+/// One sample reported by a callback family.
+struct Sample {
+  Labels labels;
+  double value = 0.0;
+};
+
+/// One family as a walk sees it: each sample keyed by its series,
+/// `name{labels}` as the exposition writes it (a histogram contributes
+/// its `_bucket`, `_sum` and `_count` series).
+struct FamilySnapshot {
+  std::string name;
+  std::string help;
+  MetricType type = MetricType::kCounter;
+  std::vector<std::pair<std::string, double>> series;
+};
+
+/// Metric families: counter and histogram handles, and callback families
+/// sampled at render time for values owned elsewhere. Each satproofd
+/// server owns one registry; `instance()` is the process-wide registry
+/// of the `satproof_*` checker counters.
 class MetricsRegistry {
  public:
   static MetricsRegistry& instance();
 
-  /// Finds or creates the named counter. The returned reference is stable
-  /// for the process lifetime — cache it, don't re-look-up on hot paths.
-  Counter& counter(const std::string& name, const std::string& help);
+  MetricsRegistry() = default;
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers a gauge whose value is sampled at render time. Re-using a
-  /// name replaces the callback (e.g. a restarted server).
+  /// Finds or creates the series `name{labels}`. The reference is stable
+  /// for the registry's lifetime — cache it, don't re-look-up on hot
+  /// paths. A family's series render in creation order. Re-using a name
+  /// for another kind of family throws std::logic_error.
+  Counter& counter(const std::string& name, const std::string& help,
+                   const Labels& labels = {});
+  Histogram& histogram(const std::string& name, const std::string& help,
+                       const Labels& labels = {});
+
+  /// A family whose samples `collect` reports at render time. It runs
+  /// under the registry's lock and must not call back into the registry.
+  /// Re-using any family's name throws std::logic_error.
+  void register_callback(const std::string& name, const std::string& help,
+                         MetricType type,
+                         std::function<std::vector<Sample>()> collect);
+  /// The unlabelled case: one gauge sampled from `fn`.
   void register_gauge(const std::string& name, const std::string& help,
                       std::function<double()> fn);
-  void unregister_gauge(const std::string& name);
+  /// Runs `prepare` under the registry's lock at the start of every
+  /// snapshot, before any callback: callback families that read what it
+  /// sampled all read one sample.
+  void before_snapshot(std::function<void()> prepare);
 
-  /// Prometheus text exposition (HELP/TYPE comments + samples).
-  [[nodiscard]] std::string render_prometheus() const;
-
-  /// Emits `"name":value` pairs into an already-open JSON object.
-  void to_json(util::JsonWriter& w) const;
+  /// Appends every family, in registration order, as of now.
+  void snapshot(std::vector<FamilySnapshot>& out) const;
 
  private:
-  struct Gauge {
+  struct Family {
     std::string name;
     std::string help;
-    std::function<double()> fn;
+    MetricType type = MetricType::kCounter;
+    std::vector<std::string> labels;  ///< rendered label body per handle
+    std::deque<Counter> counters;     // deques: stable addresses on growth
+    std::deque<Histogram> histograms;
+    std::function<std::vector<Sample>()> collect;  ///< callback families
   };
 
+  /// Finds or creates `name`; throws std::logic_error on a kind clash or
+  /// when a callback family's name is taken.
+  Family& family(const std::string& name, const std::string& help,
+                 MetricType type, bool callback);
+  template <typename Handle>
+  Handle& handle(const std::string& name, const std::string& help,
+                 MetricType type, const Labels& labels,
+                 std::deque<Handle> Family::*handles);
+
   mutable std::mutex mu_;
-  std::deque<Counter> counters_;  // deque: stable addresses on growth
-  std::vector<Gauge> gauges_;
+  std::deque<Family> families_;
+  std::vector<std::function<void()>> prepare_;
 };
+
+/// Prometheus text exposition (HELP/TYPE comments + samples) of every
+/// family of `registries`, in order.
+[[nodiscard]] std::string render_prometheus(
+    std::initializer_list<const MetricsRegistry*> registries);
+
+/// The same samples as one flat JSON object keyed by series:
+/// `{"satproofd_jobs_completed_total":8,"...{backend=\"df\"}":3,...}`.
+[[nodiscard]] std::string render_json(
+    std::initializer_list<const MetricsRegistry*> registries);
 
 /// Well-known counters bumped by the checking paths. Grouped here so the
 /// names stay consistent between backends, docs, and tests.

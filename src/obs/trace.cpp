@@ -181,10 +181,6 @@ std::uint64_t now_us() {
           .count());
 }
 
-bool tracing_active() {
-  return g_enabled.load(std::memory_order_relaxed) || t_collector != nullptr;
-}
-
 void set_thread_collector(SpanTreeCollector* collector) {
   t_collector = collector;
 }

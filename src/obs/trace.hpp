@@ -74,10 +74,6 @@ class SpanTreeCollector {
 /// Microseconds since the process-wide monotonic epoch.
 std::uint64_t now_us();
 
-/// True when either a TraceSession sink or a thread-local collector would
-/// observe a span opened on this thread.
-bool tracing_active();
-
 /// Installs (or clears, with nullptr) the slow-job collector for the
 /// calling thread. The caller keeps ownership.
 void set_thread_collector(SpanTreeCollector* collector);

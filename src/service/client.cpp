@@ -146,27 +146,21 @@ Client::SubmitReply Client::submit(const std::string& cnf_path,
 }
 
 std::string Client::stats_json(std::string* error) {
-  if (!write_frame(sock_, FrameTag::kStats)) {
-    if (error != nullptr) *error = "transport error sending stats request";
-    return "";
-  }
-  Frame frame;
-  if (read_frame(sock_, frame) != ReadStatus::kFrame ||
-      frame.tag != FrameTag::kStatsJson) {
-    if (error != nullptr) *error = "connection lost waiting for stats";
-    return "";
-  }
-  return std::string(frame.payload.begin(), frame.payload.end());
+  return stats(FrameTag::kStats, FrameTag::kStatsJson, error);
 }
 
 std::string Client::stats_prometheus(std::string* error) {
-  if (!write_frame(sock_, FrameTag::kStatsProm)) {
+  return stats(FrameTag::kStatsProm, FrameTag::kStatsPromText, error);
+}
+
+std::string Client::stats(FrameTag request, FrameTag reply,
+                          std::string* error) {
+  if (!write_frame(sock_, request)) {
     if (error != nullptr) *error = "transport error sending stats request";
     return "";
   }
   Frame frame;
-  if (read_frame(sock_, frame) != ReadStatus::kFrame ||
-      frame.tag != FrameTag::kStatsPromText) {
+  if (read_frame(sock_, frame) != ReadStatus::kFrame || frame.tag != reply) {
     if (error != nullptr) *error = "connection lost waiting for stats";
     return "";
   }

@@ -51,11 +51,9 @@ class Client {
                      bool wait, unsigned jobs = 0,
                      std::uint32_t timeout_ms = 0, bool certify = false);
 
-  /// Requests a metrics snapshot; empty string + `error` filled on failure.
+  /// Requests a metrics snapshot, as JSON or as Prometheus text
+  /// exposition; empty string + `error` filled on failure.
   std::string stats_json(std::string* error = nullptr);
-
-  /// Requests the snapshot in Prometheus text exposition format; empty
-  /// string + `error` filled on failure.
   std::string stats_prometheus(std::string* error = nullptr);
 
   /// Raw socket access for protocol tests.
@@ -66,6 +64,8 @@ class Client {
 
   /// Streams a file as data frames of `tag`; false on I/O failure.
   bool send_file(const std::string& path, FrameTag tag);
+  /// Sends a bodyless stats `request` and returns the `reply` payload.
+  std::string stats(FrameTag request, FrameTag reply, std::string* error);
 
   util::Socket sock_;
 };

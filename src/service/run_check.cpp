@@ -18,35 +18,37 @@
 
 namespace satproof::service {
 
+constexpr const char* kBackendNames[kNumBackends] = {
+    "df", "bf", "hybrid", "parallel", "drup", "window"};
+
 std::optional<Backend> backend_from_name(std::string_view name) {
-  if (name == "df") return Backend::kDf;
-  if (name == "bf") return Backend::kBf;
-  if (name == "hybrid") return Backend::kHybrid;
-  if (name == "parallel") return Backend::kParallel;
-  if (name == "drup") return Backend::kDrup;
-  if (name == "window") return Backend::kWindow;
+  for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+    if (name == kBackendNames[b]) return static_cast<Backend>(b);
+  }
   return std::nullopt;
 }
 
 const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kDf: return "df";
-    case Backend::kBf: return "bf";
-    case Backend::kHybrid: return "hybrid";
-    case Backend::kParallel: return "parallel";
-    case Backend::kDrup: return "drup";
-    case Backend::kWindow: return "window";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(b);
+  return i < kNumBackends ? kBackendNames[i] : "?";
 }
 
 Backend select_backend_for_budget(std::uint64_t trace_bytes,
                                   std::size_t mem_limit_bytes) {
-  if (mem_limit_bytes == 0) return Backend::kDf;
+  if (mem_limit_bytes == 0) {
+    return trace_bytes >= kAutoHybridTraceBytes ? Backend::kHybrid
+                                                : Backend::kDf;
+  }
   // Division, not multiplication: declared trace sizes can be large
   // enough that 6x would overflow before the compare.
   if (trace_bytes <= mem_limit_bytes / 6) return Backend::kDf;
   return Backend::kWindow;
+}
+
+std::uint64_t trace_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::in | std::ios::binary | std::ios::ate);
+  const auto size = in.tellg();
+  return in && size > 0 ? static_cast<std::uint64_t>(size) : 0;
 }
 
 std::string verdict_line(const JobOutcome& o) {
@@ -72,9 +74,8 @@ std::string verdict_line(const JobOutcome& o) {
   return os.str();
 }
 
-std::string check_stats_json(const checker::CheckStats& st,
-                             std::string_view backend) {
-  util::JsonWriter w;
+void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st,
+                       std::string_view backend) {
   w.begin_object();
   w.key("total_derivations");
   w.value(st.total_derivations);
@@ -96,9 +97,15 @@ std::string check_stats_json(const checker::CheckStats& st,
   // CLI tests check the leading "total_derivations") are unaffected.
   if (!backend.empty()) {
     w.key("backend");
-    w.value(std::string(backend));
+    w.value(backend);
   }
   w.end_object();
+}
+
+std::string check_stats_json(const checker::CheckStats& stats,
+                             std::string_view backend) {
+  util::JsonWriter w;
+  write_check_stats(w, stats, backend);
   return w.take();
 }
 
@@ -124,27 +131,8 @@ std::string outcome_json(const JobOutcome& o) {
     w.value(o.drup_propagations);
     w.end_object();
   } else {
-    // check_stats_json would be natural here, but JsonWriter has no raw
-    // splice; keep one canonical field order by emitting the same fields.
     w.key("stats");
-    w.begin_object();
-    w.key("total_derivations");
-    w.value(o.stats.total_derivations);
-    w.key("clauses_built");
-    w.value(o.stats.clauses_built);
-    w.key("resolutions");
-    w.value(o.stats.resolutions);
-    w.key("core_original_clauses");
-    w.value(o.stats.core_original_clauses);
-    w.key("peak_mem_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.peak_mem_bytes));
-    w.key("arena_allocated_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_allocated_bytes));
-    w.key("arena_recycled_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_recycled_bytes));
-    w.key("arena_peak_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_peak_bytes));
-    w.end_object();
+    write_check_stats(w, o.stats);
   }
   w.end_object();
   return w.take();
@@ -159,14 +147,6 @@ bool is_binary_trace(const std::string& path) {
   in.read(magic, 4);
   return in.gcount() == 4 && magic[0] == 'S' && magic[1] == 'P' &&
          magic[2] == 'R' && magic[3] == 'F';
-}
-
-/// Size of `path` in bytes (0 when it cannot be measured; the budget
-/// selection then keeps the requested backend).
-std::uint64_t trace_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary | std::ios::ate);
-  const auto size = in.tellg();
-  return in && size > 0 ? static_cast<std::uint64_t>(size) : 0;
 }
 
 /// Folds one finished run's stats into the process-wide registry. Done

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/checker/common.hpp"
+#include "src/util/json.hpp"
 
 namespace satproof::service {
 
@@ -33,15 +34,23 @@ inline constexpr std::uint8_t kNumBackends = 6;
   return b == Backend::kDf || b == Backend::kHybrid || b == Backend::kWindow;
 }
 
-/// Picks the fastest replay backend whose estimated peak fits
-/// `mem_limit_bytes`, from the declared trace size: depth-first while the
-/// whole trace plus its memoized clauses fit (~6x the trace bytes on the
-/// committed bench suite), and the window-shifting backend beyond that —
-/// its resident footprint is a few bytes per derivation plus one
-/// budget-sized window, independent of trace length. A zero budget means
-/// "no cap" and selects depth-first.
+/// Trace size from which an uncapped auto selection prefers hybrid.
+inline constexpr std::uint64_t kAutoHybridTraceBytes = 64ull << 20;
+
+/// The one backend-selection policy (`--checker=auto` and the per-job
+/// memory cap), from the trace size. With a budget (`mem_limit_bytes`
+/// non-zero): depth-first while the whole trace plus its memoized clauses
+/// fit (~6x the trace bytes on the committed bench suite), else the
+/// window-shifting backend, whose footprint is a few bytes per derivation
+/// plus one budget-sized window. Without one: depth-first below
+/// kAutoHybridTraceBytes, hybrid from there up, since depth-first keeps
+/// the whole trace plus every memoized clause resident.
 [[nodiscard]] Backend select_backend_for_budget(std::uint64_t trace_bytes,
                                                 std::size_t mem_limit_bytes);
+
+/// Size of the file at `path` in bytes; 0 when it cannot be measured (the
+/// selection then picks depth-first).
+[[nodiscard]] std::uint64_t trace_file_bytes(const std::string& path);
 
 /// Everything a checking run produces, minus wall-clock time — so two runs
 /// of the same job are comparable byte for byte. This is the unit the
@@ -84,10 +93,15 @@ struct CertOptions {
 /// JSON document describing the outcome (ok, verdict, error, stats).
 [[nodiscard]] std::string outcome_json(const JobOutcome& outcome);
 
-/// JSON object for a replay backend's CheckStats; shared by
-/// `satproof check --stats=json` and outcome_json so the two never drift.
-/// A non-empty `backend` appends a final "backend" key naming the backend
-/// that actually ran — the provenance record for `--checker=auto`.
+/// Writes a replay backend's CheckStats as one JSON object: the one
+/// serialiser behind `satproof check --stats=json` (check_stats_json) and
+/// outcome_json's "stats". A non-empty `backend` appends a final "backend"
+/// key naming the backend that actually ran — the provenance record for
+/// `--checker=auto`.
+void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats,
+                       std::string_view backend = {});
+
+/// write_check_stats as a standalone document.
 [[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats,
                                            std::string_view backend = {});
 

@@ -105,13 +105,143 @@ struct Server::Connection {
   [[nodiscard]] bool has_unsent() const { return out_off < outbuf.size(); }
 };
 
+ServerMetrics::ServerMetrics(obs::MetricsRegistry& r,
+                             std::function<SchedulerSnapshot()> scheduler)
+    : connections(r.counter("satproofd_connections_total",
+                            "Client connections accepted.")),
+      malformed_frames(r.counter("satproofd_malformed_frames_total",
+                                 "Protocol frames rejected as malformed.")),
+      accepted(r.counter("satproofd_jobs_accepted_total",
+                         "Jobs admitted to the queue.")),
+      rejected_busy(r.counter("satproofd_jobs_rejected_busy_total",
+                              "Jobs rejected with BUSY backpressure.")),
+      completed(r.counter("satproofd_jobs_completed_total",
+                          "Jobs that delivered a verdict.")),
+      failed(r.counter("satproofd_jobs_failed_total",
+                       "Jobs whose verdict was not ok.")),
+      timed_out(r.counter("satproofd_jobs_timed_out_total",
+                          "Jobs cancelled at their wall-clock deadline.")),
+      slow_jobs(r.counter("satproofd_slow_jobs_total",
+                          "Jobs exceeding the --slow-job-ms threshold.")),
+      certified(r.counter(
+          "satproofd_certified_total",
+          "Certificates verified by the trusted kernel post-check.")),
+      certify_failed(r.counter(
+          "satproofd_certify_failed_total",
+          "Certificates REJECTED by the trusted kernel post-check.")) {
+  r.register_gauge("satproofd_arena_peak_bytes",
+                   "Largest clause-arena peak observed over completed jobs.",
+                   [this] { return static_cast<double>(arena_peak_bytes_); });
+  // The scheduler's values: one snapshot per render feeds every family,
+  // so the queue, shard and lane series of one scrape read one sample.
+  r.before_snapshot(
+      [this, scheduler = std::move(scheduler)] { scheduler_ = scheduler(); });
+  const auto gauge = [&](const char* name, const char* help,
+                         std::size_t SchedulerSnapshot::*field) {
+    r.register_gauge(name, help, [this, field] {
+      return static_cast<double>(scheduler_.*field);
+    });
+  };
+  gauge("satproofd_queue_depth", "Jobs waiting in the queue.",
+        &SchedulerSnapshot::queue_depth);
+  gauge("satproofd_queue_capacity", "Configured queue capacity.",
+        &SchedulerSnapshot::queue_capacity);
+  gauge("satproofd_running_jobs", "Jobs currently executing.",
+        &SchedulerSnapshot::running_jobs);
+  r.register_gauge("satproofd_workers",
+                   "Checker worker threads (one queue shard each).",
+                   [this] { return scheduler_.shards.size(); });
+  using Samples = std::vector<obs::Sample>;
+  r.register_callback(
+      "satproofd_worker_queue_depth",
+      "Jobs waiting in one worker's shard, by priority lane.",
+      obs::MetricType::kGauge, [this] {
+        Samples out;
+        for (std::size_t i = 0; i < scheduler_.shards.size(); ++i) {
+          const auto& shard = scheduler_.shards[i];
+          const std::string w = std::to_string(i);
+          out.push_back({{{"worker", w}, {"lane", "fast"}},
+                         static_cast<double>(shard.depth_fast)});
+          out.push_back({{{"worker", w}, {"lane", "bulk"}},
+                         static_cast<double>(shard.depth_bulk)});
+        }
+        return out;
+      });
+  r.register_callback(
+      "satproofd_worker_steals_total",
+      "Jobs a worker obtained by stealing from another shard.",
+      obs::MetricType::kCounter, [this] {
+        Samples out;
+        for (std::size_t i = 0; i < scheduler_.shards.size(); ++i) {
+          out.push_back({{{"worker", std::to_string(i)}},
+                         static_cast<double>(scheduler_.shards[i].steals)});
+        }
+        return out;
+      });
+  r.register_callback(
+      "satproofd_lane_jobs_enqueued_total", "Jobs admitted, by priority lane.",
+      obs::MetricType::kCounter, [this] {
+        Samples out{{{{"lane", "fast"}}, 0}, {{{"lane", "bulk"}}, 0}};
+        for (const auto& shard : scheduler_.shards) {
+          out[0].value += static_cast<double>(shard.enqueued_fast);
+          out[1].value += static_cast<double>(shard.enqueued_bulk);
+        }
+        return out;
+      });
+  // Every backend's series exist from the start, zeros included.
+  for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+    const obs::Labels l{{"backend", backend_name(static_cast<Backend>(b))}};
+    backends_[b] = {
+        &r.counter("satproofd_backend_jobs_completed_total",
+                   "Jobs completed, by checker backend.", l),
+        &r.counter("satproofd_backend_jobs_failed_total",
+                   "Jobs with a non-ok verdict, by checker backend.", l),
+        &r.counter("satproofd_backend_jobs_timed_out_total",
+                   "Jobs timed out, by checker backend.", l),
+        &r.histogram("satproofd_job_seconds",
+                     "Wall time of completed jobs in seconds, by checker "
+                     "backend.",
+                     l)};
+  }
+}
+
+void ServerMetrics::record_completed(Backend backend, double seconds, bool ok,
+                                     std::size_t arena_peak_bytes) {
+  BackendSeries& s = backends_[static_cast<std::size_t>(backend)];
+  completed.inc();
+  s.completed->inc();
+  if (!ok) {
+    failed.inc();
+    s.failed->inc();
+  }
+  s.seconds->observe(seconds);
+  std::size_t peak = arena_peak_bytes_.load(std::memory_order_relaxed);
+  while (peak < arena_peak_bytes &&
+         !arena_peak_bytes_.compare_exchange_weak(
+             peak, arena_peak_bytes, std::memory_order_relaxed)) {
+  }
+}
+
+void ServerMetrics::record_timeout(Backend backend) {
+  timed_out.inc();
+  backends_[static_cast<std::size_t>(backend)].timed_out->inc();
+}
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       worker_count_(options_.workers != 0
                         ? options_.workers
                         : std::max(1u, std::thread::hardware_concurrency())),
       queue_(worker_count_,
-             options_.queue_capacity == 0 ? 1 : options_.queue_capacity) {}
+             options_.queue_capacity == 0 ? 1 : options_.queue_capacity),
+      metrics_(registry_, [this] {
+        SchedulerSnapshot s{queue_.depth(), queue_.capacity(),
+                            running_jobs_.load(), {}};
+        for (unsigned i = 0; i < queue_.shards(); ++i) {
+          s.shards.push_back(queue_.shard_snapshot(i));
+        }
+        return s;
+      }) {}
 
 Server::~Server() {
   bool need_drain = false;
@@ -169,23 +299,13 @@ void Server::drain_and_wait() {
   wait_until_drained();
 }
 
-std::vector<ShardedJobQueue::ShardSnapshot> Server::shard_snapshots() const {
-  std::vector<ShardedJobQueue::ShardSnapshot> out;
-  out.reserve(queue_.shards());
-  for (unsigned i = 0; i < queue_.shards(); ++i) {
-    out.push_back(queue_.shard_snapshot(i));
-  }
-  return out;
-}
-
 std::string Server::metrics_json() const {
-  return metrics_.to_json(queue_.depth(), queue_.capacity(),
-                          running_jobs_.load(), shard_snapshots());
+  return obs::render_json({&registry_, &obs::MetricsRegistry::instance()});
 }
 
 std::string Server::metrics_prometheus() const {
-  return metrics_.to_prometheus(queue_.depth(), queue_.capacity(),
-                                running_jobs_.load(), shard_snapshots());
+  return obs::render_prometheus(
+      {&registry_, &obs::MetricsRegistry::instance()});
 }
 
 // ----------------------------------------------------------------------
@@ -279,7 +399,7 @@ void Server::accept_ready(util::Socket& listener) {
     util::Socket conn = util::accept_connection(listener);
     if (!conn.valid()) break;  // EAGAIN: accepted everything pending
     conn.set_nonblocking();
-    metrics_.on_connection();
+    metrics_.connections.inc();
     auto c = std::make_unique<Connection>();
     c->key = next_conn_key_++;
     c->sock = std::move(conn);
@@ -335,7 +455,7 @@ void Server::on_connection_event(const util::PollEvent& ev,
     // Peer died while its job runs. Error events are reported regardless
     // of interest, so reap now instead of spinning until the completion
     // arrives; deliver_completions drops results for vanished clients.
-    if (conn.decoder.mid_frame()) metrics_.on_malformed_frame();
+    if (conn.decoder.mid_frame()) metrics_.malformed_frames.inc();
     destroy_connection(ev.key);
     return;
   }
@@ -358,7 +478,7 @@ void Server::on_connection_event(const util::PollEvent& ev,
       if (k == util::Socket::kWouldBlock) break;
       // EOF or hard error. Partial frame bytes at disconnect are the
       // mid-frame truncation the malformed-frame counter tracks.
-      if (conn.decoder.mid_frame()) metrics_.on_malformed_frame();
+      if (conn.decoder.mid_frame()) metrics_.malformed_frames.inc();
       conn.saw_eof = true;
       conn.close_after_flush = true;
       break;
@@ -388,7 +508,7 @@ void Server::process_buffered_frames(Connection& conn) {
     const FrameDecoder::Result r = conn.decoder.next(frame);
     if (r == FrameDecoder::Result::kNeedMore) return;
     if (r == FrameDecoder::Result::kOversized) {
-      metrics_.on_malformed_frame();
+      metrics_.malformed_frames.inc();
       queue_output(conn, FrameTag::kError,
                    encode_error(ErrorCode::kOversizedFrame,
                                 "declared frame length exceeds the cap"));
@@ -405,7 +525,7 @@ void Server::process_buffered_frames(Connection& conn) {
 bool Server::handle_frame(Connection& conn, Frame& frame) {
   UploadState& upload = conn.upload;
   const auto protocol_error = [&](ErrorCode code, std::string_view msg) {
-    metrics_.on_malformed_frame();
+    metrics_.malformed_frames.inc();
     queue_output(conn, FrameTag::kError, encode_error(code, msg));
     return false;
   };
@@ -539,14 +659,14 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         return false;
       }
       if (res == ShardedJobQueue::EnqueueResult::kFull) {
-        metrics_.on_rejected_busy();
+        metrics_.rejected_busy.inc();
         std::vector<std::uint8_t> payload;
         append_u32le(payload, static_cast<std::uint32_t>(queue_.capacity()));
         queue_output(conn, FrameTag::kBusy, payload);
         return true;  // connection stays usable
       }
 
-      metrics_.on_accepted();
+      metrics_.accepted.inc();
       ++pending_jobs_;
       std::vector<std::uint8_t> payload;
       append_u64le(payload, job_id);
@@ -560,26 +680,17 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
       return true;
     }
 
-    case FrameTag::kStats: {
-      if (upload.active) {
-        return protocol_error(ErrorCode::kProtocolViolation,
-                              "STATS during an upload");
-      }
-      const std::string json = metrics_json();
-      queue_output(conn, FrameTag::kStatsJson,
-                   std::span<const std::uint8_t>(
-                       reinterpret_cast<const std::uint8_t*>(json.data()),
-                       json.size()));
-      return true;
-    }
-
+    case FrameTag::kStats:
     case FrameTag::kStatsProm: {
+      const bool prom = frame.tag == FrameTag::kStatsProm;
       if (upload.active) {
         return protocol_error(ErrorCode::kProtocolViolation,
-                              "STATS_PROM during an upload");
+                              prom ? "STATS_PROM during an upload"
+                                   : "STATS during an upload");
       }
-      const std::string text = metrics_prometheus();
-      queue_output(conn, FrameTag::kStatsPromText,
+      const std::string text = prom ? metrics_prometheus() : metrics_json();
+      queue_output(conn,
+                   prom ? FrameTag::kStatsPromText : FrameTag::kStatsJson,
                    std::span<const std::uint8_t>(
                        reinterpret_cast<const std::uint8_t*>(text.data()),
                        text.size()));
@@ -647,7 +758,7 @@ void Server::sweep_idle(std::uint64_t now_us) {
     }
     // Stalled peer. Partial frame bytes make it a truncation (the
     // blocking server's SO_RCVTIMEO path counted exactly this case).
-    if (conn.decoder.mid_frame()) metrics_.on_malformed_frame();
+    if (conn.decoder.mid_frame()) metrics_.malformed_frames.inc();
     poller_->remove(conn.sock.fd());
     it = conns_.erase(it);
   }
@@ -722,7 +833,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
         util::ViewStreambuf cert_buf(outcome.certificate);
         std::istream cert_in(&cert_buf);
         const kern::VerifyResult kv = kern::verify_lrat(cnf_in, cert_in);
-        metrics_.on_certified(kv.verified);
+        (kv.verified ? metrics_.certified : metrics_.certify_failed).inc();
         if (!kv.verified) {
           outcome.ok = false;
           outcome.error = "kernel rejected certificate at line " +
@@ -748,7 +859,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
   if (profile) {
     obs::set_thread_collector(nullptr);
     if (seconds * 1e3 > static_cast<double>(options_.slow_job_ms)) {
-      metrics_.on_slow_job();
+      metrics_.slow_jobs.inc();
       // One buffered write so concurrent workers' dumps don't interleave.
       std::string dump = "SLOW-JOB: id=" + std::to_string(request.id) +
                          " backend=" + backend_name(outcome.backend) +
@@ -764,10 +875,10 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
   // may have run a df/hybrid request as window (outcome.backend tracks
   // it; for jobs that expired in the queue it is still the requested one).
   if (timed_out) {
-    metrics_.on_timeout(outcome.backend);
+    metrics_.record_timeout(outcome.backend);
   } else {
-    metrics_.on_completed(outcome.backend, seconds, outcome.ok,
-                          outcome.stats.arena_peak_bytes);
+    metrics_.record_completed(outcome.backend, seconds, outcome.ok,
+                              outcome.stats.arena_peak_bytes);
   }
   running_jobs_.fetch_sub(1);
   // The dump (if any) is already on stderr: the result frame the client

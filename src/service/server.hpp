@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -10,9 +12,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/service/job_queue.hpp"
-#include "src/service/metrics.hpp"
 #include "src/service/protocol.hpp"
+#include "src/service/run_check.hpp"
 #include "src/util/arena.hpp"
 #include "src/util/epoll.hpp"
 #include "src/util/socket.hpp"
@@ -55,6 +58,51 @@ struct ServerOptions {
   std::size_t mem_limit_bytes = 0;
 };
 
+/// Scheduler state sampled when satproofd's metrics are rendered.
+struct SchedulerSnapshot {
+  std::size_t queue_depth = 0;
+  std::size_t queue_capacity = 0;
+  std::size_t running_jobs = 0;
+  std::vector<ShardedJobQueue::ShardSnapshot> shards;
+};
+
+/// satproofd's `satproofd_*` series on one registry: counter and
+/// histogram handles that the I/O thread and the workers bump lock-free,
+/// and callback families that read one `scheduler` sample per render.
+class ServerMetrics {
+ public:
+  ServerMetrics(obs::MetricsRegistry& registry,
+                std::function<SchedulerSnapshot()> scheduler);
+
+  /// One job that delivered a verdict, or one reported as timed out,
+  /// attributed to the backend that ran it.
+  void record_completed(Backend backend, double seconds, bool ok,
+                        std::size_t arena_peak_bytes);
+  void record_timeout(Backend backend);
+
+  obs::Counter& connections;
+  obs::Counter& malformed_frames;
+  obs::Counter& accepted;
+  obs::Counter& rejected_busy;
+  obs::Counter& completed;
+  obs::Counter& failed;
+  obs::Counter& timed_out;
+  obs::Counter& slow_jobs;  ///< wall time above --slow-job-ms
+  obs::Counter& certified;  ///< kernel-verified certificates
+  obs::Counter& certify_failed;  ///< kernel REJECTs (emitter bug!)
+
+ private:
+  struct BackendSeries {
+    obs::Counter* completed;  ///< verdict delivered (ok or rejected)
+    obs::Counter* failed;     ///< verdict was not ok
+    obs::Counter* timed_out;
+    obs::Histogram* seconds;  ///< wall time of completed jobs
+  };
+  std::array<BackendSeries, kNumBackends> backends_{};
+  std::atomic<std::size_t> arena_peak_bytes_{0};  ///< max over completed
+  SchedulerSnapshot scheduler_;  ///< this render's; under the registry lock
+};
+
 /// The satproofd daemon: accepts proof-checking jobs over the framed
 /// protocol (src/service/protocol.hpp), streams uploads to temp files,
 /// schedules checking runs on a sharded work-stealing worker pool behind
@@ -73,9 +121,9 @@ struct ServerOptions {
 /// ByteSource path.
 ///
 /// Shutdown is a *drain*: request_drain() (or a SIGTERM handler calling
-/// notify_drain_from_signal()) stops accepting connections and jobs,
-/// lets queued and running jobs finish, delivers their results to waiting
-/// clients, then releases serve_forever(). Nothing is killed mid-check.
+/// notify_drain_from_signal()) stops accepting connections and jobs, lets
+/// queued and running jobs finish, delivers their results to waiting
+/// clients, then releases wait_until_drained(). Nothing is killed mid-check.
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -108,11 +156,12 @@ class Server {
   /// request_drain() + wait_until_drained().
   void drain_and_wait();
 
-  /// Metrics snapshot (same JSON as the protocol's stats reply).
+  /// Metrics snapshot (same JSON as the protocol's stats reply): this
+  /// server's registry, then the process-wide one, one key per series.
   [[nodiscard]] std::string metrics_json() const;
 
-  /// The snapshot in Prometheus text exposition format (the protocol's
-  /// STATS_PROM reply).
+  /// The same samples in Prometheus text exposition format (the
+  /// protocol's STATS_PROM reply).
   [[nodiscard]] std::string metrics_prometheus() const;
 
   [[nodiscard]] const ServerOptions& options() const { return options_; }
@@ -144,8 +193,6 @@ class Server {
 
   void worker_main(unsigned worker);
   void execute_job(QueuedJob job, util::ClauseArena& arena);
-  [[nodiscard]] std::vector<ShardedJobQueue::ShardSnapshot>
-  shard_snapshots() const;
 
   ServerOptions options_;
   unsigned worker_count_ = 1;
@@ -155,9 +202,10 @@ class Server {
   util::WakePipe wake_pipe_;        ///< drain trigger (async-signal-safe)
   util::WakePipe completion_pipe_;  ///< worker -> I/O thread wakeup
 
-  Metrics metrics_;
   ShardedJobQueue queue_;
   std::atomic<std::size_t> running_jobs_{0};
+  obs::MetricsRegistry registry_;  ///< per server: counts start at zero
+  ServerMetrics metrics_;
   std::atomic<std::uint64_t> next_job_id_{1};
   std::atomic<bool> draining_{false};
 

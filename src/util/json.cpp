@@ -85,11 +85,6 @@ void JsonWriter::value(double v) {
   }
 }
 
-void JsonWriter::null() {
-  comma_if_needed();
-  out_ += "null";
-}
-
 std::string JsonWriter::take() {
   assert(need_comma_.empty() && !after_key_);
   std::string result = std::move(out_);

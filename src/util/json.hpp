@@ -9,7 +9,7 @@ namespace satproof::util {
 
 /// Minimal streaming JSON writer.
 ///
-/// The service's `stats` reply and `satproof check --stats=json` both need
+/// `satproof check --stats=json`, job results and Chrome traces need
 /// machine-readable output; hand-rolled `<<` chains get the escaping and
 /// comma placement wrong sooner or later. This writer produces compact
 /// (no-whitespace) JSON, handles string escaping per RFC 8259, and tracks
@@ -44,7 +44,6 @@ class JsonWriter {
   /// Doubles are emitted with enough digits to round-trip; NaN and
   /// infinities (not representable in JSON) come out as null.
   void value(double v);
-  void null();
 
   /// Finished document. The writer must be back at nesting depth 0.
   [[nodiscard]] std::string take();

@@ -402,6 +402,31 @@ TEST(CertCorrupt, CnfClauseCountMismatchRejects) {
       << r.error;
 }
 
+// A 'c' token is a comment only at the start of a line, as dimacs::parse
+// reads one. Read as a comment, this 'c' would drop the rest of line 2,
+// and the kernel would verify the CNF {1} {-1} from text that
+// dimacs::parse rejects with "non-integer token".
+TEST(CertCorrupt, CnfMidLineCommentTokenRejects) {
+  const std::string cnf = "p cnf 1 2\n1 c note\n0 -1 0\n";
+  const kern::VerifyResult r = verify("3 0 1 2 0\n", cnf);
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.line, 0u);
+  EXPECT_EQ(r.error, "CNF: bad token 'c'");
+  // At the start of a line the same token is a comment.
+  EXPECT_TRUE(verify("3 0 1 2 0\n", "p cnf 1 2\n1 0\nc note\n-1 0\n")
+                  .verified);
+}
+
+// DIMACS files often open with several comment lines, and comments may
+// sit between clauses; each one starts its line.
+TEST(CertCorrupt, CnfConsecutiveCommentLinesVerify) {
+  EXPECT_TRUE(verify("3 0 1 2 0\n", "c a\nc b\np cnf 1 2\n1 0\n-1 0\n")
+                  .verified);
+  const kern::VerifyResult r = verify(
+      "3 0 1 2 0\n", "c a\nc b\np cnf 1 2\nc x\nc y\n1 0\nc z\n-1 0\n");
+  EXPECT_TRUE(r.verified) << r.error;
+}
+
 TEST(CertCorrupt, CnfMissingHeaderRejects) {
   const kern::VerifyResult r = verify(kValidCert, "1 2 0\n");
   EXPECT_FALSE(r.verified);

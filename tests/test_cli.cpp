@@ -118,6 +118,34 @@ TEST_F(CliTest, CheckStatsReportsArenaTraffic) {
   EXPECT_NE(bf.out.find("stats: arena "), std::string::npos);
 }
 
+TEST_F(CliTest, AutoCheckerPicksFromTraceSizeAndBudget) {
+  // A small trace: df without a budget, window under one it overflows
+  // (six times its size is the df estimate).
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const auto trace_bytes = std::filesystem::file_size(aux());
+  const CliRun df =
+      run({"check", "--checker=auto", "--stats=json", cnf(), aux()});
+  EXPECT_EQ(df.exit_code, 0) << df.err;
+  EXPECT_NE(df.out.find("\"backend\":\"df\""), std::string::npos) << df.out;
+  const CliRun fits = run({"check", "--checker=auto", "--stats=json",
+                           "--mem-limit=" + std::to_string(6 * trace_bytes),
+                           cnf(), aux()});
+  EXPECT_EQ(fits.exit_code, 0) << fits.err;
+  EXPECT_NE(fits.out.find("\"backend\":\"df\""), std::string::npos);
+  const CliRun capped = run({"check", "--checker=auto", "--stats=json",
+                             "--mem-limit=" + std::to_string(trace_bytes),
+                             cnf(), aux()});
+  EXPECT_EQ(capped.exit_code, 0) << capped.err;
+  EXPECT_NE(capped.out.find("\"backend\":\"window\""), std::string::npos)
+      << capped.out;
+  const CliRun lrat = run({"export-lrat", "--checker=auto", cnf(), aux(),
+                           "-o", aux2()});
+  EXPECT_EQ(lrat.exit_code, 0) << lrat.err;
+  EXPECT_NE(lrat.out.find("(df replay)"), std::string::npos) << lrat.out;
+}
+
 TEST_F(CliTest, CheckStatsJsonEmitsMachineReadableCounters) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux()});

@@ -40,8 +40,9 @@ using kern::VerifyResult;
 
 // ------------------------------------------------------------------ oracle
 //
-// The istream kernel as it was, with one change: get_varint rejects a 10th
-// byte above 1 (bits past 2^64), as the kernel now does.
+// The istream kernel as it was, with two changes the kernel has made since:
+// get_varint rejects a 10th byte above 1 (bits past 2^64), and a CNF 'c'
+// token is a comment only when it starts its line.
 
 namespace oracle {
 
@@ -65,13 +66,29 @@ struct Cnf {
   std::vector<std::vector<std::int32_t>> clauses;
 };
 
+// `in >> tok`, also telling whether the token starts its line: whitespace
+// is skipped by hand, and `at_line_start` carries whether the last byte
+// consumed was a '\n' (the input starts a line).
+bool next_token(std::istream& in, std::string& tok, bool& at_line_start,
+                bool& line_start) {
+  for (int c = in.peek(); c != EOF && std::isspace(c); c = in.peek()) {
+    at_line_start = in.get() == '\n';
+  }
+  line_start = at_line_start;
+  at_line_start = false;
+  return static_cast<bool>(in >> tok);
+}
+
 Cnf parse_cnf(std::istream& in) {
   Cnf f;
   std::string tok;
   std::int64_t declared = -1;
-  while (in >> tok) {
-    if (tok[0] == 'c') {
+  bool at_line_start = true;
+  bool line_start = false;
+  while (next_token(in, tok, at_line_start, line_start)) {
+    if (line_start && tok[0] == 'c') {
       std::getline(in, tok);
+      at_line_start = true;
       continue;
     }
     if (tok == "p") {
@@ -88,9 +105,10 @@ Cnf parse_cnf(std::istream& in) {
   }
   if (declared < 0) reject(0, "CNF: missing problem line");
   std::vector<std::int32_t> cur;
-  while (in >> tok) {
-    if (tok[0] == 'c') {
+  while (next_token(in, tok, at_line_start, line_start)) {
+    if (line_start && tok[0] == 'c') {
       std::getline(in, tok);
+      at_line_start = true;
       continue;
     }
     char* end = nullptr;
@@ -831,6 +849,22 @@ TEST(KernelReaderFixed, CommentsLongerThanABlock) {
   expect_agrees(comment + fx.cnf, comment + fx.text, "VERIFIED");
 }
 
+TEST(KernelReaderFixed, ConsecutiveCommentLines) {
+  // A comment line right after another one starts its line too: the
+  // header may follow several, and clauses may sit between them.
+  const char* cert = "3 0 1 2 0\n";
+  expect_agrees("c a\nc b\np cnf 1 2\n1 0\n-1 0\n", cert, "VERIFIED");
+  expect_agrees("c a\nc b\np cnf 1 2\nc x\nc y\n1 0\nc z\n-1 0\nc w\n",
+                cert, "VERIFIED");
+  // The second comment's 'c' is the first byte of the second block.
+  const std::string first = "c " + std::string(kBlock - 3, 'x') + "\n";
+  expect_agrees(first + "c b\np cnf 1 2\n1 0\n-1 0\n", cert, "VERIFIED");
+  // Indented, a 'c' does not start its line.
+  expect_agrees("c a\n c b\np cnf 1 2\n1 0\n-1 0\n", cert,
+                "REJECTED line 0 additions 0 deletions 0: CNF: expected a "
+                "comment or problem line, got 'c'");
+}
+
 TEST(KernelReaderFixed, InputsWithoutFinalNewline) {
   const Fixture& fx = fixture();
   expect_agrees(fx.cnf.substr(0, fx.cnf.size() - 1),
@@ -846,8 +880,10 @@ TEST(KernelReaderFixed, EmptyInputs) {
 
 TEST(KernelReaderFixed, HeaderFieldsEndingMidToken) {
   // `>>` into an integer stops at the first non-digit and leaves the rest
-  // for the next read.
-  expect_agrees("p cnf 1 2c\n1 0 -1 0\n", "3 0 1 2 0\n", "VERIFIED");
+  // for the next read. A 'c' left over that way does not start its line,
+  // so it is a bad token, not a comment.
+  expect_agrees("p cnf 1 2c\n1 0 -1 0\n", "3 0 1 2 0\n",
+                "REJECTED line 0 additions 0 deletions 0: CNF: bad token 'c'");
   expect_agrees("p cnf 1 2-1 0 1 0\n", "3 0 1 2 0\n", "VERIFIED");
   expect_agrees("p cnf 1 2 -1 0 1 0", "3 0 1 2 0", "VERIFIED");
   expect_agrees("p cnf +1 002\n-1 0 1 0\n", "3 0 1 2 0\n", "VERIFIED");

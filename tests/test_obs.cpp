@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <regex>
 #include <set>
@@ -16,7 +17,7 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/service/metrics.hpp"
+#include "src/service/server.hpp"
 #include "src/util/temp_file.hpp"
 
 namespace satproof::obs {
@@ -230,7 +231,7 @@ TEST(ObsMetrics, RegistryCountersAccumulateAndRender) {
       "satproof_test_counter_total", "Test counter.");
   EXPECT_EQ(&again, &c);
 
-  const std::string text = MetricsRegistry::instance().render_prometheus();
+  const std::string text = render_prometheus({&MetricsRegistry::instance()});
   EXPECT_NE(text.find("# HELP satproof_test_counter_total Test counter."),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE satproof_test_counter_total counter"),
@@ -239,37 +240,136 @@ TEST(ObsMetrics, RegistryCountersAccumulateAndRender) {
 }
 
 TEST(ObsMetrics, GaugesSampleTheirCallbackAtRenderTime) {
+  MetricsRegistry registry;
   double value = 1.0;
-  MetricsRegistry::instance().register_gauge(
-      "satproof_test_gauge", "Test gauge.", [&value] { return value; });
-  std::string text = MetricsRegistry::instance().render_prometheus();
+  registry.register_gauge("satproof_test_gauge", "Test gauge.",
+                          [&value] { return value; });
+  std::string text = render_prometheus({&registry});
   EXPECT_NE(text.find("satproof_test_gauge 1"), std::string::npos);
   value = 7.5;
-  text = MetricsRegistry::instance().render_prometheus();
+  text = render_prometheus({&registry});
   EXPECT_NE(text.find("satproof_test_gauge 7.5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE satproof_test_gauge gauge"), std::string::npos);
-  MetricsRegistry::instance().unregister_gauge("satproof_test_gauge");
-  text = MetricsRegistry::instance().render_prometheus();
-  EXPECT_EQ(text.find("satproof_test_gauge"), std::string::npos);
+  // A callback family is registered once; its name is not re-bound.
+  EXPECT_THROW(registry.register_gauge("satproof_test_gauge", "Test gauge.",
+                                       [] { return 0.0; }),
+               std::logic_error);
+  EXPECT_NE(render_prometheus({&registry}).find("satproof_test_gauge 7.5"),
+            std::string::npos);
+}
+
+TEST(ObsMetrics, LabelledCountersAreStableHandlesInCreationOrder) {
+  MetricsRegistry registry;
+  Counter& df =
+      registry.counter("t_jobs_total", "Jobs.", {{"backend", "df"}});
+  Counter& bf =
+      registry.counter("t_jobs_total", "Jobs.", {{"backend", "bf"}});
+  EXPECT_NE(&df, &bf);
+  EXPECT_EQ(&registry.counter("t_jobs_total", "Jobs.", {{"backend", "df"}}),
+            &df);
+  Counter& odd = registry.counter("t_odd_total", "Odd.",
+                                  {{"worker", "0"}, {"name", "a\"b\\c"}});
+  df.inc(2);
+  bf.inc();
+  odd.inc();
+  EXPECT_EQ(render_prometheus({&registry}),
+            "# HELP t_jobs_total Jobs.\n"
+            "# TYPE t_jobs_total counter\n"
+            "t_jobs_total{backend=\"df\"} 2\n"
+            "t_jobs_total{backend=\"bf\"} 1\n"
+            "# HELP t_odd_total Odd.\n"
+            "# TYPE t_odd_total counter\n"
+            "t_odd_total{worker=\"0\",name=\"a\\\"b\\\\c\"} 1\n");
+  EXPECT_THROW(registry.histogram("t_jobs_total", "Jobs."), std::logic_error);
+  EXPECT_THROW(
+      registry.register_gauge("t_jobs_total", "Jobs.", [] { return 1.0; }),
+      std::logic_error);
+}
+
+TEST(ObsMetrics, HistogramRendersCumulativeLog2Buckets) {
+  MetricsRegistry registry;
+  Histogram& h =
+      registry.histogram("t_seconds", "Latency.", {{"backend", "df"}});
+  h.observe(0.0);     // bucket 0: up to 2 us
+  h.observe(2e-6);    // bucket 0: the bound is inclusive
+  h.observe(3e-6);    // bucket 1: up to 4 us
+  h.observe(1.0);     // 2^19.9 us: bucket 19, up to 2^20 us
+  h.observe(1e9);     // past every bound: +Inf
+  h.observe(-1.0);    // clamped to 0
+  EXPECT_EQ(Histogram::upper_bound(0), 2e-6);
+  EXPECT_EQ(Histogram::upper_bound(19), 1.048576);
+  EXPECT_EQ(Histogram::upper_bound(Histogram::kBuckets - 1),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.bucket(0), 3u);
+  EXPECT_EQ(h.bucket(1), 1u);
+  EXPECT_EQ(h.bucket(19), 1u);
+  EXPECT_EQ(h.bucket(Histogram::kBuckets - 1), 1u);
+  Histogram edge;
+  edge.observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(edge.bucket(Histogram::kBuckets - 1), 1u);
+
+  const std::string text = render_prometheus({&registry});
+  expect_wellformed_prometheus(text);
+  EXPECT_EQ(text.rfind("# HELP t_seconds Latency.\n# TYPE t_seconds histogram\n"
+                       "t_seconds_bucket{backend=\"df\",le=\"2e-06\"} 3\n"
+                       "t_seconds_bucket{backend=\"df\",le=\"4e-06\"} 4\n"
+                       "t_seconds_bucket{backend=\"df\",le=\"8e-06\"} 4\n",
+                       0),
+            0u)
+      << text;
+  EXPECT_NE(text.find("t_seconds_bucket{backend=\"df\",le=\"0.524288\"} 4\n"
+                      "t_seconds_bucket{backend=\"df\",le=\"1.048576\"} 5\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("t_seconds_bucket{backend=\"df\",le=\"549755.813888\"} "
+                      "5\n"
+                      "t_seconds_bucket{backend=\"df\",le=\"+Inf\"} 6\n"
+                      "t_seconds_sum{backend=\"df\"} 1000000001.000005\n"
+                      "t_seconds_count{backend=\"df\"} 6\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ObsMetrics, CallbackFamiliesAndJsonShareOneWalk) {
+  MetricsRegistry registry;
+  registry.counter("t_total", "Total.").inc(3);
+  std::vector<Sample> lanes = {{{{"lane", "fast"}}, 4},
+                               {{{"lane", "bulk"}}, 0}};
+  registry.register_callback("t_lane_total", "By lane.", MetricType::kCounter,
+                             [&lanes] { return lanes; });
+  registry.register_gauge("t_ratio", "Ratio.", [] { return 0.25; });
+  EXPECT_EQ(render_json({&registry}),
+            "{\"t_total\":3,\"t_lane_total{lane=\\\"fast\\\"}\":4,"
+            "\"t_lane_total{lane=\\\"bulk\\\"}\":0,\"t_ratio\":0.25}");
+  lanes[1].value = 7;  // sampled again at the next render
+  EXPECT_EQ(render_prometheus({&registry}),
+            "# HELP t_total Total.\n# TYPE t_total counter\nt_total 3\n"
+            "# HELP t_lane_total By lane.\n# TYPE t_lane_total counter\n"
+            "t_lane_total{lane=\"fast\"} 4\nt_lane_total{lane=\"bulk\"} 7\n"
+            "# HELP t_ratio Ratio.\n# TYPE t_ratio gauge\nt_ratio 0.25\n");
+  EXPECT_THROW(registry.counter("t_ratio", "Ratio."), std::logic_error);
 }
 
 TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
-  service::Metrics m;
-  m.on_connection();
-  m.on_accepted();
-  m.on_completed(service::Backend::kDf, 0.010, true, 4096);
-  m.on_slow_job();
+  service::SchedulerSnapshot scheduler;
+  scheduler.queue_depth = 3;
+  scheduler.queue_capacity = 64;
+  scheduler.running_jobs = 1;
+  scheduler.shards.resize(2);
+  scheduler.shards[0].depth_fast = 3;
+  scheduler.shards[0].enqueued_fast = 4;
+  scheduler.shards[1].steals = 2;
+  MetricsRegistry registry;
+  service::ServerMetrics m(registry, [&scheduler] { return scheduler; });
+  m.connections.inc();
+  m.accepted.inc();
+  m.record_completed(service::Backend::kDf, 0.010, true, 4096);
+  m.slow_jobs.inc();
   // Make sure the process-wide checker counters exist (they are created on
   // first use by run_check; tests may run before any check).
   (void)CheckerCounters::get();
 
-  std::vector<service::ShardedJobQueue::ShardSnapshot> shards(2);
-  shards[0].depth_fast = 3;
-  shards[0].enqueued_fast = 4;
-  shards[1].steals = 2;
-  const std::string text = m.to_prometheus(/*queue_depth=*/3,
-                                           /*queue_capacity=*/64,
-                                           /*running_jobs=*/1, shards);
+  const std::string text =
+      render_prometheus({&registry, &MetricsRegistry::instance()});
   expect_wellformed_prometheus(text);
   EXPECT_NE(text.find("satproofd_queue_depth 3"), std::string::npos);
   EXPECT_NE(text.find("satproofd_running_jobs 1"), std::string::npos);
@@ -292,6 +392,32 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
       std::string::npos);
   EXPECT_NE(text.find("# TYPE satproof_resolutions_total counter"),
             std::string::npos);
+}
+
+TEST(ObsMetrics, ServiceSamplesTheSchedulerOncePerRender) {
+  // Each call returns a later moment: one more job queued on worker 0.
+  int calls = 0;
+  MetricsRegistry registry;
+  service::ServerMetrics m(registry, [&calls] {
+    ++calls;
+    service::SchedulerSnapshot s;
+    s.queue_depth = static_cast<std::size_t>(calls);
+    s.shards.resize(2);
+    s.shards[0].depth_fast = s.queue_depth;
+    s.shards[0].enqueued_fast = s.queue_depth;
+    return s;
+  });
+  EXPECT_EQ(calls, 0);
+  const std::string text = render_prometheus({&registry});
+  EXPECT_EQ(calls, 1);
+  EXPECT_NE(text.find("satproofd_queue_depth 1\n"), std::string::npos);
+  EXPECT_NE(text.find(
+                "satproofd_worker_queue_depth{worker=\"0\",lane=\"fast\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"fast\"} 1\n"),
+            std::string::npos);
+  (void)render_json({&registry});
+  EXPECT_EQ(calls, 2);
 }
 
 }  // namespace

@@ -7,13 +7,16 @@
 #include <chrono>
 #include <limits>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/cert/kernel.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/service/client.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/run_check.hpp"
@@ -35,6 +38,50 @@ std::string read_file(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// `series value` lines of a Prometheus exposition, in order.
+std::vector<std::pair<std::string, double>> prometheus_series(
+    const std::string& text) {
+  std::vector<std::pair<std::string, double>> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const auto space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) continue;
+    out.emplace_back(line.substr(0, space),
+                     std::strtod(line.c_str() + space + 1, nullptr));
+  }
+  return out;
+}
+
+std::map<std::string, double> prometheus_samples(const std::string& text) {
+  std::map<std::string, double> out;
+  for (const auto& [key, value] : prometheus_series(text)) out[key] = value;
+  return out;
+}
+
+/// The stats JSON: one flat object of series keys (`\"` and `\\`
+/// escapes) to numbers.
+std::map<std::string, double> json_samples(const std::string& json) {
+  std::map<std::string, double> out;
+  EXPECT_TRUE(json.size() >= 2 && json.front() == '{' && json.back() == '}')
+      << json;
+  std::size_t i = 1;
+  while (i + 1 < json.size()) {
+    if (out.size() > 0 && json[i++] != ',') break;
+    if (json[i++] != '"') break;
+    std::string key;
+    for (; i < json.size() && json[i] != '"'; ++i) {
+      if (json[i] == '\\') ++i;
+      key += json[i];
+    }
+    if (json.compare(i, 2, "\":") != 0) break;
+    char* end = nullptr;
+    out[key] = std::strtod(json.c_str() + i + 2, &end);
+    i = static_cast<std::size_t>(end - json.c_str());
+  }
+  EXPECT_EQ(i + 1, json.size()) << "JSON not parsed past offset " << i;
+  return out;
 }
 
 /// Shared on-disk fixtures: solved once for the whole suite.
@@ -153,7 +200,8 @@ TEST_F(ServiceE2E, CorruptTraceFailsCleanly) {
   ASSERT_TRUE(reply.have_result);
   EXPECT_EQ(reply.status, JobStatus::kCheckFailed);
   EXPECT_EQ(reply.verdict.rfind("CHECK FAILED:", 0), 0u) << reply.verdict;
-  EXPECT_NE(server_->metrics_json().find("\"failed\":1"), std::string::npos);
+  EXPECT_NE(server_->metrics_json().find("\"satproofd_jobs_failed_total\":1"),
+            std::string::npos);
 }
 
 TEST_F(ServiceE2E, SatFormulaCannotBeProvenUnsat) {
@@ -176,7 +224,8 @@ TEST_F(ServiceE2E, OneConnectionCanCarryManyJobs) {
     ASSERT_TRUE(reply.transport_ok) << reply.error;
     EXPECT_EQ(reply.status, JobStatus::kOk);
   }
-  EXPECT_NE(server_->metrics_json().find("\"completed\":3"),
+  EXPECT_NE(server_->metrics_json().find(
+                "\"satproofd_jobs_completed_total\":3"),
             std::string::npos);
 }
 
@@ -204,7 +253,8 @@ TEST_F(ServiceE2E, ConcurrentClientsAllVerify) {
         run_check(fx_->php4(), fx_->trace4(), backends[i]);
     EXPECT_EQ(replies[i].verdict, verdict_line(direct));
   }
-  EXPECT_NE(server_->metrics_json().find("\"completed\":4"),
+  EXPECT_NE(server_->metrics_json().find(
+                "\"satproofd_jobs_completed_total\":4"),
             std::string::npos);
 }
 
@@ -249,7 +299,7 @@ TEST_F(ServiceE2E, QueueFullAnswersBusyAndConnectionSurvives) {
   EXPECT_GE(busy, 1);
   EXPECT_GE(accepted, 1);
   std::ostringstream expected;
-  expected << "\"rejected_busy\":" << busy;
+  expected << "\"satproofd_jobs_rejected_busy_total\":" << busy;
   EXPECT_NE(server_->metrics_json().find(expected.str()), std::string::npos);
 }
 
@@ -265,7 +315,8 @@ TEST_F(ServiceE2E, OverlongJobIsReportedAsTimeout) {
   ASSERT_TRUE(reply.transport_ok) << reply.error;
   ASSERT_TRUE(reply.have_result);
   EXPECT_EQ(reply.status, JobStatus::kTimeout);
-  EXPECT_NE(server_->metrics_json().find("\"timed_out\":1"),
+  EXPECT_NE(server_->metrics_json().find(
+                "\"satproofd_jobs_timed_out_total\":1"),
             std::string::npos);
 }
 
@@ -282,9 +333,12 @@ TEST_F(ServiceE2E, StatsReplyMatchesServerSnapshot) {
   // Quiescent server: the protocol reply and the in-process snapshot are
   // the same serializer over the same counters.
   EXPECT_EQ(json, server_->metrics_json());
-  EXPECT_NE(json.find("\"accepted\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"bf\":{\"completed\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"arena_peak_bytes\":"), std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_jobs_accepted_total\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_backend_jobs_completed_total"
+                      "{backend=\\\"bf\\\"}\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_arena_peak_bytes\":"), std::string::npos);
 }
 
 TEST_F(ServiceE2E, PrometheusStatsAreWellFormedAndCountJobs) {
@@ -336,7 +390,8 @@ TEST_F(ServiceE2E, SlowJobDumpsExactlyOneSpanTree) {
   EXPECT_NE(captured.find("  check"), std::string::npos);
   EXPECT_NE(captured.find("    parse"), std::string::npos);
   EXPECT_NE(captured.find("    replay"), std::string::npos);
-  EXPECT_NE(server_->metrics_json().find("\"slow\":1"), std::string::npos);
+  EXPECT_NE(server_->metrics_json().find("\"satproofd_slow_jobs_total\":1"),
+            std::string::npos);
   EXPECT_NE(server_->metrics_prometheus().find("satproofd_slow_jobs_total 1"),
             std::string::npos);
 }
@@ -366,8 +421,10 @@ TEST_F(ServiceE2E, DrainFinishesAcceptedJobsThenRefusesNewOnes) {
   server_->drain_and_wait();
   // The accepted job ran to completion during the drain...
   const std::string json = server_->metrics_json();
-  EXPECT_NE(json.find("\"accepted\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"completed\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_jobs_accepted_total\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_jobs_completed_total\":1"),
+            std::string::npos);
   // ...and the listener is gone: the socket file has been removed.
   EXPECT_THROW(Client::connect_unix(socket_file_.path().string()),
                std::runtime_error);
@@ -442,7 +499,7 @@ TEST_F(ServiceE2E, ClosedConnectionsAreReapedWithoutNewAccepts) {
   std::string error;
   const std::string json = client.stats_json(&error);
   ASSERT_FALSE(json.empty()) << error;
-  EXPECT_NE(json.find("\"connections\":33"), std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_connections_total\":33"), std::string::npos);
 }
 
 TEST_F(ServiceE2E, MultiWorkerServerMatchesDirectVerdicts) {
@@ -474,8 +531,9 @@ TEST_F(ServiceE2E, MultiWorkerServerMatchesDirectVerdicts) {
     EXPECT_EQ(replies[i].verdict, verdict_line(direct));
   }
   const std::string json = server_->metrics_json();
-  EXPECT_NE(json.find("\"completed\":8"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":4"), std::string::npos);  // workers block
+  EXPECT_NE(json.find("\"satproofd_jobs_completed_total\":8"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_workers\":4"), std::string::npos);
 }
 
 TEST_F(ServiceE2E, CertifySubmitReturnsKernelVerifiableCertificate) {
@@ -571,11 +629,262 @@ TEST_F(ServiceE2E, LegacyClientsNeverSeeCertFrames) {
   EXPECT_EQ(second.status, JobStatus::kOk);
 }
 
+TEST_F(ServiceE2E, OutcomeStatsAreCheckStatsJson) {
+  // One serialiser: outcome_json's "stats" object is check_stats_json.
+  for (const Backend backend : {Backend::kDf, Backend::kWindow}) {
+    const JobOutcome direct = run_check(fx_->php4(), fx_->trace4(), backend);
+    ASSERT_TRUE(direct.ok) << direct.error;
+    const std::string json = outcome_json(direct);
+    const std::size_t begin = json.find("\"stats\":");
+    ASSERT_NE(begin, std::string::npos) << json;
+    const std::size_t first = begin + 8;
+    const std::string stats =
+        json.substr(first, json.find('}', first) + 1 - first);
+    EXPECT_EQ(stats, check_stats_json(direct.stats)) << backend_name(backend);
+  }
+}
+
+TEST_F(ServiceE2E, CountersObeyConservationLawsAfterDrain) {
+  ServerOptions opts;
+  opts.certify = true;
+  opts.workers = 2;
+  start_server(opts);
+  struct Job {
+    std::string cnf;
+    std::string trace;
+    Backend backend;
+    std::uint32_t timeout_ms;
+    bool certify;
+    JobStatus expected;
+  };
+  const std::string garbage = fx_->garbage_trace.path().string();
+  const Job jobs[] = {
+      {fx_->php4(), fx_->trace4(), Backend::kDf, 0, false, JobStatus::kOk},
+      {fx_->php4(), fx_->trace4(), Backend::kBf, 0, false, JobStatus::kOk},
+      {fx_->php4(), garbage, Backend::kDf, 0, false, JobStatus::kCheckFailed},
+      // A 1 ms budget a php8 replay cannot meet: a soft timeout.
+      {fx_->php8(), fx_->trace8(), Backend::kDf, 1, false, JobStatus::kTimeout},
+      {fx_->php4(), fx_->trace4(), Backend::kDf, 0, true, JobStatus::kOk},
+      {fx_->php4(), fx_->trace4(), Backend::kHybrid, 0, true, JobStatus::kOk},
+  };
+  Client client = connect();
+  for (const Job& job : jobs) {
+    const Client::SubmitReply reply =
+        client.submit(job.cnf, job.trace, job.backend, /*wait=*/true,
+                      /*jobs=*/0, job.timeout_ms, job.certify);
+    ASSERT_TRUE(reply.transport_ok) << reply.error;
+    EXPECT_EQ(reply.status, job.expected) << reply.verdict;
+  }
+  server_->drain_and_wait();
+
+  const std::string text = server_->metrics_prometheus();
+  std::map<std::string, double> s = prometheus_samples(text);
+  const double accepted = s["satproofd_jobs_accepted_total"];
+  const double completed = s["satproofd_jobs_completed_total"];
+  const double failed = s["satproofd_jobs_failed_total"];
+  const double timed_out = s["satproofd_jobs_timed_out_total"];
+  EXPECT_EQ(accepted, 6);
+  EXPECT_EQ(accepted, completed + timed_out);
+  EXPECT_LE(failed, completed);
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(timed_out, 1);
+  EXPECT_EQ(s["satproofd_certified_total"] +
+                s["satproofd_certify_failed_total"],
+            2);
+
+  double by_backend[3] = {0, 0, 0};
+  for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+    const std::string label =
+        std::string("{backend=\"") + backend_name(static_cast<Backend>(b)) +
+        "\"}";
+    const double done = s["satproofd_backend_jobs_completed_total" + label];
+    by_backend[0] += done;
+    by_backend[1] += s["satproofd_backend_jobs_failed_total" + label];
+    by_backend[2] += s["satproofd_backend_jobs_timed_out_total" + label];
+    EXPECT_EQ(s["satproofd_job_seconds_count" + label], done) << label;
+
+    // Buckets in exposition order: cumulative, ending in +Inf == _count.
+    const std::string bucket_prefix = "satproofd_job_seconds_bucket" +
+                                      label.substr(0, label.size() - 1) + ",";
+    std::vector<std::pair<std::string, double>> buckets;
+    for (const auto& sample : prometheus_series(text)) {
+      if (sample.first.rfind(bucket_prefix, 0) == 0) buckets.push_back(sample);
+    }
+    ASSERT_EQ(buckets.size(), obs::Histogram::kBuckets) << label;
+    for (std::size_t i = 1; i < buckets.size(); ++i) {
+      EXPECT_LE(buckets[i - 1].second, buckets[i].second) << buckets[i].first;
+    }
+    EXPECT_EQ(buckets.back().first, bucket_prefix + "le=\"+Inf\"}");
+    EXPECT_EQ(buckets.back().second, done) << label;
+  }
+  EXPECT_EQ(by_backend[0], completed);
+  EXPECT_EQ(by_backend[1], failed);
+  EXPECT_EQ(by_backend[2], timed_out);
+}
+
+TEST_F(ServiceE2E, JsonAndPrometheusCarryTheSameSamples) {
+  ServerOptions opts;
+  opts.workers = 2;
+  start_server(opts);
+  Client client = connect();
+  for (const Backend backend : {Backend::kDf, Backend::kHybrid}) {
+    const Client::SubmitReply reply =
+        client.submit(fx_->php4(), fx_->trace4(), backend, true);
+    ASSERT_TRUE(reply.transport_ok) << reply.error;
+  }
+  server_->drain_and_wait();  // quiescent: the two renders see one state
+  const std::map<std::string, double> json =
+      json_samples(server_->metrics_json());
+  const std::map<std::string, double> prom =
+      prometheus_samples(server_->metrics_prometheus());
+  EXPECT_EQ(json, prom);
+  EXPECT_EQ(json.at("satproofd_jobs_completed_total"), 2);
+  EXPECT_EQ(json.at("satproofd_job_seconds_count{backend=\"hybrid\"}"), 1);
+}
+
+// Every series of the exposition before the histogram existed, values
+// dropped: the p99 gauge `satproofd_backend_latency_p99_ms{backend}` is
+// the only one satproofd_job_seconds replaced.
+constexpr const char* kParentSeries = R"(
+# HELP satproofd_connections_total Client connections accepted.
+# TYPE satproofd_connections_total counter
+satproofd_connections_total
+# HELP satproofd_malformed_frames_total Protocol frames rejected as malformed.
+# TYPE satproofd_malformed_frames_total counter
+satproofd_malformed_frames_total
+# HELP satproofd_jobs_accepted_total Jobs admitted to the queue.
+# TYPE satproofd_jobs_accepted_total counter
+satproofd_jobs_accepted_total
+# HELP satproofd_jobs_rejected_busy_total Jobs rejected with BUSY backpressure.
+# TYPE satproofd_jobs_rejected_busy_total counter
+satproofd_jobs_rejected_busy_total
+# HELP satproofd_jobs_completed_total Jobs that delivered a verdict.
+# TYPE satproofd_jobs_completed_total counter
+satproofd_jobs_completed_total
+# HELP satproofd_jobs_failed_total Jobs whose verdict was not ok.
+# TYPE satproofd_jobs_failed_total counter
+satproofd_jobs_failed_total
+# HELP satproofd_jobs_timed_out_total Jobs cancelled at their wall-clock deadline.
+# TYPE satproofd_jobs_timed_out_total counter
+satproofd_jobs_timed_out_total
+# HELP satproofd_slow_jobs_total Jobs exceeding the --slow-job-ms threshold.
+# TYPE satproofd_slow_jobs_total counter
+satproofd_slow_jobs_total
+# HELP satproofd_certified_total Certificates verified by the trusted kernel post-check.
+# TYPE satproofd_certified_total counter
+satproofd_certified_total
+# HELP satproofd_certify_failed_total Certificates REJECTED by the trusted kernel post-check.
+# TYPE satproofd_certify_failed_total counter
+satproofd_certify_failed_total
+# HELP satproofd_arena_peak_bytes Largest clause-arena peak observed over completed jobs.
+# TYPE satproofd_arena_peak_bytes gauge
+satproofd_arena_peak_bytes
+# HELP satproofd_queue_depth Jobs waiting in the queue.
+# TYPE satproofd_queue_depth gauge
+satproofd_queue_depth
+# HELP satproofd_queue_capacity Configured queue capacity.
+# TYPE satproofd_queue_capacity gauge
+satproofd_queue_capacity
+# HELP satproofd_running_jobs Jobs currently executing.
+# TYPE satproofd_running_jobs gauge
+satproofd_running_jobs
+# HELP satproofd_workers Checker worker threads (one queue shard each).
+# TYPE satproofd_workers gauge
+satproofd_workers
+# HELP satproofd_worker_queue_depth Jobs waiting in one worker's shard, by priority lane.
+# TYPE satproofd_worker_queue_depth gauge
+satproofd_worker_queue_depth{worker="0",lane="fast"}
+satproofd_worker_queue_depth{worker="0",lane="bulk"}
+satproofd_worker_queue_depth{worker="1",lane="fast"}
+satproofd_worker_queue_depth{worker="1",lane="bulk"}
+# HELP satproofd_worker_steals_total Jobs a worker obtained by stealing from another shard.
+# TYPE satproofd_worker_steals_total counter
+satproofd_worker_steals_total{worker="0"}
+satproofd_worker_steals_total{worker="1"}
+# HELP satproofd_lane_jobs_enqueued_total Jobs admitted, by priority lane.
+# TYPE satproofd_lane_jobs_enqueued_total counter
+satproofd_lane_jobs_enqueued_total{lane="fast"}
+satproofd_lane_jobs_enqueued_total{lane="bulk"}
+# HELP satproofd_backend_jobs_completed_total Jobs completed, by checker backend.
+# TYPE satproofd_backend_jobs_completed_total counter
+satproofd_backend_jobs_completed_total{backend="df"}
+satproofd_backend_jobs_completed_total{backend="bf"}
+satproofd_backend_jobs_completed_total{backend="hybrid"}
+satproofd_backend_jobs_completed_total{backend="parallel"}
+satproofd_backend_jobs_completed_total{backend="drup"}
+satproofd_backend_jobs_completed_total{backend="window"}
+# HELP satproofd_backend_jobs_failed_total Jobs with a non-ok verdict, by checker backend.
+# TYPE satproofd_backend_jobs_failed_total counter
+satproofd_backend_jobs_failed_total{backend="df"}
+satproofd_backend_jobs_failed_total{backend="bf"}
+satproofd_backend_jobs_failed_total{backend="hybrid"}
+satproofd_backend_jobs_failed_total{backend="parallel"}
+satproofd_backend_jobs_failed_total{backend="drup"}
+satproofd_backend_jobs_failed_total{backend="window"}
+# HELP satproofd_backend_jobs_timed_out_total Jobs timed out, by checker backend.
+# TYPE satproofd_backend_jobs_timed_out_total counter
+satproofd_backend_jobs_timed_out_total{backend="df"}
+satproofd_backend_jobs_timed_out_total{backend="bf"}
+satproofd_backend_jobs_timed_out_total{backend="hybrid"}
+satproofd_backend_jobs_timed_out_total{backend="parallel"}
+satproofd_backend_jobs_timed_out_total{backend="drup"}
+satproofd_backend_jobs_timed_out_total{backend="window"}
+# HELP satproof_derivations_total Trace derivation records processed by checker runs.
+# TYPE satproof_derivations_total counter
+satproof_derivations_total
+# HELP satproof_clauses_built_total Clauses materialized while replaying resolution proofs.
+# TYPE satproof_clauses_built_total counter
+satproof_clauses_built_total
+# HELP satproof_resolutions_total Pairwise resolution operations performed by checker runs.
+# TYPE satproof_resolutions_total counter
+satproof_resolutions_total
+# HELP satproof_arena_allocated_bytes_total Bytes handed out by clause arenas across checker runs.
+# TYPE satproof_arena_allocated_bytes_total counter
+satproof_arena_allocated_bytes_total
+# HELP satproof_drup_propagations_total Unit propagations performed by DRUP (RUP) checks.
+# TYPE satproof_drup_propagations_total counter
+satproof_drup_propagations_total
+# HELP satproof_checks_total Proof-check runs completed.
+# TYPE satproof_checks_total counter
+satproof_checks_total
+)";
+
+TEST(ServiceMetrics, ParentSeriesKeepTheirNamesLabelsAndHelp) {
+  ServerOptions opts;
+  opts.workers = 2;
+  const Server server(opts);  // never started: no sockets, no threads
+  (void)obs::CheckerCounters::get();
+  const std::string text = server.metrics_prometheus();
+
+  std::set<std::string> seen;  // header lines, and series without values
+  std::set<std::string> families;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+    seen.insert(line[0] == '#' ? line : line.substr(0, line.rfind(' ')));
+  }
+  std::set<std::string> parent_families;
+  std::istringstream parent(kParentSeries);
+  for (std::string line; std::getline(parent, line);) {
+    if (line.empty()) continue;
+    EXPECT_EQ(seen.count(line), 1u) << line;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      parent_families.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  parent_families.insert("satproofd_job_seconds");
+  EXPECT_EQ(families, parent_families);
+}
+
 // The budget picks df while the trace is at most a sixth of it, window
 // beyond that; the division keeps sizes near UINT64_MAX from overflowing.
+// With no budget, df below 64 MiB and hybrid from 64 MiB up.
 TEST(BudgetSelection, PicksDfOrWindow) {
   constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
   constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  constexpr std::uint64_t k64M = 64ull << 20;
   struct Row {
     std::uint64_t trace_bytes;
     std::size_t mem_limit;
@@ -583,7 +892,15 @@ TEST(BudgetSelection, PicksDfOrWindow) {
   };
   const Row rows[] = {
       {0, 0, Backend::kDf},
-      {kMax64, 0, Backend::kDf},  // no cap
+      {kMax64, 0, Backend::kHybrid},  // no cap, past 64 MiB
+      {k64M - 1, 0, Backend::kDf},
+      {k64M, 0, Backend::kHybrid},
+      {k64M - 1, 6 * k64M - 1, Backend::kDf},  // a sixth of the cap
+      {k64M, 6 * k64M - 1, Backend::kWindow},
+      {k64M - 1, 6 * k64M, Backend::kDf},
+      {k64M, 6 * k64M, Backend::kDf},
+      {k64M - 1, 1u << 20, Backend::kWindow},
+      {k64M, 1u << 20, Backend::kWindow},
       {0, 600, Backend::kDf},
       {100, 600, Backend::kDf},  // exactly a sixth
       {101, 600, Backend::kWindow},

@@ -212,7 +212,8 @@ class ServiceProtocolSweep : public ::testing::Test {
     std::string error;
     const std::string json = client.stats_json(&error);
     ASSERT_FALSE(json.empty()) << error;
-    EXPECT_NE(json.find("\"malformed_frames\""), std::string::npos);
+    EXPECT_NE(json.find("\"satproofd_malformed_frames_total\""),
+              std::string::npos);
   }
 
   util::TempFile socket_file_{"svc-proto-sock"};
@@ -238,7 +239,8 @@ TEST_F(ServiceProtocolSweep, MidFrameDisconnectClosesCleanly) {
     ASSERT_TRUE(sock.send_all(bytes.data(), bytes.size()));
   }  // disconnect mid-payload
   expect_still_alive();
-  EXPECT_NE(server_->metrics_json().find("\"malformed_frames\":"),
+  EXPECT_NE(server_->metrics_json().find(
+                "\"satproofd_malformed_frames_total\":"),
             std::string::npos);
 }
 
@@ -303,8 +305,9 @@ TEST_F(ServiceProtocolSweep, RawStatsRequestAnswersJson) {
   ASSERT_EQ(read_frame(sock, frame), ReadStatus::kFrame);
   ASSERT_EQ(frame.tag, FrameTag::kStatsJson);
   const std::string json(frame.payload.begin(), frame.payload.end());
-  EXPECT_NE(json.find("\"jobs\""), std::string::npos);
-  EXPECT_NE(json.find("\"backends\""), std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_jobs_accepted_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"satproofd_backend_jobs_completed_total{"),
+            std::string::npos);
 }
 
 TEST_F(ServiceProtocolSweep, AbuseBarrageNeverKillsTheServer) {

@@ -613,23 +613,6 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
 
 // ----------------------------------------------------------------- check
 
-/// --checker=auto: depth-first is the fast replay but keeps the whole
-/// trace plus every memoized clause resident; past this trace size the
-/// hybrid's bounded clause window is the safer default. The threshold is
-/// a heuristic on the trace file size (the dominant memory driver), and
-/// the choice is recorded in the stats "backend" field.
-constexpr std::uint64_t kAutoHybridTraceBytes = 64ull << 20;
-
-service::Backend resolve_auto_backend(const std::string& trace_path) {
-  std::ifstream in(trace_path, std::ios::in | std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg())
-                                 : std::streamoff{0};
-  return (size > 0 &&
-          static_cast<std::uint64_t>(size) >= kAutoHybridTraceBytes)
-             ? service::Backend::kHybrid
-             : service::Backend::kDf;
-}
-
 int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   const bool use_bf = args.take_flag("--bf");
   const bool use_hybrid = args.take_flag("--hybrid");
@@ -704,23 +687,13 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   // The replay backends go through the same dispatch as the service daemon,
   // so a CLI verdict and a `satproof submit` verdict come from one code path.
   // Binary traces are detected by their magic; --binary stays accepted as a
-  // no-op for compatibility. With both --checker=auto and --mem-limit the
-  // backend is picked from the budget and the declared trace size
-  // (select_backend_for_budget); run_check then re-applies the same cap to
-  // explicit df/hybrid requests.
-  service::Backend backend;
-  if (mode == "auto" && mem_limit != 0) {
-    std::ifstream in(trace_path,
-                     std::ios::in | std::ios::binary | std::ios::ate);
-    const std::streamoff size =
-        in ? static_cast<std::streamoff>(in.tellg()) : std::streamoff{0};
-    backend = service::select_backend_for_budget(
-        size > 0 ? static_cast<std::uint64_t>(size) : 0, mem_limit);
-  } else if (mode == "auto") {
-    backend = resolve_auto_backend(trace_path);
-  } else {
-    backend = *service::backend_from_name(mode);
-  }
+  // no-op for compatibility. --checker=auto picks the backend from the
+  // trace size and the budget (select_backend_for_budget); run_check then
+  // re-applies the same cap to explicit df/hybrid requests.
+  const service::Backend backend =
+      mode == "auto" ? service::select_backend_for_budget(
+                           service::trace_file_bytes(trace_path), mem_limit)
+                     : *service::backend_from_name(mode);
   const service::JobOutcome result = service::run_check(
       cnf_path, trace_path, backend, jobs, nullptr, {}, mem_limit);
   if (result.ok) {
@@ -777,7 +750,8 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
   ScopedTraceOut scoped_trace(trace_out_path, err);
 
   const service::Backend backend =
-      mode == "auto" ? resolve_auto_backend(trace_path)
+      mode == "auto" ? service::select_backend_for_budget(
+                           service::trace_file_bytes(trace_path), 0)
                      : *service::backend_from_name(mode);
   std::ofstream cert_out(*out_path, binary_cert
                                         ? std::ios::out | std::ios::binary
