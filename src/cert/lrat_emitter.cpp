@@ -176,7 +176,9 @@ void LratEmitter::on_released(ClauseId id) {
 }
 
 void LratEmitter::on_final(ClauseId final_id,
-                           std::span<const ClauseId> antecedents) {
+                           std::span<const ClauseId> antecedents,
+                           std::span<const Lit> clause) {
+  if (!clause.empty()) return;
   flush_deletes();
   // The empty-clause chain starts from the final conflicting clause and
   // steps through the trail antecedents; reversed, the last antecedent is

@@ -129,8 +129,10 @@ class LratEmitter final : public checker::CertObserver {
   void on_derived(ClauseId id, std::span<const Lit> lits,
                   std::span<const std::uint32_t> sources) override;
   void on_released(ClauseId id) override;
-  void on_final(ClauseId final_id,
-                std::span<const ClauseId> antecedents) override;
+  /// Writes the empty-clause addition. An assumption clause writes
+  /// nothing: LRAT certifies unconditional unsatisfiability only.
+  void on_final(ClauseId final_id, std::span<const ClauseId> antecedents,
+                std::span<const Lit> clause) override;
 
   /// True once the empty-clause addition has been written (the check
   /// reached a successful unconditional-UNSAT verdict).

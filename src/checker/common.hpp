@@ -415,6 +415,8 @@ using ClauseFetcher = std::function<ClauseView(ClauseId)>;
 /// so the resolution hot loop is untouched.
 ///
 /// Contract the checkers guarantee to observers:
+///  - on_original() (depth-first only) fires once per original clause the
+///    replay stores, in replay order, interleaved with on_derived().
 ///  - on_derived() fires once per clause actually built, in replay order;
 ///    every source of a derivation has been announced (as an original ID or
 ///    an earlier on_derived) before the derivation that consumes it.
@@ -427,6 +429,14 @@ class CertObserver {
  public:
   virtual ~CertObserver() = default;
 
+  /// Original clause `id` was stored as a replay source; `lits` is its
+  /// canonical form (sorted, duplicate-free). LRAT numbers originals by
+  /// position, so the default ignores the announcement.
+  virtual void on_original(ClauseId id, std::span<const Lit> lits) {
+    (void)id;
+    (void)lits;
+  }
+
   /// Derived clause `id` was built by left-folding resolution over
   /// `sources` (in trace order); `lits` is the resulting clause,
   /// duplicate-free, in ChainResolver order.
@@ -436,10 +446,13 @@ class CertObserver {
   /// Derived clause `id` has no remaining uses in the replay.
   virtual void on_released(ClauseId id) = 0;
 
-  /// The final empty-clause derivation succeeded: the final conflicting
-  /// clause `final_id` was resolved against `antecedents` in order.
+  /// The final derivation succeeded: the final conflicting clause
+  /// `final_id` was resolved against `antecedents` in order, leaving
+  /// `clause` (sorted) — empty for unconditional unsatisfiability, else
+  /// the validated assumption clause.
   virtual void on_final(ClauseId final_id,
-                        std::span<const ClauseId> antecedents) = 0;
+                        std::span<const ClauseId> antecedents,
+                        std::span<const Lit> clause) = 0;
 };
 
 /// Derives the trace's final clause, exactly as in the proof of

@@ -57,15 +57,13 @@ class DepthFirstChecker {
         remaining = derive_final_clause(
             final_id_, fetch, level0_, stats_,
             observer_ != nullptr ? &final_antecedents : nullptr);
-        if (observer_ != nullptr && remaining.empty()) {
-          observer_->on_final(final_id_, final_antecedents);
+        validate_assumption_clause(remaining, level0_);
+        if (observer_ != nullptr) {
+          observer_->on_final(final_id_, final_antecedents, remaining);
         }
       }
       planned_ = {};  // plan bookkeeping is dead weight past this point
-      if (!remaining.empty()) {
-        validate_assumption_clause(remaining, level0_);
-        result.failed_assumption_clause = std::move(remaining);
-      }
+      result.failed_assumption_clause = std::move(remaining);
       result.ok = true;
     } catch (const CheckFailure& e) {
       result.ok = false;
@@ -190,6 +188,7 @@ class DepthFirstChecker {
       throw CheckFailure(tautological_original(id));
     }
     store_.put(id, scratch_);
+    if (observer_ != nullptr) observer_->on_original(id, scratch_);
     return store_.view(id);
   }
 

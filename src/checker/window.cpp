@@ -69,14 +69,12 @@ class WindowChecker {
         remaining = derive_final_clause(final_id_, fetch, level0_, stats_,
                                         &used_antecedents);
         final_resolutions = stats_.resolutions - before;
-        if (observer_ != nullptr && remaining.empty()) {
-          observer_->on_final(final_id_, used_antecedents);
+        validate_assumption_clause(remaining, level0_);
+        if (observer_ != nullptr) {
+          observer_->on_final(final_id_, used_antecedents, remaining);
         }
       }
-      if (!remaining.empty()) {
-        validate_assumption_clause(remaining, level0_);
-        result.failed_assumption_clause = std::move(remaining);
-      }
+      result.failed_assumption_clause = std::move(remaining);
       {
         // The replay above covered the cones of *every* implied
         // antecedent (only known to be a superset of what the final

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -43,11 +42,16 @@ Formula parse(std::istream& in) {
     if (line[0] == '%') break;
     if (line[0] == 'p') {
       if (saw_header) fail(line_no, "duplicate header");
-      std::istringstream hs{std::string(line)};
-      std::string p, fmt;
-      hs >> p >> fmt >> declared_vars >> declared_clauses;
-      if (!hs || fmt != "cnf" || declared_vars < 0 || declared_clauses < 0) {
+      util::TokenCursor hs(line);
+      (void)hs.next_word();  // "p"
+      if (hs.next_word() != "cnf" || !hs.next(declared_vars) ||
+          !hs.next(declared_clauses) || declared_vars < 0 ||
+          declared_clauses < 0) {
         fail(line_no, "malformed header (expected 'p cnf <vars> <clauses>')");
+      }
+      if (const std::string_view rest = hs.next_word(); !rest.empty()) {
+        fail(line_no, "unexpected '" + std::string(rest) +
+                          "' after the clause count in the 'p cnf' header");
       }
       // Literals are 32-bit codes: a larger count would alias variables.
       if (declared_vars > kMaxVars) {

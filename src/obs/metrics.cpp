@@ -81,18 +81,22 @@ std::vector<FamilySnapshot> walk(
 
 void Histogram::observe(double seconds) {
   if (!(seconds > 0.0)) seconds = 0.0;
-  // 2^40 us and beyond (infinity too) all land in the last, +Inf bucket.
-  const double us = std::min(seconds * 1e6, 0x1p40);
+  // Past 2^kLastLog2Us us (infinity too) lands in the last, +Inf bucket.
+  const double us =
+      std::min(seconds * 1e6, std::ldexp(1.0, kLastLog2Us + 1));
   std::size_t i = 0;
-  if (us > 2.0) i = static_cast<std::size_t>(std::ceil(std::log2(us))) - 1;
+  if (us > std::ldexp(1.0, kFirstLog2Us)) {
+    i = static_cast<std::size_t>(std::ceil(std::log2(us))) - kFirstLog2Us;
+  }
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   sum_ns_.fetch_add(static_cast<std::uint64_t>(std::min(seconds * 1e9, 1e19)),
                     std::memory_order_relaxed);
 }
 
 double Histogram::upper_bound(std::size_t i) {
-  return i + 1 < kBuckets ? std::ldexp(1e-6, static_cast<int>(i) + 1)
-                          : std::numeric_limits<double>::infinity();
+  return i + 1 < kBuckets
+             ? std::ldexp(1e-6, static_cast<int>(i) + kFirstLog2Us)
+             : std::numeric_limits<double>::infinity();
 }
 
 MetricsRegistry& MetricsRegistry::instance() {

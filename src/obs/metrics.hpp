@@ -29,12 +29,16 @@ class Counter {
 };
 
 /// Latency histogram with fixed log2 bounds, bumped lock-free: bucket i
-/// counts observations of at most 2^(i+1) microseconds, and the last one
-/// is `+Inf`. Rendered as the standard `_bucket{le}` / `_sum` / `_count`
-/// series, so a consumer recovers any quantile with `histogram_quantile`.
+/// counts observations of at most 2^(i+8) microseconds, from 256 us (the
+/// first bucket takes everything faster) to 2^32 us (~72 min), and the
+/// last one is `+Inf`. Rendered as the standard `_bucket{le}` / `_sum` /
+/// `_count` series, so a consumer recovers any quantile with
+/// `histogram_quantile`.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 40;
+  static constexpr int kFirstLog2Us = 8;
+  static constexpr int kLastLog2Us = 32;
+  static constexpr std::size_t kBuckets = kLastLog2Us - kFirstLog2Us + 2;
 
   void observe(double seconds);
 

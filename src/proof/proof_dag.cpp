@@ -1,215 +1,90 @@
 #include "src/proof/proof_dag.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
 
-#include "src/checker/common.hpp"
+#include "src/checker/depth_first.hpp"
 
 namespace satproof::proof {
 
 namespace {
 
-/// DFS-based extraction mirroring the depth-first checker's recursive
-/// build, with per-node bookkeeping (literals, depth, topological order).
-class Extractor {
+/// Turns the depth-first checker's replay into DAG nodes. DF stores every
+/// clause of the proof cone exactly once, sources before consumers, and
+/// announces each as it is stored, so the nodes arrive in DFS postorder —
+/// a topological order — and the final derivation appends the root.
+class DagBuilder final : public checker::CertObserver {
  public:
-  Extractor(const Formula& f, trace::TraceReader& reader)
-      : formula_(&f), reader_(&reader), level0_(reader.num_vars()) {}
+  explicit DagBuilder(ProofDag& dag) : dag_(&dag) {}
 
-  ProofDag run() {
-    checker::check_header(*formula_, reader_->num_vars(),
-                          reader_->num_original());
-    load_trace();
-    if (!final_id_.has_value()) {
-      throw ProofError(
-          "trace has no final conflicting clause; no proof to extract");
-    }
+  void on_original(ClauseId id, std::span<const Lit> lits) override {
+    add(id, {}, lits);
+  }
 
-    ProofDag dag;
-    dag.num_original = reader_->num_original();
+  void on_derived(ClauseId id, std::span<const Lit> lits,
+                  std::span<const std::uint32_t> sources) override {
+    ProofDag::Node& n = add(id, {sources.begin(), sources.end()}, lits);
+    std::sort(n.lits.begin(), n.lits.end());
+  }
 
-    // Build everything reachable from the final conflict, then replay the
-    // empty-clause derivation and record it as the root node.
-    build(*final_id_);
+  void on_released(ClauseId) override {}
 
-    ProofDag::Node root;
-    root.sources.push_back(*final_id_);
-    checker::CheckStats scratch_stats;
-    const checker::ClauseFetcher fetch =
-        [this, &root](ClauseId id) -> const checker::SortedClause& {
-      const checker::SortedClause& c = build(id);
-      // derive_final_clause fetches the final clause first, then one
-      // antecedent per step, in order — exactly the root's source list.
-      if (!root.sources.empty() && root.sources.back() != id) {
-        root.sources.push_back(id);
-      }
-      return c;
-    };
-    checker::SortedClause remaining =
-        checker::derive_final_clause(*final_id_, fetch, level0_,
-                                     scratch_stats);
-    if (!remaining.empty()) {
-      checker::validate_assumption_clause(remaining, level0_);
-    }
-    root.lits = std::move(remaining);
-
-    root.id = next_free_id();
-    root.depth = 0;
-    for (const ClauseId s : root.sources) {
-      root.depth = std::max(root.depth, depth_of(s) + 1);
-    }
-
-    // Emit nodes in topological (build) order, root last.
-    dag.nodes.reserve(order_.size() + 1);
-    for (const ClauseId id : order_) {
-      ProofDag::Node n;
-      n.id = id;
-      n.lits = memo_.at(id);
-      if (const auto it = derivations_.find(id); it != derivations_.end()) {
-        n.sources = it->second;
-      }
-      n.depth = depth_.at(id);
-      dag.nodes.push_back(std::move(n));
-    }
-    dag.root_id = root.id;
-    dag.nodes.push_back(std::move(root));
-    return dag;
+  /// The root's ID is the trace's, known only once the whole trace is
+  /// read; extract_proof fills it in.
+  void on_final(ClauseId final_id, std::span<const ClauseId> antecedents,
+                std::span<const Lit> clause) override {
+    std::vector<ClauseId> sources{final_id};
+    sources.insert(sources.end(), antecedents.begin(), antecedents.end());
+    add(kInvalidClauseId, std::move(sources), clause);
   }
 
  private:
-  [[nodiscard]] ClauseId num_original() const {
-    return reader_->num_original();
+  ProofDag::Node& add(ClauseId id, std::vector<ClauseId> sources,
+                      std::span<const Lit> lits) {
+    unsigned depth = 0;
+    for (const ClauseId s : sources) depth = std::max(depth, depth_[s] + 1);
+    if (id != kInvalidClauseId) {
+      if (id >= depth_.size()) depth_.resize(id + 1);
+      depth_[id] = depth;
+    }
+    return dag_->nodes.emplace_back(ProofDag::Node{
+        id, std::move(sources), {lits.begin(), lits.end()}, depth});
   }
 
-  [[nodiscard]] ClauseId next_free_id() const {
-    ClauseId next = num_original();
-    for (const auto& [id, sources] : derivations_) {
-      next = std::max(next, id + 1);
-    }
-    return next;
+  ProofDag* dag_;
+  std::vector<unsigned> depth_;  ///< node depth by clause ID
+};
+
+/// Passes a trace through to the checker, noting the trace's ID limit
+/// (DerivationIndex::id_limit()) on the way: the root takes the first ID
+/// no derivation uses, reachable or not.
+class IdLimitReader final : public trace::TraceReader {
+ public:
+  explicit IdLimitReader(trace::TraceReader& inner)
+      : inner_(&inner), limit_(inner.num_original()) {}
+
+  [[nodiscard]] Var num_vars() const override { return inner_->num_vars(); }
+  [[nodiscard]] ClauseId num_original() const override {
+    return inner_->num_original();
   }
 
-  [[nodiscard]] unsigned depth_of(ClauseId id) const { return depth_.at(id); }
-
-  void load_trace() {
-    reader_->rewind();
-    trace::Record rec;
-    bool ended = false;
-    while (!ended && reader_->next(rec)) {
-      switch (rec.kind) {
-        case trace::RecordKind::Derivation: {
-          if (rec.id < num_original() || rec.sources.size() < 2) {
-            throw ProofError("malformed derivation record " +
-                             std::to_string(rec.id));
-          }
-          for (const ClauseId s : rec.sources) {
-            if (s >= rec.id) {
-              throw ProofError("derivation " + std::to_string(rec.id) +
-                               " references a non-preceding source");
-            }
-          }
-          if (!derivations_.emplace(rec.id, std::move(rec.sources)).second) {
-            throw ProofError("clause " + std::to_string(rec.id) +
-                             " derived twice");
-          }
-          break;
-        }
-        case trace::RecordKind::FinalConflict:
-          final_id_ = rec.id;
-          break;
-        case trace::RecordKind::Level0:
-          level0_.add(rec.var, rec.value, rec.antecedent);
-          break;
-        case trace::RecordKind::Assumption:
-          level0_.add_assumption(rec.var, rec.value);
-          break;
-        case trace::RecordKind::End:
-          ended = true;
-          break;
-      }
+  bool next(trace::Record& out) override {
+    if (!inner_->next(out)) return false;
+    if (out.kind == trace::RecordKind::Derivation) {
+      limit_ = std::max(limit_, out.id + 1);
     }
-    if (!ended) throw ProofError("trace truncated");
+    return true;
   }
 
-  const checker::SortedClause& build(ClauseId id) {
-    if (const auto it = memo_.find(id); it != memo_.end()) return it->second;
-    if (id < num_original()) {
-      checker::SortedClause canon =
-          checker::canonicalize(formula_->clause(id));
-      if (checker::is_tautology(canon)) {
-        throw ProofError("original clause " + std::to_string(id) +
-                         " is tautological");
-      }
-      depth_[id] = 0;
-      order_.push_back(id);
-      return memo_.emplace(id, std::move(canon)).first->second;
-    }
-
-    struct Frame {
-      ClauseId id;
-      const std::vector<ClauseId>* sources;
-      std::size_t scan = 0;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({id, &sources_of(id)});
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      bool descended = false;
-      while (f.scan < f.sources->size()) {
-        const ClauseId s = (*f.sources)[f.scan];
-        if (memo_.contains(s) || s < num_original()) {
-          if (!memo_.contains(s)) build(s);  // original leaf
-          ++f.scan;
-          continue;
-        }
-        stack.push_back({s, &sources_of(s)});
-        descended = true;
-        break;
-      }
-      if (descended) continue;
-      fold(f.id, *f.sources);
-      stack.pop_back();
-    }
-    return memo_.at(id);
+  void rewind() override {
+    inner_->rewind();
+    limit_ = inner_->num_original();
   }
 
-  const std::vector<ClauseId>& sources_of(ClauseId id) {
-    const auto it = derivations_.find(id);
-    if (it == derivations_.end()) {
-      throw ProofError("clause " + std::to_string(id) +
-                       " is referenced but never derived");
-    }
-    return it->second;
-  }
+  [[nodiscard]] ClauseId id_limit() const { return limit_; }
 
-  void fold(ClauseId id, const std::vector<ClauseId>& sources) {
-    chain_.start(memo_.at(sources[0]));
-    unsigned depth = depth_.at(sources[0]);
-    for (std::size_t i = 1; i < sources.size(); ++i) {
-      const auto r = chain_.step(memo_.at(sources[i]));
-      if (r.status != checker::ResolveStatus::Ok) {
-        throw ProofError("invalid resolution while deriving clause " +
-                         std::to_string(id));
-      }
-      depth = std::max(depth, depth_.at(sources[i]));
-    }
-    checker::SortedClause derived = chain_.take();
-    std::sort(derived.begin(), derived.end());
-    memo_.emplace(id, std::move(derived));
-    depth_[id] = depth + 1;
-    order_.push_back(id);
-  }
-
-  const Formula* formula_;
-  trace::TraceReader* reader_;
-  checker::Level0Table level0_;
-  std::optional<ClauseId> final_id_;
-  std::unordered_map<ClauseId, std::vector<ClauseId>> derivations_;
-  std::unordered_map<ClauseId, checker::SortedClause> memo_;
-  std::unordered_map<ClauseId, unsigned> depth_;
-  std::vector<ClauseId> order_;
-  checker::ChainResolver chain_;
+ private:
+  trace::TraceReader* inner_;
+  ClauseId limit_;
 };
 
 }  // namespace
@@ -243,13 +118,15 @@ ProofStats compute_stats(const ProofDag& dag) {
 }
 
 ProofDag extract_proof(const Formula& f, trace::TraceReader& reader) {
-  try {
-    return Extractor(f, reader).run();
-  } catch (const checker::CheckFailure& e) {
-    throw ProofError(e.what());
-  } catch (const std::runtime_error& e) {
-    throw ProofError(e.what());
-  }
+  ProofDag dag;
+  dag.num_original = reader.num_original();
+  DagBuilder builder(dag);
+  IdLimitReader counted(reader);
+  const checker::CheckResult result = checker::check_depth_first(
+      f, counted, {.collect_core = false, .observer = &builder});
+  if (!result.ok) throw ProofError(result.error);
+  dag.root_id = dag.nodes.back().id = counted.id_limit();
+  return dag;
 }
 
 }  // namespace satproof::proof

@@ -62,9 +62,10 @@ class ProofError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Builds the proof DAG from a formula and its trace, validating every
-/// resolution step along the way (the same checks as the depth-first
-/// checker). Throws ProofError on an invalid trace.
+/// Builds the proof DAG from a formula and its trace: the depth-first
+/// checker replays the trace with a DAG-building observer attached, so the
+/// DAG is exactly the cone that checker validates. Throws ProofError
+/// carrying the checker's diagnostic when it rejects the trace.
 [[nodiscard]] ProofDag extract_proof(const Formula& f,
                                      trace::TraceReader& reader);
 

@@ -41,7 +41,9 @@ struct RupResult {
 [[nodiscard]] RupResult check_rup(const Formula& f, const ProofDag& dag,
                                   unsigned jobs = 0);
 
-/// Convenience: extract the proof DAG from a trace and RUP-check it.
+/// Convenience: extract the proof DAG from a trace and RUP-check it. A
+/// trace the depth-first checker rejects fails with that checker's
+/// diagnostic.
 [[nodiscard]] RupResult check_trace_rup(const Formula& f,
                                         trace::TraceReader& reader,
                                         unsigned jobs = 0);

@@ -12,6 +12,7 @@
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/proof/rup.hpp"
 #include "src/trace/ascii.hpp"
 #include "src/trace/binary.hpp"
 #include "src/util/json.hpp"
@@ -19,7 +20,7 @@
 namespace satproof::service {
 
 constexpr const char* kBackendNames[kNumBackends] = {
-    "df", "bf", "hybrid", "parallel", "drup", "window"};
+    "df", "bf", "hybrid", "parallel", "drup", "window", "rup"};
 
 std::optional<Backend> backend_from_name(std::string_view name) {
   for (std::uint8_t b = 0; b < kNumBackends; ++b) {
@@ -58,6 +59,13 @@ std::string verdict_line(const JobOutcome& o) {
     os << "VERIFIED (DRUP): " << o.drup_clauses_checked << " clauses, "
        << o.drup_deletions << " deletions, " << o.drup_propagations
        << " propagations";
+    return os.str();
+  }
+  if (o.backend == Backend::kRup) {
+    std::ostringstream os;
+    os << "VERIFIED (RUP): " << o.drup_clauses_checked
+       << " derived clauses re-derived by unit propagation ("
+       << o.drup_propagations << " propagations)";
     return os.str();
   }
   std::ostringstream os;
@@ -120,8 +128,8 @@ std::string outcome_json(const JobOutcome& o) {
   w.value(verdict_line(o));
   w.key("error");
   w.value(o.error);
-  if (o.backend == Backend::kDrup) {
-    w.key("drup");
+  if (o.backend == Backend::kDrup || o.backend == Backend::kRup) {
+    w.key(backend_name(o.backend));
     w.begin_object();
     w.key("clauses_checked");
     w.value(o.drup_clauses_checked);
@@ -216,6 +224,16 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
       ascii_in.open(trace_path);
       if (!ascii_in) throw std::runtime_error("cannot open " + trace_path);
       reader = std::make_unique<trace::AsciiTraceReader>(ascii_in);
+    }
+
+    if (backend == Backend::kRup) {
+      const proof::RupResult res = proof::check_trace_rup(f, *reader, jobs);
+      out.ok = res.ok;
+      out.error = res.error;
+      out.drup_clauses_checked = res.clauses_checked;
+      out.drup_propagations = res.propagations;
+      bump_global_counters(out);
+      return out;
     }
 
     std::unique_ptr<cert::LratWriter> writer;

@@ -21,9 +21,10 @@ enum class Backend : std::uint8_t {
   kParallel = 3,  ///< depth-first, independent sub-proofs on N workers
   kDrup = 4,      ///< forward DRUP (trace file holds a DRUP proof)
   kWindow = 5,    ///< window-shifting replay under a memory budget
+  kRup = 6,       ///< RUP re-check of every derived clause of the proof DAG
 };
 
-inline constexpr std::uint8_t kNumBackends = 6;
+inline constexpr std::uint8_t kNumBackends = 7;
 
 [[nodiscard]] std::optional<Backend> backend_from_name(std::string_view name);
 [[nodiscard]] const char* backend_name(Backend b);
@@ -60,11 +61,12 @@ struct JobOutcome {
   bool ok = false;
   std::string error;  ///< checker/parse diagnostic when !ok
   Backend backend = Backend::kDf;
-  /// Replay backends (df/bf/hybrid/parallel/window); zeros for DRUP.
+  /// Replay backends (df/bf/hybrid/parallel/window); zeros for DRUP/RUP.
   checker::CheckStats stats;
   /// Non-empty for validated UNSAT-under-assumptions traces.
   std::vector<Lit> failed_assumption_clause;
-  /// DRUP backend only.
+  /// The unit-propagation backends only: DRUP, and RUP (which counts the
+  /// derived clauses it re-derives and has no deletions).
   std::uint64_t drup_clauses_checked = 0;
   std::uint64_t drup_deletions = 0;
   std::uint64_t drup_propagations = 0;
@@ -87,6 +89,8 @@ struct CertOptions {
 /// Deterministic one-line verdict (no timing), e.g.
 ///   "VERIFIED: valid resolution proof of unsatisfiability (N resolutions)"
 ///   "VERIFIED (DRUP): N clauses, M deletions, P propagations"
+///   "VERIFIED (RUP): N derived clauses re-derived by unit propagation
+///    (P propagations)"
 ///   "CHECK FAILED: <diagnostic>"
 [[nodiscard]] std::string verdict_line(const JobOutcome& outcome);
 
@@ -114,15 +118,16 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats,
 /// JobOutcome with ok == false, exactly like a rejected proof, so a bad
 /// job can never take down the service.
 ///
-/// `jobs` is the worker count of the parallel and DRUP backends (0 =
-/// hardware threads); other backends ignore it. DRUP's
-/// `drup_propagations` depends on it; its verdict and other counts do not.
+/// `jobs` is the worker count of the parallel, DRUP and RUP backends (0 =
+/// hardware threads); other backends ignore it. The DRUP and RUP
+/// `drup_propagations` depend on it; their verdicts and other counts do
+/// not.
 ///
 /// `recycle_arena`, when non-null, backs the df/bf/hybrid/window clause
 /// store so
 /// repeated checks on one thread reuse already-mapped chunks (it is
-/// reset() before use; the parallel and DRUP backends manage their own
-/// storage and ignore it). Outcomes are byte-identical either way.
+/// reset() before use; the parallel, DRUP and RUP backends manage their
+/// own storage and ignore it). Outcomes are byte-identical either way.
 /// `cert`, when its sink is non-null, streams an LRAT certificate of the
 /// replay to that sink (backends for which can_certify() holds — others
 /// fail the job). A certified run demands unconditional unsatisfiability:
@@ -135,8 +140,8 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats,
 /// request whose estimated peak exceeds it (from the trace file size — see
 /// select_backend_for_budget) runs as window instead; JobOutcome::backend
 /// records what actually ran. Certifying runs are capped too (window
-/// certifies at any budget); bf, parallel, and DRUP are unaffected (bf is
-/// already budget-bounded).
+/// certifies at any budget); bf, parallel, DRUP and RUP are unaffected (bf
+/// is already budget-bounded).
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,

@@ -166,6 +166,9 @@ class Server {
 
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
+  /// The server's own counters (the `satproofd_*` series).
+  [[nodiscard]] const ServerMetrics& metrics() const { return metrics_; }
+
  private:
   struct Connection;  // I/O-thread-private; defined in server.cpp
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/cert/kernel.hpp"
 #include "src/util/temp_file.hpp"
 #include "tools/cli.hpp"
 
@@ -325,6 +326,59 @@ TEST_F(CliTest, CheckCommandVariants) {
   EXPECT_EQ(rup.exit_code, 0) << rup.err;
   EXPECT_NE(rup.out.find("VERIFIED (RUP)"), std::string::npos);
   EXPECT_EQ(run({"check", "--bf", "--rup", cnf(), aux()}).exit_code,
+            kExitError);
+}
+
+// RUP runs through the same dispatch as every other backend, so a binary
+// trace is recognised by its magic; --binary is not needed.
+TEST_F(CliTest, RupCheckerDetectsBinaryTraces) {
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const CliRun c = run({"check", "--checker=rup", cnf(), aux()});
+  EXPECT_EQ(c.exit_code, 0) << c.err;
+  EXPECT_EQ(c.out.rfind("VERIFIED (RUP): ", 0), 0u) << c.out;
+  EXPECT_NE(c.out.find(" derived clauses re-derived by unit propagation ("),
+            std::string::npos)
+      << c.out;
+  const CliRun capped =
+      run({"check", "--checker=rup", "--mem-limit=1M", cnf(), aux()});
+  EXPECT_EQ(capped.exit_code, kExitError);
+  EXPECT_NE(capped.err.find("--mem-limit does not apply to the rup checker"),
+            std::string::npos)
+      << capped.err;
+}
+
+// export-lrat takes --mem-limit as check does: window runs at that budget
+// (several windows for php6 at 64 KiB), and a df request that would not
+// fit runs as window. Either certificate satisfies the trusted kernel.
+TEST_F(CliTest, ExportLratHonoursMemLimit) {
+  gen_php(6);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const auto kernel_verifies = [&] {
+    std::ifstream cnf_in(cnf());
+    std::ifstream cert_in(aux2(), std::ios::binary);
+    const kern::VerifyResult r = kern::verify_lrat(cnf_in, cert_in);
+    EXPECT_TRUE(r.verified) << r.error;
+    return r.verified;
+  };
+  const CliRun w = run({"export-lrat", "--checker=window", "--mem-limit=64K",
+                        cnf(), aux(), "-o", aux2()});
+  ASSERT_EQ(w.exit_code, 0) << w.err;
+  EXPECT_NE(w.out.find("(window replay)"), std::string::npos) << w.out;
+  EXPECT_TRUE(kernel_verifies());
+
+  const std::string trace_bytes =
+      std::to_string(std::filesystem::file_size(aux()));
+  const CliRun df = run({"export-lrat", "--mem-limit=" + trace_bytes, cnf(),
+                         aux(), "-o", aux2()});
+  ASSERT_EQ(df.exit_code, 0) << df.err;
+  EXPECT_NE(df.out.find("(window replay)"), std::string::npos) << df.out;
+  EXPECT_TRUE(kernel_verifies());
+
+  EXPECT_EQ(run({"export-lrat", "--mem-limit=0", cnf(), aux(), "-o", aux2()})
+                .exit_code,
             kExitError);
 }
 

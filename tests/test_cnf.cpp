@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "src/cert/kernel.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/cnf/formula.hpp"
 #include "src/cnf/model.hpp"
@@ -164,6 +165,56 @@ TEST(Dimacs, RejectsVariableCountThatWouldAlias) {
   // 2^32 + 1 would otherwise parse as a 1-variable formula.
   EXPECT_THROW((void)dimacs::parse_string("p cnf 4294967297 1\n1 0\n"),
                std::runtime_error);
+}
+
+TEST(Dimacs, RejectsTextAfterHeaderClauseCount) {
+  try {
+    (void)dimacs::parse_string("p cnf 1 2c\n1 0\n-1 0\n");
+    FAIL() << "expected the header to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "dimacs: line 1: unexpected 'c' after the clause count in the "
+              "'p cnf' header");
+  }
+  EXPECT_THROW((void)dimacs::parse_string("c x\np cnf 1 2 c note\n1 0\n-1 0\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)dimacs::parse_string("p cnf 1 2 0\n1 0\n-1 0\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)dimacs::parse_string("p cnf 1x 2\n1 0\n-1 0\n"),
+               std::runtime_error);
+}
+
+TEST(Dimacs, AcceptsBlanksAfterHeader) {
+  EXPECT_EQ(dimacs::parse_string("p cnf 1 2 \t\n1 0\n-1 0\n").num_clauses(),
+            2u);
+  EXPECT_EQ(dimacs::parse_string("p  cnf\t1  2\r\n1 0\n-1 0\n").num_clauses(),
+            2u);
+}
+
+// The CNF reader and the trusted kernel's own reader agree on which
+// headers are well formed: each header below is accepted by both (and the
+// kernel then verifies the refutation of (1)(-1)) or rejected by both.
+TEST(Dimacs, HeaderVerdictMatchesTheKernel) {
+  const char* headers[] = {"p cnf 1 2",   "p cnf 1 2 ",   "p cnf 1 2c",
+                           "p cnf 1 2 c", "p cnf 1 2 x",  "p cnf 1 2 0",
+                           "p cnf 1x 2",  "p cnf 1 -2",   "p dnf 1 2"};
+  for (const char* header : headers) {
+    SCOPED_TRACE(header);
+    const std::string cnf = std::string(header) + "\n1 0\n-1 0\n";
+    bool parsed = true;
+    try {
+      (void)dimacs::parse_string(cnf);
+    } catch (const std::runtime_error&) {
+      parsed = false;
+    }
+    std::istringstream cnf_in(cnf);
+    std::istringstream cert_in("3 0 1 2 0\n");
+    const kern::VerifyResult r = kern::verify_lrat(cnf_in, cert_in);
+    EXPECT_EQ(r.verified, parsed) << r.error;
+    if (!parsed) {
+      EXPECT_EQ(r.error.rfind("CNF: ", 0), 0u) << r.error;
+    }
+  }
 }
 
 TEST(Dimacs, AcceptsVariableCountAtKernelBound) {

@@ -42,7 +42,8 @@ using util::TokenCursor;
 //
 // The getline + istringstream readers as they were, with two changes: the
 // magnitude of a literal is taken without signed overflow, and each has the
-// input rule added alongside the scanner (the DIMACS variable cap, the DRUP
+// input rules added alongside the scanner (the DIMACS variable cap and the
+// rejection of text after the header's clause count, the DRUP
 // undeclared-variable rule).
 
 Formula oracle_dimacs(std::istream& in) {
@@ -70,6 +71,10 @@ Formula oracle_dimacs(std::istream& in) {
       hs >> p >> fmt >> declared_vars >> declared_clauses;
       if (!hs || fmt != "cnf" || declared_vars < 0 || declared_clauses < 0) {
         fail(line_no, "malformed header (expected 'p cnf <vars> <clauses>')");
+      }
+      if (std::string rest; hs >> rest) {
+        fail(line_no, "unexpected '" + rest +
+                          "' after the clause count in the 'p cnf' header");
       }
       if (declared_vars > dimacs::kMaxVars) {
         fail(line_no, "declared variable count " +

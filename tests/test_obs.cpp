@@ -290,40 +290,44 @@ TEST(ObsMetrics, HistogramRendersCumulativeLog2Buckets) {
   MetricsRegistry registry;
   Histogram& h =
       registry.histogram("t_seconds", "Latency.", {{"backend", "df"}});
-  h.observe(0.0);     // bucket 0: up to 2 us
-  h.observe(2e-6);    // bucket 0: the bound is inclusive
-  h.observe(3e-6);    // bucket 1: up to 4 us
-  h.observe(1.0);     // 2^19.9 us: bucket 19, up to 2^20 us
-  h.observe(1e9);     // past every bound: +Inf
-  h.observe(-1.0);    // clamped to 0
-  EXPECT_EQ(Histogram::upper_bound(0), 2e-6);
-  EXPECT_EQ(Histogram::upper_bound(19), 1.048576);
+  h.observe(0.0);      // bucket 0: up to 2^8 us, and everything faster
+  h.observe(256e-6);   // bucket 0: the bound is inclusive
+  h.observe(300e-6);   // bucket 1: up to 2^9 us
+  h.observe(1.0);      // 2^19.9 us: bucket 12, up to 2^20 us
+  h.observe(1e9);      // past every bound: +Inf
+  h.observe(-1.0);     // clamped to 0
+  EXPECT_EQ(Histogram::kBuckets, 26u);  // 2^8 .. 2^32 us, then +Inf
+  EXPECT_EQ(Histogram::upper_bound(0), 0.000256);
+  EXPECT_EQ(Histogram::upper_bound(19), 134.217728);
+  EXPECT_EQ(Histogram::upper_bound(Histogram::kBuckets - 2), 4294.967296);
   EXPECT_EQ(Histogram::upper_bound(Histogram::kBuckets - 1),
             std::numeric_limits<double>::infinity());
   EXPECT_EQ(h.bucket(0), 3u);
   EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(19), 1u);
+  EXPECT_EQ(h.bucket(12), 1u);
   EXPECT_EQ(h.bucket(Histogram::kBuckets - 1), 1u);
   Histogram edge;
   edge.observe(std::numeric_limits<double>::infinity());
   EXPECT_EQ(edge.bucket(Histogram::kBuckets - 1), 1u);
+  edge.observe(4294.967296);  // the last finite bound is inclusive too
+  EXPECT_EQ(edge.bucket(Histogram::kBuckets - 2), 1u);
 
   const std::string text = render_prometheus({&registry});
   expect_wellformed_prometheus(text);
   EXPECT_EQ(text.rfind("# HELP t_seconds Latency.\n# TYPE t_seconds histogram\n"
-                       "t_seconds_bucket{backend=\"df\",le=\"2e-06\"} 3\n"
-                       "t_seconds_bucket{backend=\"df\",le=\"4e-06\"} 4\n"
-                       "t_seconds_bucket{backend=\"df\",le=\"8e-06\"} 4\n",
+                       "t_seconds_bucket{backend=\"df\",le=\"0.000256\"} 3\n"
+                       "t_seconds_bucket{backend=\"df\",le=\"0.000512\"} 4\n"
+                       "t_seconds_bucket{backend=\"df\",le=\"0.001024\"} 4\n",
                        0),
             0u)
       << text;
   EXPECT_NE(text.find("t_seconds_bucket{backend=\"df\",le=\"0.524288\"} 4\n"
                       "t_seconds_bucket{backend=\"df\",le=\"1.048576\"} 5\n"),
             std::string::npos);
-  EXPECT_NE(text.find("t_seconds_bucket{backend=\"df\",le=\"549755.813888\"} "
+  EXPECT_NE(text.find("t_seconds_bucket{backend=\"df\",le=\"4294.967296\"} "
                       "5\n"
                       "t_seconds_bucket{backend=\"df\",le=\"+Inf\"} 6\n"
-                      "t_seconds_sum{backend=\"df\"} 1000000001.000005\n"
+                      "t_seconds_sum{backend=\"df\"} 1000000001.000556\n"
                       "t_seconds_count{backend=\"df\"} 6\n"),
             std::string::npos)
       << text;

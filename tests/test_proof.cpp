@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <unordered_map>
 
+#include "src/checker/common.hpp"
+#include "src/checker/depth_first.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/proof/export.hpp"
 #include "src/proof/proof_dag.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
 
 namespace satproof::proof {
@@ -33,6 +38,229 @@ ProofDag extract(const Solved& su) {
   trace::MemoryTraceReader r(su.trace);
   return extract_proof(su.formula, r);
 }
+
+// ---- reference extraction -------------------------------------------------
+//
+// The proof DAG used to come from its own replay engine, a DFS over hash
+// maps with a record loop of its own. It is kept here verbatim as the
+// oracle for extract_proof, which now records the depth-first checker's
+// replay: the two must produce the same DAG node for node, and the same
+// DOT and tracecheck bytes.
+namespace reference {
+
+/// DFS-based extraction mirroring the depth-first checker's recursive
+/// build, with per-node bookkeeping (literals, depth, topological order).
+class Extractor {
+ public:
+  Extractor(const Formula& f, trace::TraceReader& reader)
+      : formula_(&f), reader_(&reader), level0_(reader.num_vars()) {}
+
+  ProofDag run() {
+    checker::check_header(*formula_, reader_->num_vars(),
+                          reader_->num_original());
+    load_trace();
+    if (!final_id_.has_value()) {
+      throw ProofError(
+          "trace has no final conflicting clause; no proof to extract");
+    }
+
+    ProofDag dag;
+    dag.num_original = reader_->num_original();
+
+    // Build everything reachable from the final conflict, then replay the
+    // empty-clause derivation and record it as the root node.
+    build(*final_id_);
+
+    ProofDag::Node root;
+    root.sources.push_back(*final_id_);
+    checker::CheckStats scratch_stats;
+    const checker::ClauseFetcher fetch =
+        [this, &root](ClauseId id) -> const checker::SortedClause& {
+      const checker::SortedClause& c = build(id);
+      // derive_final_clause fetches the final clause first, then one
+      // antecedent per step, in order — exactly the root's source list.
+      if (!root.sources.empty() && root.sources.back() != id) {
+        root.sources.push_back(id);
+      }
+      return c;
+    };
+    checker::SortedClause remaining =
+        checker::derive_final_clause(*final_id_, fetch, level0_,
+                                     scratch_stats);
+    if (!remaining.empty()) {
+      checker::validate_assumption_clause(remaining, level0_);
+    }
+    root.lits = std::move(remaining);
+
+    root.id = next_free_id();
+    root.depth = 0;
+    for (const ClauseId s : root.sources) {
+      root.depth = std::max(root.depth, depth_of(s) + 1);
+    }
+
+    // Emit nodes in topological (build) order, root last.
+    dag.nodes.reserve(order_.size() + 1);
+    for (const ClauseId id : order_) {
+      ProofDag::Node n;
+      n.id = id;
+      n.lits = memo_.at(id);
+      if (const auto it = derivations_.find(id); it != derivations_.end()) {
+        n.sources = it->second;
+      }
+      n.depth = depth_.at(id);
+      dag.nodes.push_back(std::move(n));
+    }
+    dag.root_id = root.id;
+    dag.nodes.push_back(std::move(root));
+    return dag;
+  }
+
+ private:
+  [[nodiscard]] ClauseId num_original() const {
+    return reader_->num_original();
+  }
+
+  [[nodiscard]] ClauseId next_free_id() const {
+    ClauseId next = num_original();
+    for (const auto& [id, sources] : derivations_) {
+      next = std::max(next, id + 1);
+    }
+    return next;
+  }
+
+  [[nodiscard]] unsigned depth_of(ClauseId id) const { return depth_.at(id); }
+
+  void load_trace() {
+    reader_->rewind();
+    trace::Record rec;
+    bool ended = false;
+    while (!ended && reader_->next(rec)) {
+      switch (rec.kind) {
+        case trace::RecordKind::Derivation: {
+          if (rec.id < num_original() || rec.sources.size() < 2) {
+            throw ProofError("malformed derivation record " +
+                             std::to_string(rec.id));
+          }
+          for (const ClauseId s : rec.sources) {
+            if (s >= rec.id) {
+              throw ProofError("derivation " + std::to_string(rec.id) +
+                               " references a non-preceding source");
+            }
+          }
+          if (!derivations_.emplace(rec.id, std::move(rec.sources)).second) {
+            throw ProofError("clause " + std::to_string(rec.id) +
+                             " derived twice");
+          }
+          break;
+        }
+        case trace::RecordKind::FinalConflict:
+          final_id_ = rec.id;
+          break;
+        case trace::RecordKind::Level0:
+          level0_.add(rec.var, rec.value, rec.antecedent);
+          break;
+        case trace::RecordKind::Assumption:
+          level0_.add_assumption(rec.var, rec.value);
+          break;
+        case trace::RecordKind::End:
+          ended = true;
+          break;
+      }
+    }
+    if (!ended) throw ProofError("trace truncated");
+  }
+
+  const checker::SortedClause& build(ClauseId id) {
+    if (const auto it = memo_.find(id); it != memo_.end()) return it->second;
+    if (id < num_original()) {
+      checker::SortedClause canon =
+          checker::canonicalize(formula_->clause(id));
+      if (checker::is_tautology(canon)) {
+        throw ProofError("original clause " + std::to_string(id) +
+                         " is tautological");
+      }
+      depth_[id] = 0;
+      order_.push_back(id);
+      return memo_.emplace(id, std::move(canon)).first->second;
+    }
+
+    struct Frame {
+      ClauseId id;
+      const std::vector<ClauseId>* sources;
+      std::size_t scan = 0;
+    };
+    std::vector<Frame> stack;
+    stack.push_back({id, &sources_of(id)});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      bool descended = false;
+      while (f.scan < f.sources->size()) {
+        const ClauseId s = (*f.sources)[f.scan];
+        if (memo_.contains(s) || s < num_original()) {
+          if (!memo_.contains(s)) build(s);  // original leaf
+          ++f.scan;
+          continue;
+        }
+        stack.push_back({s, &sources_of(s)});
+        descended = true;
+        break;
+      }
+      if (descended) continue;
+      fold(f.id, *f.sources);
+      stack.pop_back();
+    }
+    return memo_.at(id);
+  }
+
+  const std::vector<ClauseId>& sources_of(ClauseId id) {
+    const auto it = derivations_.find(id);
+    if (it == derivations_.end()) {
+      throw ProofError("clause " + std::to_string(id) +
+                       " is referenced but never derived");
+    }
+    return it->second;
+  }
+
+  void fold(ClauseId id, const std::vector<ClauseId>& sources) {
+    chain_.start(memo_.at(sources[0]));
+    unsigned depth = depth_.at(sources[0]);
+    for (std::size_t i = 1; i < sources.size(); ++i) {
+      const auto r = chain_.step(memo_.at(sources[i]));
+      if (r.status != checker::ResolveStatus::Ok) {
+        throw ProofError("invalid resolution while deriving clause " +
+                         std::to_string(id));
+      }
+      depth = std::max(depth, depth_.at(sources[i]));
+    }
+    checker::SortedClause derived = chain_.take();
+    std::sort(derived.begin(), derived.end());
+    memo_.emplace(id, std::move(derived));
+    depth_[id] = depth + 1;
+    order_.push_back(id);
+  }
+
+  const Formula* formula_;
+  trace::TraceReader* reader_;
+  checker::Level0Table level0_;
+  std::optional<ClauseId> final_id_;
+  std::unordered_map<ClauseId, std::vector<ClauseId>> derivations_;
+  std::unordered_map<ClauseId, checker::SortedClause> memo_;
+  std::unordered_map<ClauseId, unsigned> depth_;
+  std::vector<ClauseId> order_;
+  checker::ChainResolver chain_;
+};
+
+ProofDag extract_proof(const Formula& f, trace::TraceReader& reader) {
+  try {
+    return Extractor(f, reader).run();
+  } catch (const checker::CheckFailure& e) {
+    throw ProofError(e.what());
+  } catch (const std::runtime_error& e) {
+    throw ProofError(e.what());
+  }
+}
+
+}  // namespace reference
 
 TEST(ProofDag, RootIsEmptyClauseAndLast) {
   const Solved su = solve_unsat(encode::pigeonhole(4));
@@ -231,6 +459,167 @@ TEST_P(ProofSweep, RandomUnsatInstancesYieldConsistentDags) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProofSweep,
                          ::testing::Values(3, 17, 91, 222, 777));
+
+// ---- byte identity with the reference extraction --------------------------
+
+std::string dot_of(const ProofDag& dag) {
+  std::ostringstream out;
+  write_dot(out, dag);
+  return out.str();
+}
+
+std::string tracecheck_of(const ProofDag& dag) {
+  std::ostringstream out;
+  write_tracecheck(out, dag);
+  return out.str();
+}
+
+/// extract_proof and the reference agree node for node (id, sources,
+/// literals, depth), on the root ID, and in the DOT and tracecheck bytes.
+void expect_matches_reference(const Formula& f, const trace::MemoryTrace& t) {
+  trace::MemoryTraceReader r1(t);
+  const ProofDag want = reference::extract_proof(f, r1);
+  trace::MemoryTraceReader r2(t);
+  const ProofDag got = extract_proof(f, r2);
+  EXPECT_EQ(got.num_original, want.num_original);
+  EXPECT_EQ(got.root_id, want.root_id);
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+    const ProofDag::Node& a = got.nodes[i];
+    const ProofDag::Node& b = want.nodes[i];
+    if (a.id != b.id || a.sources != b.sources || a.lits != b.lits ||
+        a.depth != b.depth) {
+      ADD_FAILURE() << "node " << i << ": got clause " << a.id << " depth "
+                    << a.depth << ", want clause " << b.id << " depth "
+                    << b.depth;
+      return;
+    }
+  }
+  EXPECT_EQ(dot_of(got), dot_of(want));
+  EXPECT_EQ(tracecheck_of(got), tracecheck_of(want));
+}
+
+TEST(ProofDagOracle, PigeonholeMatchesReference) {
+  for (unsigned holes = 4; holes <= 8; ++holes) {
+    SCOPED_TRACE("php" + std::to_string(holes));
+    const Solved su = solve_unsat(encode::pigeonhole(holes));
+    expect_matches_reference(su.formula, su.trace);
+  }
+}
+
+// `solve a.cnf --assume "-2 -3" --tracecheck` on `p cnf 3 2 / 1 2 0 /
+// -1 3 0`: the root is the assumption clause (x2 x3), from the final
+// conflicting clause 1 and the antecedent 0, under the trace's ID limit 2.
+TEST(ProofDagOracle, AssumptionClauseRootMatchesReference) {
+  Formula f(3);
+  f.add_clause({Lit::pos(0), Lit::pos(1)});
+  f.add_clause({Lit::neg(0), Lit::pos(2)});
+  solver::Solver s;
+  s.add_formula(f);
+  trace::MemoryTraceWriter w;
+  s.set_trace_writer(&w);
+  const Lit assume[] = {Lit::neg(1), Lit::neg(2)};
+  ASSERT_EQ(s.solve(assume), solver::SolveResult::Unsatisfiable);
+  const trace::MemoryTrace t = w.take();
+  expect_matches_reference(f, t);
+  trace::MemoryTraceReader r(t);
+  const std::string tc = tracecheck_of(extract_proof(f, r));
+  EXPECT_EQ(tc.substr(tc.rfind('\n', tc.size() - 2) + 1), "3 2 3 0 2 1 0\n")
+      << tc;
+}
+
+// The last derivation (clause 9, after an ID gap) is unreachable from the
+// final conflict: the root still takes the trace's ID limit, 10, not one
+// past the DAG's highest node.
+TEST(ProofDagOracle, RootTakesTheTraceIdLimitPastUnreachableDerivations) {
+  Formula f(2);
+  f.add_clause({Lit::pos(0), Lit::pos(1)});
+  f.add_clause({Lit::neg(0), Lit::pos(1)});
+  f.add_clause({Lit::pos(0), Lit::neg(1)});
+  f.add_clause({Lit::neg(0), Lit::neg(1)});
+  trace::MemoryTrace t;
+  t.num_vars = 2;
+  t.num_original = 4;
+  t.derivations = {{4, {0, 1}}, {5, {2, 3}}, {9, {0, 2}}};  // x1, -x1, x0
+  t.has_final = true;
+  t.final_conflict = 5;
+  t.level0 = {{1, true, 4}};
+  t.finished = true;
+  expect_matches_reference(f, t);
+  trace::MemoryTraceReader r(t);
+  const ProofDag dag = extract_proof(f, r);
+  EXPECT_EQ(dag.root_id, 10u);
+  EXPECT_EQ(dag.nodes.back().sources, (std::vector<ClauseId>{5, 4}));
+  EXPECT_EQ(dag.index_of(9), ~std::size_t{0});
+}
+
+/// A rejected trace throws ProofError carrying the depth-first checker's
+/// own diagnostic.
+TEST(ProofDagOracle, CorruptTracesThrowTheDepthFirstDiagnostic) {
+  const Formula f = encode::pigeonhole(5);
+  for (int k = 1; k <= static_cast<int>(trace::FaultKind::TruncateTrace);
+       ++k) {
+    const auto kind = static_cast<trace::FaultKind>(k);
+    SCOPED_TRACE(trace::to_string(kind));
+    solver::Solver s;
+    s.add_formula(f);
+    trace::MemoryTraceWriter inner;
+    trace::FaultInjector injector(inner, kind, /*seed=*/7);
+    s.set_trace_writer(&injector);
+    ASSERT_EQ(s.solve(), solver::SolveResult::Unsatisfiable);
+    ASSERT_TRUE(injector.fired());
+    const trace::MemoryTrace t = inner.take();
+    trace::MemoryTraceReader r1(t);
+    const checker::CheckResult df = checker::check_depth_first(f, r1);
+    ASSERT_FALSE(df.ok);
+    trace::MemoryTraceReader r2(t);
+    try {
+      (void)extract_proof(f, r2);
+      ADD_FAILURE() << "corrupt trace extracted";
+    } catch (const ProofError& e) {
+      EXPECT_EQ(std::string(e.what()), df.error);
+    }
+  }
+}
+
+/// The differential harness's 500 seeded random 3-SAT instances, in the
+/// same ten shards: every UNSAT trace extracts exactly as the reference
+/// does, and every SAT trace is rejected by both.
+class ProofDagOracleSeeds : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProofDagOracleSeeds, DifferentialSeedsMatchReference) {
+  constexpr int kInstancesPerShard = 50;
+  const int shard = GetParam();
+  int unsat_seen = 0;
+  for (int i = 0; i < kInstancesPerShard; ++i) {
+    const std::uint64_t seed =
+        1000 + static_cast<std::uint64_t>(shard) * kInstancesPerShard + i;
+    const unsigned n = 12 + static_cast<unsigned>(seed % 14);
+    const double ratio = 3.8 + 0.15 * static_cast<double>(i % 9);
+    const unsigned m = static_cast<unsigned>(n * ratio);
+    const Formula f = encode::random_ksat(n, m, 3, seed);
+    solver::Solver s;
+    s.add_formula(f);
+    trace::MemoryTraceWriter w;
+    s.set_trace_writer(&w);
+    const solver::SolveResult solved = s.solve();
+    const trace::MemoryTrace t = w.take();
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    if (solved == solver::SolveResult::Satisfiable) {
+      trace::MemoryTraceReader r1(t);
+      EXPECT_THROW((void)reference::extract_proof(f, r1), ProofError);
+      trace::MemoryTraceReader r2(t);
+      EXPECT_THROW((void)extract_proof(f, r2), ProofError);
+      continue;
+    }
+    ASSERT_EQ(solved, solver::SolveResult::Unsatisfiable);
+    ++unsat_seen;
+    expect_matches_reference(f, t);
+  }
+  EXPECT_GT(unsat_seen, 0) << "shard " << shard << " exercised no UNSAT trace";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ProofDagOracleSeeds, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace satproof::proof

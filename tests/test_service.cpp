@@ -177,6 +177,29 @@ TEST_F(ServiceE2E, AllBackendsMatchDirectRunCheck) {
   }
 }
 
+// satproofd serves RUP through run_check like every other backend: the
+// verdict line and JSON of a submitted job equal a direct call's, binary
+// traces included.
+TEST_F(ServiceE2E, RupBackendMatchesDirectRunCheck) {
+  start_server();
+  for (const std::string& trace : {fx_->trace4(), fx_->btrace4()}) {
+    const JobOutcome direct = run_check(fx_->php4(), trace, Backend::kRup);
+    ASSERT_TRUE(direct.ok) << direct.error;
+    EXPECT_EQ(verdict_line(direct).rfind("VERIFIED (RUP): ", 0), 0u)
+        << verdict_line(direct);
+    EXPECT_GT(direct.drup_clauses_checked, 0u);
+
+    Client client = connect();
+    const Client::SubmitReply reply =
+        client.submit(fx_->php4(), trace, Backend::kRup, /*wait=*/true);
+    ASSERT_TRUE(reply.transport_ok) << reply.error;
+    ASSERT_TRUE(reply.have_result);
+    EXPECT_EQ(reply.status, JobStatus::kOk);
+    EXPECT_EQ(reply.verdict, verdict_line(direct));
+    EXPECT_EQ(reply.result_json, outcome_json(direct));
+  }
+}
+
 TEST_F(ServiceE2E, BinaryTraceIsAutoDetected) {
   start_server();
   const JobOutcome direct =

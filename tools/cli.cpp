@@ -31,7 +31,6 @@
 #include "src/proof/export.hpp"
 #include "src/proof/interpolant.hpp"
 #include "src/proof/proof_dag.hpp"
-#include "src/proof/rup.hpp"
 #include "src/proof/trim.hpp"
 #include "src/service/client.hpp"
 #include "src/service/run_check.hpp"
@@ -90,9 +89,9 @@ usage:
       (df's clauses, bf's use-count release, one trace decode); parallel
       depth-first with independent sub-proofs built on N worker threads
       (--jobs, default: all hardware threads; identical verdict, core and
-      stats to df); rup cross-validates every derived clause by reverse unit
-      propagation instead of replaying resolutions (on --jobs workers,
-      same verdict at any count); window replays the
+      stats to df); rup cross-validates every derived clause of df's proof
+      DAG by reverse unit propagation instead of replaying resolutions (on
+      --jobs workers, same verdict at any count); window replays the
       trace in budget-sized windows under --mem-limit (verdict, core and
       stats identical to df at a fraction of the memory); auto picks df
       for small traces and the memory-light hybrid for large ones (the
@@ -113,10 +112,13 @@ usage:
 
   satproof export-lrat <file.cnf> <trace-file> -o cert.lrat
                        [--checker=df|hybrid|window|auto] [--binary-cert]
+                       [--mem-limit=N]
       replay the trace (df by default) and stream a hint-annotated LRAT
       certificate of unsatisfiability to the output file; exit 0 iff the
       check passed and the certificate was written. --binary-cert emits
-      the compact binary GRIT-style variant instead of text. Re-verify
+      the compact binary GRIT-style variant instead of text. --mem-limit
+      caps replay memory exactly as for check (window's budget; df and
+      hybrid requests that would not fit run as window). Re-verify
       with the independent trusted kernel:  satproof-kern <file.cnf>
       <cert.lrat>  (see docs/CERTIFICATES.md).
 
@@ -141,13 +143,13 @@ usage:
                        the trusted kernel before replying (counted in the
                        satproofd_certified_total metrics)
       SIGTERM/SIGINT drain gracefully: running jobs finish, new work is
-      refused, then the daemon exits 0.
+      refused, then the daemon prints its job totals and exits 0.
 
   satproof submit <file.cnf> <trace-file> (--socket PATH | --tcp PORT)
                   [--backend=MODE] [--jobs N] [--wait] [--timeout-ms N]
                   [--certify [--cert-out FILE]]
       submit one checking job to a running daemon. --backend picks
-      df | bf | hybrid | parallel | drup | window (default df; drup
+      df | bf | hybrid | parallel | drup | window | rup (default df; drup
       treats the trace argument as a DRUP proof; window replays under
       the daemon's --mem-limit budget). --wait blocks for the verdict and
       exits 0 iff the proof checked out. --certify (df/hybrid/window,
@@ -330,6 +332,17 @@ class Args {
   std::vector<std::string> args_;
   std::size_t pos_ = 0;
 };
+
+/// `--mem-limit N` / `--mem-limit=N` (K/M/G suffixes accepted); 0 when
+/// absent.
+std::size_t take_mem_limit(Args& args) {
+  const auto v = args.take_option("--mem-limit");
+  if (!v) return 0;
+  const auto bytes =
+      static_cast<std::size_t>(parse_byte_size(*v, "--mem-limit"));
+  if (bytes == 0) throw CliError("--mem-limit must be non-zero");
+  return bytes;
+}
 
 void write_formula_file(const std::string& path, const Formula& f,
                         const std::string& comment) {
@@ -617,7 +630,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   const bool use_bf = args.take_flag("--bf");
   const bool use_hybrid = args.take_flag("--hybrid");
   const bool use_rup = args.take_flag("--rup");
-  const bool binary = args.take_flag("--binary");
+  (void)args.take_flag("--binary");  // accepted; run_check reads the magic
   bool want_stats = args.take_flag("--stats");
   bool stats_json = false;
   if (const auto v = args.take_option("--stats")) {
@@ -632,11 +645,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
     jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
     if (jobs == 0) throw CliError("--jobs must be at least 1");
   }
-  std::size_t mem_limit = 0;
-  if (const auto v = args.take_option("--mem-limit")) {
-    mem_limit = static_cast<std::size_t>(parse_byte_size(*v, "--mem-limit"));
-    if (mem_limit == 0) throw CliError("--mem-limit must be non-zero");
-  }
+  const std::size_t mem_limit = take_mem_limit(args);
   const std::string cnf_path = args.next("CNF file");
   const std::string trace_path = args.next("trace file");
   args.expect_done();
@@ -658,33 +667,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   }
 
   util::Timer timer;
-  if (mode == "rup") {
-    const Formula f = dimacs::parse_file(cnf_path);
-    std::ifstream in(trace_path,
-                     binary ? std::ios::in | std::ios::binary : std::ios::in);
-    if (!in) throw CliError("cannot open trace file " + trace_path);
-    std::unique_ptr<trace::TraceReader> reader;
-    if (binary) {
-      // Regular files go through the zero-copy mmap byte source; the stream
-      // above only validated that the trace exists and is readable.
-      in.close();
-      reader = trace::open_binary_trace_file(trace_path);
-    } else {
-      reader = open_trace_reader(in, false);
-    }
-    const proof::RupResult result = proof::check_trace_rup(f, *reader, jobs);
-    if (result.ok) {
-      out << "VERIFIED (RUP): " << result.clauses_checked
-          << " derived clauses re-derived by unit propagation ("
-          << result.propagations << " propagations, "
-          << timer.elapsed_seconds() << "s)\n";
-      return 0;
-    }
-    err << "CHECK FAILED: " << result.error << "\n";
-    return kExitError;
-  }
-
-  // The replay backends go through the same dispatch as the service daemon,
+  // Every backend goes through the same dispatch as the service daemon,
   // so a CLI verdict and a `satproof submit` verdict come from one code path.
   // Binary traces are detected by their magic; --binary stays accepted as a
   // no-op for compatibility. --checker=auto picks the backend from the
@@ -697,6 +680,13 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   const service::JobOutcome result = service::run_check(
       cnf_path, trace_path, backend, jobs, nullptr, {}, mem_limit);
   if (result.ok) {
+    if (backend == service::Backend::kRup) {
+      out << "VERIFIED (RUP): " << result.drup_clauses_checked
+          << " derived clauses re-derived by unit propagation ("
+          << result.drup_propagations << " propagations, "
+          << timer.elapsed_seconds() << "s)\n";
+      return 0;
+    }
     if (result.failed_assumption_clause.empty()) {
       out << "VERIFIED: valid resolution proof of unsatisfiability ("
           << result.stats.resolutions << " resolutions, "
@@ -744,6 +734,7 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
     mode = *v;
   }
   const auto trace_out_path = args.take_option("--trace-out");
+  const std::size_t mem_limit = take_mem_limit(args);
   const std::string cnf_path = args.next("CNF file");
   const std::string trace_path = args.next("trace file");
   args.expect_done();
@@ -751,7 +742,7 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
 
   const service::Backend backend =
       mode == "auto" ? service::select_backend_for_budget(
-                           service::trace_file_bytes(trace_path), 0)
+                           service::trace_file_bytes(trace_path), mem_limit)
                      : *service::backend_from_name(mode);
   std::ofstream cert_out(*out_path, binary_cert
                                         ? std::ios::out | std::ios::binary
@@ -762,8 +753,8 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
   service::CertOptions copts;
   copts.sink = &cert_out;
   copts.binary = binary_cert;
-  const service::JobOutcome result =
-      service::run_check(cnf_path, trace_path, backend, 0, nullptr, copts);
+  const service::JobOutcome result = service::run_check(
+      cnf_path, trace_path, backend, 0, nullptr, copts, mem_limit);
   if (!result.ok) {
     err << "EXPORT FAILED: " << result.error << "\n";
     return kExitError;
@@ -874,13 +865,7 @@ int cmd_serve(Args args, std::ostream& out, std::ostream&) {
   if (const auto v = args.take_option("--slow-job-ms")) {
     opts.slow_job_ms = static_cast<std::uint32_t>(parse_u64(*v, "--slow-job-ms"));
   }
-  if (const auto v = args.take_option("--mem-limit")) {
-    opts.mem_limit_bytes =
-        static_cast<std::size_t>(parse_byte_size(*v, "--mem-limit"));
-    if (opts.mem_limit_bytes == 0) {
-      throw CliError("--mem-limit must be non-zero");
-    }
-  }
+  opts.mem_limit_bytes = take_mem_limit(args);
   opts.certify = args.take_flag("--certify");
   args.expect_done();
   if (opts.unix_socket_path.empty() && !opts.enable_tcp) {
@@ -906,7 +891,11 @@ int cmd_serve(Args args, std::ostream& out, std::ostream&) {
   std::signal(SIGINT, SIG_DFL);
   g_signal_server.store(nullptr, std::memory_order_release);
 
-  out << "c satproofd drained: " << server.metrics_json() << "\n";
+  const service::ServerMetrics& m = server.metrics();
+  out << "c satproofd drained: " << m.accepted.value() << " accepted, "
+      << m.completed.value() << " completed, " << m.failed.value()
+      << " failed, " << m.timed_out.value() << " timed out, "
+      << m.certified.value() << " certified\n";
   return 0;
 }
 
@@ -929,7 +918,7 @@ int cmd_submit(Args args, std::ostream& out, std::ostream& err) {
     const auto parsed = service::backend_from_name(*v);
     if (!parsed) {
       throw CliError(
-          "--backend expects df, bf, hybrid, parallel, drup or window");
+          "--backend expects df, bf, hybrid, parallel, drup, window or rup");
     }
     backend = *parsed;
   }
