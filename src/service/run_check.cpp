@@ -82,8 +82,30 @@ std::string verdict_line(const JobOutcome& o) {
   return os.str();
 }
 
-void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st,
-                       std::string_view backend) {
+namespace {
+
+/// The unit-propagation backends' counts (DRUP, and RUP, which has no
+/// deletions), as one object keyed by the backend's name.
+void write_unit_propagation_counts(util::JsonWriter& w, const JobOutcome& o) {
+  w.key(backend_name(o.backend));
+  w.begin_object();
+  w.key("clauses_checked");
+  w.value(o.drup_clauses_checked);
+  w.key("deletions");
+  w.value(o.drup_deletions);
+  w.key("propagations");
+  w.value(o.drup_propagations);
+  w.end_object();
+}
+
+bool counts_unit_propagation(Backend b) {
+  return b == Backend::kDrup || b == Backend::kRup;
+}
+
+/// write_check_stats; given the whole outcome, also the unit-propagation
+/// counts (DRUP, RUP) and a final "backend" key.
+void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
+                        const JobOutcome* outcome) {
   w.begin_object();
   w.key("total_derivations");
   w.value(st.total_derivations);
@@ -103,17 +125,31 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st,
   w.value(static_cast<std::uint64_t>(st.arena_peak_bytes));
   // Appended last so consumers keyed on the historical field prefix (the
   // CLI tests check the leading "total_derivations") are unaffected.
-  if (!backend.empty()) {
+  if (outcome != nullptr) {
+    if (counts_unit_propagation(outcome->backend)) {
+      write_unit_propagation_counts(w, *outcome);
+    }
     w.key("backend");
-    w.value(backend);
+    w.value(backend_name(outcome->backend));
   }
   w.end_object();
 }
 
-std::string check_stats_json(const checker::CheckStats& stats,
-                             std::string_view backend) {
+}  // namespace
+
+void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st) {
+  write_stats_object(w, st, nullptr);
+}
+
+std::string check_stats_json(const checker::CheckStats& stats) {
   util::JsonWriter w;
-  write_check_stats(w, stats, backend);
+  write_check_stats(w, stats);
+  return w.take();
+}
+
+std::string check_stats_json(const JobOutcome& o) {
+  util::JsonWriter w;
+  write_stats_object(w, o.stats, &o);
   return w.take();
 }
 
@@ -128,16 +164,8 @@ std::string outcome_json(const JobOutcome& o) {
   w.value(verdict_line(o));
   w.key("error");
   w.value(o.error);
-  if (o.backend == Backend::kDrup || o.backend == Backend::kRup) {
-    w.key(backend_name(o.backend));
-    w.begin_object();
-    w.key("clauses_checked");
-    w.value(o.drup_clauses_checked);
-    w.key("deletions");
-    w.value(o.drup_deletions);
-    w.key("propagations");
-    w.value(o.drup_propagations);
-    w.end_object();
+  if (counts_unit_propagation(o.backend)) {
+    write_unit_propagation_counts(w, o);
   } else {
     w.key("stats");
     write_check_stats(w, o.stats);

@@ -98,16 +98,19 @@ struct CertOptions {
 [[nodiscard]] std::string outcome_json(const JobOutcome& outcome);
 
 /// Writes a replay backend's CheckStats as one JSON object: the one
-/// serialiser behind `satproof check --stats=json` (check_stats_json) and
-/// outcome_json's "stats". A non-empty `backend` appends a final "backend"
-/// key naming the backend that actually ran — the provenance record for
-/// `--checker=auto`.
-void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats,
-                       std::string_view backend = {});
+/// serialiser behind outcome_json's "stats" and the check_stats_json
+/// documents.
+void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 
 /// write_check_stats as a standalone document.
-[[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats,
-                                           std::string_view backend = {});
+[[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats);
+
+/// The `satproof check --stats=json` document for any backend: the
+/// CheckStats object (zeros for DRUP and RUP); for DRUP and RUP, their
+/// unit-propagation counts under the backend's name, as outcome_json
+/// carries them; and last a "backend" key naming the backend that actually
+/// ran, the provenance record for `--checker=auto`.
+[[nodiscard]] std::string check_stats_json(const JobOutcome& outcome);
 
 /// Checks `trace_path` against `cnf_path` with `backend`.
 ///

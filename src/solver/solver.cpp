@@ -1,9 +1,10 @@
 #include "src/solver/solver.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 #include <utility>
+
+#include "src/obs/trace.hpp"
 
 namespace satproof::solver {
 
@@ -40,6 +41,8 @@ void Solver::add_formula(const Formula& f) {
 Var Solver::new_var() {
   const Var v = static_cast<Var>(assign_.size());
   assign_.push_back(LBool::Undef);
+  lit_value_.push_back(LBool::Undef);
+  lit_value_.push_back(LBool::Undef);
   level_.push_back(0);
   antecedent_.push_back(kInvalidSlot);
   trail_pos_.push_back(0);
@@ -131,17 +134,19 @@ void Solver::add_clause_internal(std::span<const Lit> lits, ClauseId id) {
 }
 
 void Solver::attach(ClauseSlot slot) {
-  const DbClause& c = db_[slot];
-  watches_[(~c.lits[0]).code()].push_back({slot, c.lits[1]});
-  watches_[(~c.lits[1]).code()].push_back({slot, c.lits[0]});
+  const ClauseRef ref = db_[slot].ref;
+  const std::span<const Lit> c = db_.lits_at(ref);
+  watches_[(~c[0]).code()].push_back({ref, c[1]});
+  watches_[(~c[1]).code()].push_back({ref, c[0]});
 }
 
 void Solver::detach(ClauseSlot slot) {
-  const DbClause& c = db_[slot];
-  for (const Lit w : {c.lits[0], c.lits[1]}) {
+  const ClauseRef ref = db_[slot].ref;
+  const std::span<const Lit> c = db_.lits_at(ref);
+  for (const Lit w : {c[0], c[1]}) {
     auto& list = watches_[(~w).code()];
     for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].slot == slot) {
+      if (list[i].ref == ref) {
         list[i] = list.back();
         list.pop_back();
         break;
@@ -159,6 +164,8 @@ void Solver::assign(Lit p, ClauseSlot antecedent) {
                            " is already assigned");
   }
   assign_[v] = p.negated() ? LBool::False : LBool::True;
+  lit_value_[p.code()] = LBool::True;
+  lit_value_[(~p).code()] = LBool::False;
   level_[v] = decision_level();
   antecedent_[v] = antecedent;
   trail_pos_[v] = static_cast<std::uint32_t>(trail_.size());
@@ -169,9 +176,12 @@ void Solver::backtrack(std::uint32_t target_level) {
   if (decision_level() <= target_level) return;
   const std::size_t bound = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i-- > bound;) {
-    const Var v = trail_[i].var();
+    const Lit p = trail_[i];
+    const Var v = p.var();
     saved_phase_[v] = assign_[v] == LBool::True;
     assign_[v] = LBool::Undef;
+    lit_value_[p.code()] = LBool::Undef;
+    lit_value_[(~p).code()] = LBool::Undef;
     antecedent_[v] = kInvalidSlot;
     order_.insert(v);
   }
@@ -184,44 +194,49 @@ ClauseSlot Solver::propagate() {
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
     ++stats_.propagations;
-    auto& ws = watches_[p.code()];
-    std::size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
+    // A moved watch goes to another list (its new literal is not false;
+    // ~p is), so this list's storage stays put while it is compacted in
+    // place.
+    std::vector<Watcher>& ws = watches_[p.code()];
+    const Lit false_lit = ~p;
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i;
       if (value(w.blocker) == LBool::True) {
-        ws[j++] = ws[i++];
+        *j++ = *i++;
         continue;
       }
-      DbClause& c = db_[w.slot];
-      const Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
+      const std::span<Lit> c = db_.lits_at(w.ref);
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
       ++i;
-      const Lit first = c.lits[0];
+      const Lit first = c[0];
       if (first != w.blocker && value(first) == LBool::True) {
-        ws[j++] = {w.slot, first};
+        *j++ = {w.ref, first};
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != LBool::False) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code()].push_back({w.slot, first});
+      for (std::size_t k = 2; k < c.size(); ++k) {
+        if (value(c[k]) != LBool::False) {
+          std::swap(c[1], c[k]);
+          watches_[(~c[1]).code()].push_back({w.ref, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Clause is unit or conflicting under the current assignment.
-      ws[j++] = {w.slot, first};
+      *j++ = {w.ref, first};
       if (value(first) == LBool::False) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        j = std::copy(i, end, j);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         qhead_ = trail_.size();
-        return w.slot;
+        return db_.slot_at(w.ref);
       }
-      assign(first, w.slot);
+      assign(first, db_.slot_at(w.ref));
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
   return kInvalidSlot;
 }
@@ -281,7 +296,7 @@ void Solver::compute_failed_assumptions(Lit p) {
       if (v != p.var()) failed_assumptions_.push_back(trail_[i]);
       continue;
     }
-    for (const Lit lit : db_[antecedent_[v]].lits) {
+    for (const Lit lit : db_.lits(antecedent_[v])) {
       const Var u = lit.var();
       if (u == v || level_[u] == 0 || seen_[u]) continue;
       seen_[u] = true;
@@ -324,13 +339,18 @@ void Solver::bump_clause(ClauseSlot slot) {
   }
 }
 
-Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
-  AnalysisResult res;
+void Solver::analyze(ClauseSlot conflict) {
+  AnalysisResult& res = analysis_;
+  res.learned.clear();
+  res.sources.clear();
   const bool want_sources = trace_ != nullptr;
   const bool eliminate0 = options_.eliminate_level0_lits;
-  std::vector<Lit> others;   // literals below the current decision level
-  std::vector<Lit> level0;   // level-0 literals queued for elimination
-  std::vector<Var> to_clear;
+  std::vector<Lit>& others = others_;
+  std::vector<Lit>& level0 = level0_;
+  std::vector<Var>& to_clear = to_clear_;
+  others.clear();
+  level0.clear();
+  to_clear.clear();
   std::uint64_t resolutions = 0;
 
   if (want_sources) res.sources.push_back(db_[conflict].id);
@@ -343,9 +363,8 @@ Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
   std::size_t idx = trail_.size();
   ClauseSlot cur = conflict;
   while (true) {
-    DbClause& c = db_[cur];
-    if (c.learned) bump_clause(cur);
-    for (const Lit lit : c.lits) {
+    if (db_[cur].learned) bump_clause(cur);
+    for (const Lit lit : db_.lits(cur)) {
       const Var v = lit.var();
       if (p != Lit::invalid() && v == p.var()) continue;  // the pivot
       if (seen_[v]) continue;
@@ -377,24 +396,30 @@ Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
   // resolution. These extra steps go into the trace too, so the checker can
   // replay the learned clause exactly (SolverOptions::eliminate_level0_lits).
   if (eliminate0 && !level0.empty()) {
-    std::priority_queue<std::pair<std::uint32_t, Lit>,
-                        std::vector<std::pair<std::uint32_t, Lit>>>
-        queue;
-    for (const Lit lit : level0) queue.emplace(trail_pos_[lit.var()], lit);
+    // A max-heap on trail position (std::priority_queue's algorithm, on a
+    // reused buffer).
+    auto& queue = level0_heap_;
+    const auto push = [&queue](std::uint32_t pos, Lit l) {
+      queue.emplace_back(pos, l);
+      std::push_heap(queue.begin(), queue.end());
+    };
+    queue.clear();
+    for (const Lit lit : level0) push(trail_pos_[lit.var()], lit);
     while (!queue.empty()) {
-      const Lit lit = queue.top().second;
-      queue.pop();
+      std::pop_heap(queue.begin(), queue.end());
+      const Lit lit = queue.back().second;
+      queue.pop_back();
       const Var v = lit.var();
       const ClauseSlot ante = antecedent_[v];
       ++resolutions;
       ++stats_.level0_resolutions;
       if (want_sources) res.sources.push_back(db_[ante].id);
-      for (const Lit l2 : db_[ante].lits) {
+      for (const Lit l2 : db_.lits(ante)) {
         const Var v2 = l2.var();
         if (v2 == v || seen_[v2]) continue;
         seen_[v2] = true;
         to_clear.push_back(v2);
-        queue.emplace(trail_pos_[v2], l2);
+        push(trail_pos_[v2], l2);
       }
     }
   }
@@ -409,14 +434,14 @@ Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
   // enable them), so the recorded source order replays exactly.
   if (options_.minimize_learned && !others.empty()) {
     for (const Lit lit : others) in_clause_[lit.var()] = true;
-    std::vector<Lit> kept;
-    kept.reserve(others.size());
+    std::vector<Lit>& kept = kept_;
+    kept.clear();
     for (const Lit lit : others) {
       const Var v = lit.var();
       const ClauseSlot ante = antecedent_[v];
       bool redundant = ante != kInvalidSlot;
       if (redundant) {
-        for (const Lit l2 : db_[ante].lits) {
+        for (const Lit l2 : db_.lits(ante)) {
           if (l2.var() != v && !in_clause_[l2.var()]) {
             redundant = false;
             break;
@@ -438,7 +463,6 @@ Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
 
   // Assemble the asserting clause: the flipped UIP literal first, then the
   // lower-level literals with the deepest one in the watch position 1.
-  res.learned.reserve(others.size() + 1);
   res.learned.push_back(~p);
   std::uint32_t back_level = 0;
   std::size_t deepest = 0;
@@ -458,12 +482,10 @@ Solver::AnalysisResult Solver::analyze(ClauseSlot conflict) {
   }
   res.backtrack_level = back_level;
   res.reuse_conflict = resolutions == 0;
-  return res;
 }
 
 bool Solver::clause_locked(ClauseSlot slot) const {
-  const DbClause& c = db_[slot];
-  for (const Lit lit : c.lits) {
+  for (const Lit lit : db_.lits(slot)) {
     if (value(lit) == LBool::True && antecedent_[lit.var()] == slot) {
       return true;
     }
@@ -472,6 +494,7 @@ bool Solver::clause_locked(ClauseSlot slot) const {
 }
 
 void Solver::reduce_learned_db() {
+  obs::Span span("reduce_db");
   std::vector<ClauseSlot> learned;
   for (const ClauseSlot s : db_.live_slots()) {
     if (db_[s].learned) learned.push_back(s);
@@ -486,12 +509,26 @@ void Solver::reduce_learned_db() {
     // The paper (Section 2.1): clauses that are antecedents of currently
     // assigned variables must be kept, as they may appear in a future
     // resolution; binary clauses are cheap and valuable, keep them too.
-    if (db_[s].lits.size() <= 2 || clause_locked(s)) continue;
+    if (db_.lits(s).size() <= 2 || clause_locked(s)) continue;
     detach(s);
-    if (drup_ != nullptr) drup_->delete_clause(db_[s].lits);
+    if (drup_ != nullptr) drup_->delete_clause(db_.lits(s));
     db_.free(s);
     ++removed;
     ++stats_.deleted_clauses;
+  }
+  if (db_.needs_compaction()) compact_arena();
+}
+
+void Solver::compact_arena() {
+  // Compaction moves clauses but keeps their slots: park each watcher on
+  // its clause's slot, compact, then point it at the slot's new ref. The
+  // lists are rewritten in place, so the watch order is unchanged.
+  for (auto& list : watches_) {
+    for (Watcher& w : list) w.ref = db_.slot_at(w.ref);
+  }
+  db_.compact();
+  for (auto& list : watches_) {
+    for (Watcher& w : list) w.ref = db_[w.ref].ref;
   }
 }
 
@@ -511,6 +548,7 @@ void Solver::emit_unsat_trace(ClauseSlot conflict) {
 SolveResult Solver::solve(std::span<const Lit> assumptions) {
   if (solved_) throw std::logic_error("Solver: solve() is single-shot");
   solved_ = true;
+  obs::Span span("solve");
 
   assumptions_.assign(assumptions.begin(), assumptions.end());
   for (const Lit p : assumptions_) {
@@ -552,7 +590,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
     return finish(SolveResult::Unsatisfiable);
   }
   for (const ClauseSlot slot : pending_units_) {
-    const Lit unit = db_[slot].lits[0];
+    const Lit unit = db_.lits(slot)[0];
     if (value(unit) == LBool::False) {
       // The unit clause's only literal is false: the clause itself is the
       // conflicting clause at level 0.
@@ -585,7 +623,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         emit_unsat_trace(confl);
         return finish(SolveResult::Unsatisfiable);
       }
-      AnalysisResult res = analyze(confl);
+      analyze(confl);
+      const AnalysisResult& res = analysis_;
       backtrack(res.backtrack_level);
       ClauseSlot asserting_slot;
       if (res.reuse_conflict) {
@@ -595,18 +634,18 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         // literal and the deepest remaining literal so the two-watch
         // invariant holds below the backtrack level.
         asserting_slot = confl;
-        DbClause& c = db_[confl];
-        if (c.lits.size() >= 2) {
+        const std::span<Lit> c = db_.lits(confl);
+        if (c.size() >= 2) {
           detach(confl);
-          auto it = std::find(c.lits.begin(), c.lits.end(), res.learned[0]);
-          std::iter_swap(c.lits.begin(), it);
+          auto it = std::find(c.begin(), c.end(), res.learned[0]);
+          std::iter_swap(c.begin(), it);
           std::size_t deepest = 1;
-          for (std::size_t k = 2; k < c.lits.size(); ++k) {
-            if (level_[c.lits[k].var()] > level_[c.lits[deepest].var()]) {
+          for (std::size_t k = 2; k < c.size(); ++k) {
+            if (level_[c[k].var()] > level_[c[deepest].var()]) {
               deepest = k;
             }
           }
-          std::swap(c.lits[1], c.lits[deepest]);
+          std::swap(c[1], c[deepest]);
           attach(confl);
         }
       } else {

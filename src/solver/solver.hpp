@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/cnf/formula.hpp"
@@ -119,16 +120,12 @@ class Solver {
 
  private:
   struct Watcher {
-    ClauseSlot slot;
-    Lit blocker;  ///< some other literal of the clause; if true, skip scan
+    ClauseRef ref;  ///< the clause's arena position; its header holds the slot
+    Lit blocker;    ///< some other literal of the clause; if true, skip scan
   };
 
   // -- assignment ----------------------------------------------------------
-  [[nodiscard]] LBool value(Lit p) const {
-    const LBool v = assign_[p.var()];
-    if (v == LBool::Undef) return LBool::Undef;
-    return p.negated() ? ~v : v;
-  }
+  [[nodiscard]] LBool value(Lit p) const { return lit_value_[p.code()]; }
   [[nodiscard]] std::uint32_t level_of(Var v) const { return level_[v]; }
   [[nodiscard]] std::uint32_t decision_level() const {
     return static_cast<std::uint32_t>(trail_lim_.size());
@@ -152,10 +149,12 @@ class Solver {
     std::vector<ClauseId> sources;  ///< conflict id + antecedent ids in order
     bool reuse_conflict = false;    ///< conflict clause was already asserting
   };
-  [[nodiscard]] AnalysisResult analyze(ClauseSlot conflict);
+  /// Fills analysis_ (reused across conflicts, like the scratch below).
+  void analyze(ClauseSlot conflict);
   void attach(ClauseSlot slot);
   void detach(ClauseSlot slot);
   void reduce_learned_db();
+  void compact_arena();
   [[nodiscard]] bool clause_locked(ClauseSlot slot) const;
   void bump_clause(ClauseSlot slot);
 
@@ -170,7 +169,8 @@ class Solver {
 
   ClauseDb db_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::code()
-  std::vector<LBool> assign_;
+  std::vector<LBool> lit_value_;  // indexed by Lit::code(): value() in one load
+  std::vector<LBool> assign_;     // indexed by Var: models and saved phases
   std::vector<std::uint32_t> level_;
   std::vector<ClauseSlot> antecedent_;
   std::vector<std::uint32_t> trail_pos_;
@@ -193,6 +193,15 @@ class Solver {
   double clause_inc_ = 1.0;
   std::vector<bool> seen_;       // scratch for analyze()
   std::vector<bool> in_clause_;  // scratch for clause minimization
+
+  // analyze()'s result and working buffers, kept to skip per-conflict
+  // allocation.
+  AnalysisResult analysis_;
+  std::vector<Lit> others_;   // literals below the current decision level
+  std::vector<Lit> level0_;   // level-0 literals queued for elimination
+  std::vector<Lit> kept_;     // minimization survivors
+  std::vector<Var> to_clear_;
+  std::vector<std::pair<std::uint32_t, Lit>> level0_heap_;  // by trail position
 
   Model model_;
 };

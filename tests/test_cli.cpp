@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "src/cert/kernel.hpp"
 #include "src/util/temp_file.hpp"
@@ -347,6 +349,71 @@ TEST_F(CliTest, RupCheckerDetectsBinaryTraces) {
   EXPECT_NE(capped.err.find("--mem-limit does not apply to the rup checker"),
             std::string::npos)
       << capped.err;
+}
+
+// check --checker=rup prints the stats block every backend prints; its
+// JSON carries the RUP counts (as outcome_json does) and names the backend.
+TEST_F(CliTest, RupCheckerPrintsStats) {
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const CliRun j =
+      run({"check", "--checker=rup", "--stats=json", cnf(), aux()});
+  ASSERT_EQ(j.exit_code, 0) << j.err;
+  ASSERT_EQ(j.out.rfind("VERIFIED (RUP): ", 0), 0u) << j.out;
+  const std::size_t json_at = j.out.find("\n{\"total_derivations\":");
+  ASSERT_NE(json_at, std::string::npos) << j.out;
+  const std::string json = j.out.substr(json_at + 1);
+  // The verdict line's counts reappear in the JSON.
+  const std::string verdict = j.out.substr(0, json_at);
+  // The first count follows "VERIFIED (RUP): " (16 characters).
+  const std::string checked = verdict.substr(16, verdict.find(' ', 16) - 16);
+  EXPECT_NE(json.find("\"rup\":{\"clauses_checked\":" + checked +
+                      ",\"deletions\":0,\"propagations\":"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.size() - json.rfind(",\"backend\":\"rup\"}\n"),
+            std::string(",\"backend\":\"rup\"}\n").size())
+      << json;
+
+  const CliRun t = run({"check", "--checker=rup", "--stats", cnf(), aux()});
+  ASSERT_EQ(t.exit_code, 0) << t.err;
+  EXPECT_NE(t.out.find("\nstats: arena "), std::string::npos) << t.out;
+}
+
+// solve --trace-out records the solver's spans: one "solve" span and a
+// "reduce_db" span per learned-clause reduction (php7 runs several). The
+// search does not change under tracing: the --stats counters are the same
+// with and without --trace-out.
+TEST_F(CliTest, SolveTraceOutRecordsSolverSpans) {
+  gen_php(7);
+  const auto counters = [](const std::string& out) {
+    const std::size_t at = out.find("s, decisions ");
+    return at == std::string::npos ? std::string{}
+                                   : out.substr(at, out.find('\n', at) - at);
+  };
+  const CliRun plain = run({"solve", cnf(), "--stats"});
+  ASSERT_EQ(plain.exit_code, kExitUnsat) << plain.err;
+  const CliRun traced = run({"solve", cnf(), "--stats", "--trace-out", aux2()});
+  ASSERT_EQ(traced.exit_code, kExitUnsat) << traced.err;
+  EXPECT_EQ(counters(plain.out),
+            "s, decisions 5155, conflicts 4361, propagations 56593, learned "
+            "4360, deleted 2001, restarts 7, minimized-lits 0");
+  EXPECT_EQ(counters(traced.out), counters(plain.out));
+
+  std::ifstream in(aux2());
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::size_t solve_spans = 0, reduce_spans = 0;
+  const std::string name_key = "\"name\":\"";
+  for (std::size_t at = 0;
+       (at = json.find(name_key, at)) != std::string::npos;) {
+    at += name_key.size();
+    if (json.compare(at, 7, "solve\",") == 0) ++solve_spans;
+    if (json.compare(at, 11, "reduce_db\",") == 0) ++reduce_spans;
+  }
+  EXPECT_EQ(solve_spans, 1u) << json;
+  EXPECT_GE(reduce_spans, 1u) << json;
 }
 
 // export-lrat takes --mem-limit as check does: window runs at that budget

@@ -685,9 +685,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
           << " derived clauses re-derived by unit propagation ("
           << result.drup_propagations << " propagations, "
           << timer.elapsed_seconds() << "s)\n";
-      return 0;
-    }
-    if (result.failed_assumption_clause.empty()) {
+    } else if (result.failed_assumption_clause.empty()) {
       out << "VERIFIED: valid resolution proof of unsatisfiability ("
           << result.stats.resolutions << " resolutions, "
           << timer.elapsed_seconds() << "s)\n";
@@ -702,9 +700,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
     if (stats_json) {
       // The backend field reports what actually ran, so `--checker=auto`
       // records accurate certificate/stats provenance.
-      out << service::check_stats_json(result.stats,
-                                       service::backend_name(result.backend))
-          << "\n";
+      out << service::check_stats_json(result) << "\n";
     } else if (want_stats) {
       const checker::CheckStats& st = result.stats;
       out << "stats: arena " << st.arena_allocated_bytes
