@@ -48,43 +48,46 @@ int main(int argc, char** argv) {
   // Best of three runs per configuration: at generated-suite scale the
   // per-instance runtimes are milliseconds to seconds, so one-shot timing
   // would be dominated by scheduler noise (the paper's instances ran for
-  // minutes, where a single measurement suffices).
+  // minutes, where a single measurement suffices). The two configurations
+  // alternate run by run (off, on, off, on, ...), so drift of the host
+  // over a row's runs falls on both sides instead of reading as overhead.
   constexpr int kRuns = 3;
 
   double total_off = 0.0, total_on = 0.0;
   for (const auto& inst : encode::unsat_suite(encode::SuiteScale::Standard)) {
-    // Trace off: exactly the plain solver.
     double secs_off = 1e100;
-    for (int run = 0; run < kRuns; ++run) {
-      obs::Span span("solve_trace_off");
-      solver::Solver off;
-      off.add_formula(inst.formula);
-      util::Timer t_off;
-      if (off.solve() != solver::SolveResult::Unsatisfiable) {
-        std::cerr << "FATAL: " << inst.name << " not UNSAT\n";
-        return 1;
-      }
-      secs_off = std::min(secs_off, t_off.elapsed_seconds());
-    }
-
-    // Trace on: ASCII trace to a real file.
     double secs_on = 1e100;
     std::uint64_t learned = 0;
     for (int run = 0; run < kRuns; ++run) {
-      obs::Span span("solve_trace_on");
-      util::TempFile trace_file("table1-trace");
-      std::ofstream out(trace_file.path());
-      trace::AsciiTraceWriter writer(out);
-      solver::Solver on;
-      on.add_formula(inst.formula);
-      on.set_trace_writer(&writer);
-      util::Timer t_on;
-      if (on.solve() != solver::SolveResult::Unsatisfiable) {
-        std::cerr << "FATAL: " << inst.name << " not UNSAT with trace\n";
-        return 1;
+      {
+        // Trace off: exactly the plain solver.
+        obs::Span span("solve_trace_off");
+        solver::Solver off;
+        off.add_formula(inst.formula);
+        util::Timer t_off;
+        if (off.solve() != solver::SolveResult::Unsatisfiable) {
+          std::cerr << "FATAL: " << inst.name << " not UNSAT\n";
+          return 1;
+        }
+        secs_off = std::min(secs_off, t_off.elapsed_seconds());
       }
-      secs_on = std::min(secs_on, t_on.elapsed_seconds());
-      learned = on.stats().learned_clauses;
+      {
+        // Trace on: ASCII trace to a real file.
+        obs::Span span("solve_trace_on");
+        util::TempFile trace_file("table1-trace");
+        std::ofstream out(trace_file.path());
+        trace::AsciiTraceWriter writer(out);
+        solver::Solver on;
+        on.add_formula(inst.formula);
+        on.set_trace_writer(&writer);
+        util::Timer t_on;
+        if (on.solve() != solver::SolveResult::Unsatisfiable) {
+          std::cerr << "FATAL: " << inst.name << " not UNSAT with trace\n";
+          return 1;
+        }
+        secs_on = std::min(secs_on, t_on.elapsed_seconds());
+        learned = on.stats().learned_clauses;
+      }
     }
 
     total_off += secs_off;

@@ -1,6 +1,5 @@
 #include "src/checker/breadth_first.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "src/obs/trace.hpp"
@@ -15,15 +14,17 @@ class BreadthFirstChecker {
                       const BreadthFirstOptions& options)
       : formula_(&f),
         reader_(&reader),
+        num_original_(reader.num_original()),
+        num_vars_(reader.num_vars()),
         options_(options),
-        level0_(reader.num_vars()),
+        level0_(num_vars_),
         counts_(make_use_count_store(options.use_counts)),
         store_(options.recycle_arena) {}
 
   CheckResult run() {
     CheckResult result;
     try {
-      check_header(*formula_, reader_->num_vars(), reader_->num_original());
+      check_header(*formula_, num_vars_, num_original_);
       {
         obs::Span span("parse");
         scan_pass();
@@ -35,7 +36,7 @@ class BreadthFirstChecker {
       require_final_conflict(final_id_);
       mem_.add(counts_->memory_bytes());
       mem_.add(level0_.size() * 16);
-      chain_.reserve_vars(reader_->num_vars());
+      chain_.reserve_vars(num_vars_);
       {
         obs::Span span("replay");
         resolution_pass();
@@ -72,12 +73,8 @@ class BreadthFirstChecker {
   }
 
  private:
-  [[nodiscard]] ClauseId num_original() const {
-    return reader_->num_original();
-  }
-
   [[nodiscard]] std::uint64_t ordinal(ClauseId id) const {
-    return id - num_original();
+    return id - num_original_;
   }
 
   /// First traversal: validates record structure, sizes the use-count
@@ -88,7 +85,7 @@ class BreadthFirstChecker {
     std::optional<ClauseId> last_id;
     const TraceScan scan =
         scan_trace(*reader_, level0_, [&](const trace::Record& rec) {
-          check_derivation_record(rec, num_original(), last_id);
+          check_derivation_record(rec, num_original_, last_id);
           ++stats_.total_derivations;
         });
     final_id_ = scan.final_id;
@@ -114,7 +111,7 @@ class BreadthFirstChecker {
           ended = true;
         } else if (rec.kind == trace::RecordKind::Derivation) {
           for (const ClauseId s : rec.sources) {
-            if (s < num_original()) continue;
+            if (s < num_original_) continue;
             const std::uint64_t ord = ordinal(s);
             if (ord >= lo && ord < hi) counts_->increment(ord);
           }
@@ -124,11 +121,11 @@ class BreadthFirstChecker {
 
     // Pin the final conflicting clause and every level-0 antecedent: they
     // must survive the streaming pass for the empty-clause derivation.
-    if (final_id_.has_value() && *final_id_ >= num_original()) {
+    if (final_id_.has_value() && *final_id_ >= num_original_) {
       counts_->increment(ordinal(*final_id_));
     }
-    for (Var v = 0; v < reader_->num_vars(); ++v) {
-      if (level0_.implied(v) && level0_.antecedent(v) >= num_original()) {
+    for (Var v = 0; v < num_vars_; ++v) {
+      if (level0_.implied(v) && level0_.antecedent(v) >= num_original_) {
         const ClauseId a = level0_.antecedent(v);
         if (ordinal(a) >= num_learned_slots_) {
           throw CheckFailure("level-0 antecedent " + std::to_string(a) +
@@ -172,12 +169,12 @@ class BreadthFirstChecker {
       // same sequence the per-antecedent loop produced.
       ord_scratch_.clear();
       for (const ClauseId s : rec.sources) {
-        if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
+        if (s >= num_original_) ord_scratch_.push_back(ordinal(s));
       }
       exhausted_scratch_.clear();
       counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
       for (const std::uint64_t ord : exhausted_scratch_) {
-        release(static_cast<ClauseId>(ord) + num_original());
+        release(static_cast<ClauseId>(ord) + num_original_);
       }
       // Keep the freshly built clause only if something still needs it
       // (stored unsorted — resolution is set-based and nothing downstream
@@ -188,25 +185,15 @@ class BreadthFirstChecker {
     }
   }
 
-  /// Fetches a clause for resolution: originals are canonicalized into a
-  /// scratch buffer (the formula itself stays the single copy in memory);
+  /// Fetches a clause for resolution: originals are read from the
+  /// formula itself, the single copy in memory, through canonical_view;
   /// learned clauses come from the live window. The returned view is valid
   /// until the next fetch.
   ClauseView fetch_clause(ClauseId id) {
-    if (id < num_original()) {
-      // Canonicalize in place: the scratch buffer's capacity is reused
-      // across the millions of original-clause fetches of a long trace.
-      const ClauseView raw = formula_->clause(id);
-      scratch_.assign(raw.begin(), raw.end());
-      std::sort(scratch_.begin(), scratch_.end());
-      scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                     scratch_.end());
-      if (is_tautology(scratch_)) {
-        throw CheckFailure(
-            "original clause " + std::to_string(id) +
-            " is tautological and cannot be a resolution source");
-      }
-      return scratch_;
+    if (id < num_original_) {
+      const ClauseView lits = canonical_view(formula_->clause(id), scratch_);
+      if (is_tautology(lits)) throw CheckFailure(tautological_original(id));
+      return lits;
     }
     if (!store_.contains(id)) {
       throw CheckFailure(
@@ -224,13 +211,17 @@ class BreadthFirstChecker {
 
   const Formula* formula_;
   trace::TraceReader* reader_;
+  // Cached: TraceReader's accessors are virtual, and the replay tests
+  // every fetched source against num_original_.
+  ClauseId num_original_;
+  Var num_vars_;
   BreadthFirstOptions options_;
   Level0Table level0_;
   std::unique_ptr<UseCountStore> counts_;
   std::optional<ClauseId> final_id_;
   std::uint64_t num_learned_slots_ = 0;
   ClauseStore store_;
-  SortedClause scratch_;
+  SortedClause scratch_;  ///< canonical_view's buffer
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
   ChainResolver chain_;

@@ -113,15 +113,6 @@ std::string derivation_failure(ClauseId id, ClauseId source, std::size_t step,
                                            : "more than one clashing variable");
 }
 
-bool canonicalize_original(const Formula& f, ClauseId id,
-                           SortedClause& scratch) {
-  const ClauseView raw = f.clause(id);
-  scratch.assign(raw.begin(), raw.end());
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  return !is_tautology(scratch);
-}
-
 std::string tautological_original(ClauseId id) {
   return "original clause " + std::to_string(id) +
          " is tautological and cannot be a resolution source";

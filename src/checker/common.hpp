@@ -74,11 +74,6 @@ class CheckFailure : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A read-only view of a canonical clause (sorted, duplicate-free
-/// literals). Checker clauses live in a ClauseArena; views are how they
-/// travel between components without copies.
-using ClauseView = std::span<const Lit>;
-
 /// ID-addressed clause storage shared by the replay backends: a
 /// ClauseArena for the literal blocks plus a flat, ID-indexed ref table
 /// (replacing the per-backend std::unordered_map<ClauseId, SortedClause>).
@@ -248,13 +243,29 @@ void plan_cone(ClauseId root, const DerivationIndex& derivations,
                                              std::size_t step,
                                              ResolveStatus status);
 
-/// Canonicalizes original clause `id` of `f` into `scratch` (sorted and
-/// duplicate-free; reusing the buffer spares replay an allocation per
-/// original). Returns false when the clause is tautological, which makes
-/// it unusable as a resolution source; tautological_original(id) is the
-/// diagnostic for that.
-[[nodiscard]] bool canonicalize_original(const Formula& f, ClauseId id,
-                                         SortedClause& scratch);
+/// The canonical form (sorted by code, duplicate-free) of `raw`, through
+/// which every backend and the RUP engine read original clauses. A clause
+/// already strictly ascending is canonical as it stands: the view is `raw`
+/// itself and nothing is copied. Otherwise `raw` is sorted and
+/// deduplicated into `scratch`, whose capacity is reused, and the view is
+/// valid until `scratch`'s next use. Callers test the view with
+/// is_tautology; a replay that reaches a tautological original fails with
+/// tautological_original(id). Inline: BF and window call it once per
+/// original-clause fetch, millions of times on a long trace.
+[[nodiscard]] inline ClauseView canonical_view(ClauseView raw,
+                                               SortedClause& scratch) {
+  for (std::size_t i = 1; i < raw.size(); ++i) {
+    if (!(raw[i - 1] < raw[i])) {
+      scratch.assign(raw.begin(), raw.end());
+      std::sort(scratch.begin(), scratch.end());
+      scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                    scratch.end());
+      return scratch;
+    }
+  }
+  return raw;
+}
+
 [[nodiscard]] std::string tautological_original(ClauseId id);
 
 /// The final-trail assignment table reconstructed from the trace's Level0

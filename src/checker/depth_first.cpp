@@ -14,14 +14,15 @@ class DepthFirstChecker {
                     util::ClauseArena* recycle_arena)
       : formula_(&f),
         reader_(&reader),
+        num_original_(reader.num_original()),
         level0_(reader.num_vars()),
-        derivations_(reader.num_original()),
+        derivations_(num_original_),
         store_(recycle_arena) {}
 
   CheckResult run(const DepthFirstOptions& options) {
     CheckResult result;
     try {
-      check_header(*formula_, reader_->num_vars(), reader_->num_original());
+      check_header(*formula_, reader_->num_vars(), num_original_);
       final_id_ =
           load_full_trace(*reader_, derivations_, level0_, mem_, stats_);
       observer_ = options.observer;
@@ -81,7 +82,7 @@ class DepthFirstChecker {
     // The ref table is ID-ordered, so one ascending scan of the original-ID
     // prefix yields the core already sorted.
     const ClauseId originals =
-        std::min<ClauseId>(num_original(), store_.id_limit());
+        std::min<ClauseId>(num_original_, store_.id_limit());
     for (ClauseId id = 0; id < originals; ++id) {
       if (store_.contains(id)) ++stats_.core_original_clauses;
     }
@@ -96,16 +97,12 @@ class DepthFirstChecker {
   }
 
  private:
-  [[nodiscard]] ClauseId num_original() const {
-    return reader_->num_original();
-  }
-
   /// Returns the canonical clause for `id`, building it (and, recursively,
   /// its sources) on demand — recursive_build() of Fig. 3, with an explicit
   /// stack so pathological traces cannot overflow the call stack.
   ClauseView build(ClauseId id) {
     if (store_.contains(id)) return store_.view(id);
-    if (id < num_original()) return build_original(id);
+    if (id < num_original_) return build_original(id);
 
     struct Frame {
       ClauseId id;
@@ -123,7 +120,7 @@ class DepthFirstChecker {
           ++f.scan;
           continue;
         }
-        if (s < num_original()) {
+        if (s < num_original_) {
           build_original(s);
           ++f.scan;
           continue;
@@ -150,7 +147,7 @@ class DepthFirstChecker {
     for (std::size_t k = 0; k < n; ++k) {
       if (k + 2 < n) prefetch_sources(plan_[k + 2]);
       const ClauseId id = plan_[k];
-      if (id < num_original()) {
+      if (id < num_original_) {
         build_original(id);
         continue;
       }
@@ -177,18 +174,17 @@ class DepthFirstChecker {
   /// per source costs a ref decode each, and on the short-chain instances
   /// the data is usually still warm from the postorder sweep.)
   void prefetch_sources(ClauseId id) {
-    if (id < num_original()) return;
+    if (id < num_original_) return;
     const std::span<const std::uint32_t> srcs = derivations_.sources_of(id);
     store_.prefetch(srcs[0]);
     if (srcs.size() > 1) store_.prefetch(srcs[1]);
   }
 
   ClauseView build_original(ClauseId id) {
-    if (!canonicalize_original(*formula_, id, scratch_)) {
-      throw CheckFailure(tautological_original(id));
-    }
-    store_.put(id, scratch_);
-    if (observer_ != nullptr) observer_->on_original(id, scratch_);
+    const ClauseView lits = canonical_view(formula_->clause(id), scratch_);
+    if (is_tautology(lits)) throw CheckFailure(tautological_original(id));
+    store_.put(id, lits);
+    if (observer_ != nullptr) observer_->on_original(id, lits);
     return store_.view(id);
   }
 
@@ -215,6 +211,7 @@ class DepthFirstChecker {
 
   const Formula* formula_;
   trace::TraceReader* reader_;
+  ClauseId num_original_;  ///< cached: TraceReader's accessor is virtual
   Level0Table level0_;
   ClauseId final_id_ = kInvalidClauseId;
   DerivationIndex derivations_;
@@ -225,7 +222,7 @@ class DepthFirstChecker {
   CheckStats stats_;
   std::vector<ClauseId> plan_;          ///< build schedule, first-use order
   std::vector<std::uint8_t> planned_;   ///< per-ID scheduled bits (streaming)
-  SortedClause scratch_;                ///< build_original's canonical buffer
+  SortedClause scratch_;                ///< canonical_view's buffer
 };
 
 }  // namespace

@@ -39,10 +39,7 @@ struct ResolvedDrup {
 ResolvedDrup resolve_drup(const Formula& f, const DrupProof& parsed) {
   ResolvedDrup out{RupProof(f.num_vars())};
   RupProof& proof = out.proof;
-  for (ClauseId id = 0; id < f.num_clauses(); ++id) {
-    proof.add_canonical(f.clause(id));
-  }
-  proof.num_original = proof.num_clauses();
+  proof.add_originals(f);
 
   std::vector<std::size_t> named;
   for (const DrupStep& step : parsed.steps) {

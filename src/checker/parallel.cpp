@@ -96,7 +96,7 @@ class ParallelChecker {
   struct Lane {
     util::ClauseArena arena;
     ChainResolver chain;
-    SortedClause scratch;               ///< canonicalize_original's buffer
+    SortedClause scratch;               ///< canonical_view's buffer
     std::vector<std::uint32_t> groups;  ///< this cone's, into groups_
     CheckStats stats;  ///< resolutions, clauses_built, core_original_clauses
     ClauseId failed = kInvalidClauseId;  ///< lowest failing clause
@@ -257,11 +257,15 @@ class ParallelChecker {
       const ClauseId id = ids[k];
       if (id >= num_original_) {
         build_derived(id, lane);
-      } else if (!canonicalize_original(*formula_, id, lane.scratch)) {
+        continue;
+      }
+      const ClauseView lits =
+          canonical_view(formula_->clause(id), lane.scratch);
+      if (is_tautology(lits)) {
         lane.fail(id, tautological_original(id));
       } else {
         ++lane.stats.core_original_clauses;
-        slots_[id] = lane.arena.tagged_block(lane.arena.put(lane.scratch));
+        slots_[id] = lane.arena.tagged_block(lane.arena.put(lits));
       }
     }
   }

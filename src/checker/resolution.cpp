@@ -11,13 +11,6 @@ SortedClause canonicalize(std::span<const Lit> lits) {
   return out;
 }
 
-bool is_tautology(const SortedClause& clause) {
-  for (std::size_t i = 0; i + 1 < clause.size(); ++i) {
-    if (clause[i].var() == clause[i + 1].var()) return true;
-  }
-  return false;
-}
-
 ResolveResult resolve(const SortedClause& a, const SortedClause& b,
                       SortedClause& out) {
   out.clear();

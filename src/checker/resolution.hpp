@@ -16,13 +16,26 @@ namespace satproof::checker {
 /// and canonicalizes only where sortedness is observable.
 using SortedClause = std::vector<Lit>;
 
+/// A read-only view of a clause's literals. Checker clauses live in a
+/// ClauseArena or, for originals already in canonical order, in the
+/// Formula itself; views are how they travel between components without
+/// copies.
+using ClauseView = std::span<const Lit>;
+
 /// Canonicalizes an arbitrary literal sequence.
 [[nodiscard]] SortedClause canonicalize(std::span<const Lit> lits);
 
 /// True when the (sorted) clause contains some variable in both phases.
 /// Tautological clauses are permanently satisfied and must not appear as
 /// resolution sources; the checkers reject traces that reference one.
-[[nodiscard]] bool is_tautology(const SortedClause& clause);
+/// Sorted by code, a literal and its complement are adjacent. Inline: the
+/// replay backends test every original clause they fetch.
+[[nodiscard]] inline bool is_tautology(ClauseView clause) {
+  for (std::size_t i = 1; i < clause.size(); ++i) {
+    if (clause[i - 1].var() == clause[i].var()) return true;
+  }
+  return false;
+}
 
 /// Outcome of attempting to resolve two clauses.
 enum class ResolveStatus : std::uint8_t {

@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/checker/common.hpp"
+
 namespace satproof::checker {
 
 namespace {
@@ -371,21 +373,13 @@ std::uint32_t RupProof::add(std::span<const Lit> clause_lits) {
   return num_clauses() - 1;
 }
 
-void RupProof::add_canonical(std::span<const Lit> clause_lits) {
-  check_room(num_clauses());
-  const std::size_t begin = lits.size();
-  lits.insert(lits.end(), clause_lits.begin(), clause_lits.end());
-  const auto first = lits.begin() + static_cast<std::ptrdiff_t>(begin);
-  std::sort(first, lits.end());
-  lits.erase(std::unique(first, lits.end()), lits.end());
-  // Sorted by code, a literal and its negation are adjacent.
-  for (auto it = first; it + 1 < lits.end(); ++it) {
-    if (it[1] == ~it[0]) {
-      lits.resize(begin);
-      return;
-    }
+void RupProof::add_originals(const Formula& f) {
+  SortedClause scratch;
+  for (ClauseId id = 0; id < f.num_clauses(); ++id) {
+    const ClauseView canonical = canonical_view(f.clause(id), scratch);
+    if (!is_tautology(canonical)) add(canonical);
   }
-  starts.push_back(lits.size());
+  num_original = num_clauses();
 }
 
 RupReplayResult replay_rup(const RupProof& proof, unsigned jobs) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "src/cnf/formula.hpp"
 #include "src/cnf/types.hpp"
 
 namespace satproof::checker {
@@ -32,9 +33,10 @@ struct RupProof {
   /// Appends a clause and returns its number. Both appends throw
   /// std::length_error beyond kMaxClauses clauses.
   std::uint32_t add(std::span<const Lit> clause_lits);
-  /// Appends `clause_lits` sorted and without duplicates, unless it is a
-  /// tautology, which can never propagate.
-  void add_canonical(std::span<const Lit> clause_lits);
+  /// Appends every clause of `f` in canonical form (canonical_view),
+  /// skipping tautologies, which can never propagate, and sets
+  /// num_original to the clauses appended.
+  void add_originals(const Formula& f);
 
   [[nodiscard]] std::uint32_t num_clauses() const {
     return static_cast<std::uint32_t>(starts.size() - 1);

@@ -29,8 +29,10 @@ class WindowChecker {
                 const WindowOptions& options)
       : formula_(&f),
         reader_(&reader),
+        num_original_(reader.num_original()),
+        num_vars_(reader.num_vars()),
         options_(options),
-        level0_(reader.num_vars()),
+        level0_(num_vars_),
         counts_(make_use_count_store(options.use_counts)),
         store_(options.recycle_arena),
         observer_(options.observer) {}
@@ -38,7 +40,7 @@ class WindowChecker {
   CheckResult run() {
     CheckResult result;
     try {
-      check_header(*formula_, reader_->num_vars(), reader_->num_original());
+      check_header(*formula_, num_vars_, num_original_);
       window_budget_ = options_.mem_limit_bytes == 0
                            ? kMaxWindowBytes
                            : std::clamp<std::size_t>(
@@ -52,7 +54,7 @@ class WindowChecker {
         obs::Span span("index");
         mark_reachable_and_count();
       }
-      chain_.reserve_vars(reader_->num_vars());
+      chain_.reserve_vars(num_vars_);
       {
         obs::Span span("replay");
         replay_windows();
@@ -128,12 +130,8 @@ class WindowChecker {
 
   static constexpr std::size_t kNoWindow = ~std::size_t{0};
 
-  [[nodiscard]] ClauseId num_original() const {
-    return reader_->num_original();
-  }
-
   [[nodiscard]] std::uint64_t ordinal(ClauseId id) const {
-    return id - num_original();
+    return id - num_original_;
   }
 
   /// Index of a learned clause in ids_, or ~0 when absent. IDs are usually
@@ -175,7 +173,7 @@ class WindowChecker {
     std::size_t cur_window_bytes = 0;
     const TraceScan scan =
         scan_trace(*reader_, level0_, [&](const trace::Record& rec) {
-          check_derivation_record(rec, num_original(), last_id);
+          check_derivation_record(rec, num_original_, last_id);
           // Sources precede rec.id, so bounding the ID makes the 32-bit
           // narrowing below lossless (same policy as DerivationIndex).
           if (rec.id > std::numeric_limits<std::uint32_t>::max()) {
@@ -219,7 +217,7 @@ class WindowChecker {
     mem_.add(ids_.size() / 8 + 16);
 
     const auto seed = [this](ClauseId id, const std::string& what) {
-      if (id < num_original()) return;
+      if (id < num_original_) return;
       const std::size_t idx = index_of(id);
       if (idx == ~std::size_t{0}) {
         throw CheckFailure(what + " " + std::to_string(id) +
@@ -228,7 +226,7 @@ class WindowChecker {
       reachable_[idx] = true;
     };
     seed(final_id_, "final conflicting clause");
-    for (Var v = 0; v < reader_->num_vars(); ++v) {
+    for (Var v = 0; v < num_vars_; ++v) {
       if (level0_.implied(v)) {
         seed(level0_.antecedent(v), "level-0 antecedent");
         implied_ants_.push_back(level0_.antecedent(v));
@@ -244,7 +242,7 @@ class WindowChecker {
     counts_->resize(slots);
     mem_.add(counts_->memory_bytes());
     mem_.add(level0_.size() * 16);
-    core_seen_.assign(num_original(), 0);
+    core_seen_.assign(num_original_, 0);
     mem_.add(core_seen_.size());
 
     // The resident index is now complete; a budget it already exceeds
@@ -267,7 +265,7 @@ class WindowChecker {
       for (std::uint32_t i = win.count; i-- > 0;) {
         if (!reachable_[win.first + i]) continue;
         for (const std::uint32_t s : window_sources(i)) {
-          if (s < num_original()) continue;
+          if (s < num_original_) continue;
           const std::size_t idx = index_of(s);
           if (idx == ~std::size_t{0}) {
             throw CheckFailure("clause " + std::to_string(s) +
@@ -282,9 +280,9 @@ class WindowChecker {
     }
 
     // Pin what the final derivation needs.
-    if (final_id_ >= num_original()) counts_->increment(ordinal(final_id_));
-    for (Var v = 0; v < reader_->num_vars(); ++v) {
-      if (level0_.implied(v) && level0_.antecedent(v) >= num_original()) {
+    if (final_id_ >= num_original_) counts_->increment(ordinal(final_id_));
+    for (Var v = 0; v < num_vars_; ++v) {
+      if (level0_.implied(v) && level0_.antecedent(v) >= num_original_) {
         counts_->increment(ordinal(level0_.antecedent(v)));
       }
     }
@@ -327,12 +325,12 @@ class WindowChecker {
     // and recycled-bytes counter — matches the per-antecedent loop.
     ord_scratch_.clear();
     for (const ClauseId s : sources) {
-      if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
+      if (s >= num_original_) ord_scratch_.push_back(ordinal(s));
     }
     exhausted_scratch_.clear();
     counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
     for (const std::uint64_t ord : exhausted_scratch_) {
-      release(static_cast<ClauseId>(ord) + num_original());
+      release(static_cast<ClauseId>(ord) + num_original_);
     }
     if (counts_->get(ordinal(id)) > 0) {
       // Stored unsorted, like the other replay backends: resolution is
@@ -352,7 +350,7 @@ class WindowChecker {
     core_seen_.assign(core_seen_.size(), 0);
     core_count_ = 0;
     const auto seed = [this](ClauseId id) {
-      if (id < num_original()) {
+      if (id < num_original_) {
         mark_core(id);
         return;
       }
@@ -372,7 +370,7 @@ class WindowChecker {
         ++built;
         resolutions += sources.size() - 1;
         for (const std::uint32_t s : sources) {
-          if (s < num_original()) {
+          if (s < num_original_) {
             mark_core(s);
           } else {
             reachable_[index_of(s)] = true;
@@ -457,22 +455,14 @@ class WindowChecker {
     }
   }
 
+  /// Originals are read from the formula through canonical_view, as in
+  /// the breadth-first checker; learned clauses from the frontier.
   ClauseView fetch_clause(ClauseId id) {
-    if (id < num_original()) {
-      // Canonicalize in place so the scratch buffer's capacity is reused
-      // across original-clause fetches.
-      const ClauseView raw = formula_->clause(id);
-      scratch_.assign(raw.begin(), raw.end());
-      std::sort(scratch_.begin(), scratch_.end());
-      scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                     scratch_.end());
-      if (is_tautology(scratch_)) {
-        throw CheckFailure(
-            "original clause " + std::to_string(id) +
-            " is tautological and cannot be a resolution source");
-      }
+    if (id < num_original_) {
+      const ClauseView lits = canonical_view(formula_->clause(id), scratch_);
+      if (is_tautology(lits)) throw CheckFailure(tautological_original(id));
       mark_core(id);
-      return scratch_;
+      return lits;
     }
     if (!store_.contains(id)) {
       throw CheckFailure(
@@ -493,6 +483,10 @@ class WindowChecker {
 
   const Formula* formula_;
   trace::TraceReader* reader_;
+  // Cached: TraceReader's accessors are virtual, and the replay tests
+  // every fetched source against num_original_.
+  ClauseId num_original_;
+  Var num_vars_;
   WindowOptions options_;
   Level0Table level0_;
   std::unique_ptr<UseCountStore> counts_;
@@ -522,7 +516,7 @@ class WindowChecker {
   std::uint64_t core_count_ = 0;
 
   ClauseStore store_;
-  SortedClause scratch_;
+  SortedClause scratch_;  ///< canonical_view's buffer
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
   ChainResolver chain_;

@@ -18,11 +18,8 @@ ClauseId Formula::add_clause(std::span<const Lit> lits) {
   return id;
 }
 
-std::span<const Lit> Formula::clause(ClauseId id) const {
-  if (id >= offsets_.size()) {
-    throw std::out_of_range("Formula::clause: id out of range");
-  }
-  return {pool_.data() + offsets_[id], sizes_[id]};
+void Formula::throw_clause_out_of_range() {
+  throw std::out_of_range("Formula::clause: id out of range");
 }
 
 std::size_t Formula::num_used_vars() const {

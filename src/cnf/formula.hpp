@@ -42,8 +42,13 @@ class Formula {
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
 
-  /// The literals of clause `id`. `id` must be < num_clauses().
-  [[nodiscard]] std::span<const Lit> clause(ClauseId id) const;
+  /// The literals of clause `id`, as added. Throws std::out_of_range when
+  /// `id` >= num_clauses(). Inline: the replay backends read an original
+  /// clause per resolve source.
+  [[nodiscard]] std::span<const Lit> clause(ClauseId id) const {
+    if (id >= offsets_.size()) [[unlikely]] throw_clause_out_of_range();
+    return {pool_.data() + offsets_[id], sizes_[id]};
+  }
 
   /// Total number of stored literals across all clauses.
   [[nodiscard]] std::size_t num_literals() const { return pool_.size(); }
@@ -58,6 +63,8 @@ class Formula {
   [[nodiscard]] Formula subformula(std::span<const ClauseId> ids) const;
 
  private:
+  [[noreturn]] static void throw_clause_out_of_range();
+
   Var num_vars_ = 0;
   std::vector<Lit> pool_;
   std::vector<std::uint64_t> offsets_;  // start of each clause in pool_

@@ -21,10 +21,7 @@ RupResult check_rup(const Formula& f, const ProofDag& dag, unsigned jobs) {
   // in DAG order. The first leaf that is not an original clause ends the
   // replay there.
   checker::RupProof proof(num_vars);
-  for (ClauseId id = 0; id < f.num_clauses(); ++id) {
-    proof.add_canonical(f.clause(id));
-  }
-  proof.num_original = proof.num_clauses();
+  proof.add_originals(f);
   std::vector<ClauseId> derived_ids;  // node ID of each addition step
   const ProofDag::Node* foreign_leaf = nullptr;
   for (const auto& node : dag.nodes) {

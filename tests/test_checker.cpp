@@ -1,13 +1,22 @@
 // Tests for the depth-first and breadth-first checkers: acceptance of
 // genuine solver traces, rejection of corrupted ones (every FaultKind),
-// option coverage, and the Section 3.3 memory guarantee.
+// option coverage, and the Section 3.3 memory guarantee. Tautological
+// originals are checked under every backend.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
+#include "src/checker/hybrid.hpp"
+#include "src/checker/parallel.hpp"
+#include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/suite.hpp"
+#include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
@@ -170,28 +179,101 @@ TEST(Checkers, RangedCountingWithTinyRange) {
   EXPECT_TRUE(bf.ok) << bf.error;
 }
 
+/// Every backend's verdict and diagnostic on `t` over `f`: depth-first,
+/// breadth-first, hybrid, window under a budget, parallel at 1 and 4 jobs,
+/// and RUP (which rejects through the depth-first checker's replay).
+std::vector<std::pair<std::string, CheckResult>> check_everywhere(
+    const Formula& f, const trace::MemoryTrace& t) {
+  std::vector<std::pair<std::string, CheckResult>> out;
+  const auto run = [&](const std::string& name, auto&& check) {
+    trace::MemoryTraceReader reader(t);
+    out.emplace_back(name, check(reader));
+  };
+  run("df", [&](auto& r) { return check_depth_first(f, r); });
+  run("bf", [&](auto& r) { return check_breadth_first(f, r); });
+  run("hybrid", [&](auto& r) { return check_hybrid(f, r); });
+  run("window", [&](auto& r) {
+    WindowOptions options;
+    options.mem_limit_bytes = 1 << 20;
+    return check_window(f, r, options);
+  });
+  for (const unsigned jobs : {1u, 4u}) {
+    run("parallel jobs " + std::to_string(jobs), [&](auto& r) {
+      ParallelOptions options;
+      options.jobs = jobs;
+      return check_parallel(f, r, options);
+    });
+  }
+  run("rup", [&](auto& r) {
+    const proof::RupResult rup = proof::check_trace_rup(f, r, 1);
+    CheckResult result;
+    result.ok = rup.ok;
+    result.error = rup.error;
+    return result;
+  });
+  return out;
+}
+
+/// The three spellings of a tautological clause over x0: code-ascending
+/// (read in place), descending, and with a duplicate (both canonicalised
+/// into scratch first).
+const std::vector<std::vector<Lit>> kTautologies = {
+    {Lit::pos(0), Lit::neg(0)},
+    {Lit::neg(0), Lit::pos(0)},
+    {Lit::pos(0), Lit::pos(0), Lit::neg(0)},
+};
+
 TEST(Checkers, RejectTautologicalOriginalAsSource) {
   // Hand-build a trace whose proof path runs through a tautological
-  // original clause (the final conflict IS the bogus derivation, so both
-  // checkers must visit it).
-  Formula f;
-  f.add_clause({Lit::pos(0), Lit::neg(0)});  // clause 0: tautology
-  f.add_clause({Lit::pos(0)});               // clause 1
-  f.add_clause({Lit::neg(0)});               // clause 2
-  trace::MemoryTraceWriter w;
-  w.begin(1, 3);
-  const ClauseId src[] = {0, 2};
-  w.derivation(3, src);
-  w.final_conflict(3);
-  w.level0(0, true, 1);
-  w.end();
-  const trace::MemoryTrace t = w.take();
-  trace::MemoryTraceReader r1(t);
-  const CheckResult df = check_depth_first(f, r1);
-  EXPECT_FALSE(df.ok);
-  EXPECT_NE(df.error.find("tautolog"), std::string::npos);
-  trace::MemoryTraceReader r2(t);
-  EXPECT_FALSE(check_breadth_first(f, r2).ok);
+  // original clause (the final conflict IS the bogus derivation, so every
+  // checker must visit it).
+  for (const std::vector<Lit>& tautology : kTautologies) {
+    Formula f;
+    f.add_clause(tautology);      // clause 0
+    f.add_clause({Lit::pos(0)});  // clause 1
+    f.add_clause({Lit::neg(0)});  // clause 2
+    trace::MemoryTraceWriter w;
+    w.begin(1, 3);
+    const ClauseId src[] = {0, 2};
+    w.derivation(3, src);
+    w.final_conflict(3);
+    w.level0(0, true, 1);
+    w.end();
+    const trace::MemoryTrace t = w.take();
+    for (const auto& [name, result] : check_everywhere(f, t)) {
+      SCOPED_TRACE(name + ", clause 0 of size " +
+                   std::to_string(tautology.size()));
+      EXPECT_FALSE(result.ok);
+      EXPECT_EQ(result.error,
+                "original clause 0 is tautological and cannot be a "
+                "resolution source");
+    }
+  }
+}
+
+TEST(Checkers, AcceptUnreachedTautologicalOriginal) {
+  // A tautological original is an error only where a replay reaches it:
+  // here the proof never uses clause 0, so every backend verifies.
+  for (const std::vector<Lit>& tautology : kTautologies) {
+    Formula f;
+    f.add_clause(tautology);                    // clause 0
+    f.add_clause({Lit::pos(0), Lit::pos(1)});   // clause 1
+    f.add_clause({Lit::pos(0), Lit::neg(1)});   // clause 2
+    f.add_clause({Lit::neg(0)});                // clause 3
+    trace::MemoryTraceWriter w;
+    w.begin(2, 4);
+    const ClauseId src[] = {1, 2};
+    w.derivation(4, src);  // (x0)
+    w.final_conflict(3);
+    w.level0(0, true, 4);
+    w.end();
+    const trace::MemoryTrace t = w.take();
+    for (const auto& [name, result] : check_everywhere(f, t)) {
+      SCOPED_TRACE(name + ", clause 0 of size " +
+                   std::to_string(tautology.size()));
+      EXPECT_TRUE(result.ok) << result.error;
+    }
+  }
 }
 
 TEST(Checkers, RejectForwardReferenceInDerivation) {

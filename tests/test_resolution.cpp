@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "src/checker/common.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/util/rng.hpp"
 
@@ -194,6 +197,63 @@ TEST_P(ChainEquivalence, AgreesWithReferenceResolve) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/// Property sweep: canonical_view, the routine every replay backend reads
+/// original clauses through, returns canonicalize()'s sequence, keeps
+/// is_tautology's answer, and copies nothing when the clause is already
+/// strictly ascending.
+TEST(CanonicalView, MatchesCanonicalizeAndReadsAscendingClausesInPlace) {
+  util::Rng rng(2024);
+  SortedClause scratch;
+  int in_place = 0;
+  int copied = 0;
+  for (int round = 0; round < 10000; ++round) {
+    // Few variables, so duplicates and complementary pairs are common.
+    const auto num_vars = static_cast<Var>(1 + rng.next_below(8));
+    const auto len = static_cast<unsigned>(rng.next_below(13));
+    std::vector<Lit> raw;
+    for (unsigned i = 0; i < len; ++i) {
+      raw.push_back(
+          Lit(static_cast<Var>(rng.next_below(num_vars)), rng.next_bool()));
+    }
+    switch (rng.next_below(3)) {
+      case 0:  // canonical already
+        raw = canonicalize(raw);
+        break;
+      case 1:  // reversed canonical: descending
+        raw = canonicalize(raw);
+        std::reverse(raw.begin(), raw.end());
+        break;
+      default:  // as drawn
+        break;
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+
+    const ClauseView view = canonical_view(raw, scratch);
+    ASSERT_EQ(std::vector<Lit>(view.begin(), view.end()), canonicalize(raw));
+
+    bool both_phases = false;
+    for (const Lit lit : raw) {
+      both_phases = both_phases ||
+                    std::find(raw.begin(), raw.end(), ~lit) != raw.end();
+    }
+    ASSERT_EQ(is_tautology(view), both_phases);
+
+    const bool ascending =
+        std::adjacent_find(raw.begin(), raw.end(), [](Lit a, Lit b) {
+          return !(a < b);
+        }) == raw.end();
+    if (ascending) {
+      ASSERT_EQ(view.data(), raw.data());
+      ++in_place;
+    } else {
+      ASSERT_EQ(view.data(), scratch.data());
+      ++copied;
+    }
+  }
+  EXPECT_GT(in_place, 1000);
+  EXPECT_GT(copied, 1000);
+}
 
 }  // namespace
 }  // namespace satproof::checker
