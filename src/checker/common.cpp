@@ -277,7 +277,8 @@ void check_antecedent(ClauseView clause, Var var, const Level0Table& table,
 
 SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
                                  const Level0Table& table, CheckStats& stats,
-                                 std::vector<ClauseId>* used_antecedents) {
+                                 std::vector<ClauseId>* used_antecedents,
+                                 const PendingHook* before_fetch) {
   if (used_antecedents != nullptr) used_antecedents->clear();
   ChainResolver chain;
   chain.reserve_vars(table.num_vars());
@@ -333,6 +334,7 @@ SortedClause derive_final_clause(ClauseId final_id, const ClauseFetcher& fetch,
     }
     const Var v = chosen.var();
     const ClauseId ante_id = table.antecedent(v);
+    if (before_fetch != nullptr) (*before_fetch)(ante_id, heap);
     const ClauseView ante = fetch(ante_id);
     check_antecedent(ante, v, table, ante_id);
     if (used_antecedents != nullptr) used_antecedents->push_back(ante_id);

@@ -466,6 +466,22 @@ class CertObserver {
                         std::span<const Lit> clause) = 0;
 };
 
+/// Shown the final derivation's committed work just before each
+/// antecedent fetch: `next` is the antecedent about to be fetched, and
+/// `pending` the literals still waiting in the derivation's heap (decode
+/// an entry with pending_literal). Every pending literal is false and
+/// implied, and the derivation resolves it away with its variable's
+/// Level0Table antecedent unless a check throws first, so those
+/// antecedents are fetched later in any case. Literals that enter the
+/// running clause later are not in `pending` yet.
+using PendingHook = std::function<void(
+    ClauseId next, std::span<const std::uint64_t> pending)>;
+
+/// The literal of one PendingHook `pending` entry.
+[[nodiscard]] inline Lit pending_literal(std::uint64_t entry) {
+  return Lit::from_code(static_cast<std::uint32_t>(entry));
+}
+
 /// Derives the trace's final clause, exactly as in the proof of
 /// Proposition 3: starting from the final conflicting clause, repeatedly
 /// resolve on the *most recently assigned* remaining implied variable
@@ -483,10 +499,12 @@ class CertObserver {
 /// set (validate_assumption_clause). Throws CheckFailure on any invalid
 /// step; increments `stats.resolutions`. When `used_antecedents` is
 /// non-null it receives the antecedent IDs in resolution order (the hint
-/// material for CertObserver::on_final).
+/// material for CertObserver::on_final). When `before_fetch` is non-null
+/// it is called before each antecedent fetch.
 [[nodiscard]] SortedClause derive_final_clause(
     ClauseId final_id, const ClauseFetcher& fetch, const Level0Table& table,
-    CheckStats& stats, std::vector<ClauseId>* used_antecedents = nullptr);
+    CheckStats& stats, std::vector<ClauseId>* used_antecedents = nullptr,
+    const PendingHook* before_fetch = nullptr);
 
 /// Validates the outcome of derive_final_clause: empty is always fine
 /// (unconditional unsatisfiability); otherwise every literal must be the

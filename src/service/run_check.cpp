@@ -102,10 +102,17 @@ bool counts_unit_propagation(Backend b) {
   return b == Backend::kDrup || b == Backend::kRup;
 }
 
-/// write_check_stats; given the whole outcome, also the unit-propagation
-/// counts (DRUP, RUP) and a final "backend" key.
+/// Backends that collect no unsat core, so that a core size of 0 from them
+/// would read as an empty core.
+bool collects_no_core(Backend b) {
+  return b == Backend::kBf || counts_unit_propagation(b);
+}
+
+/// write_check_stats, without the core size when `outcome` names a backend
+/// that collects no core; with `tail`, also the outcome's
+/// unit-propagation counts (DRUP, RUP) and a final "backend" key.
 void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
-                        const JobOutcome* outcome) {
+                        const JobOutcome* outcome, bool tail) {
   w.begin_object();
   w.key("total_derivations");
   w.value(st.total_derivations);
@@ -113,8 +120,10 @@ void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
   w.value(st.clauses_built);
   w.key("resolutions");
   w.value(st.resolutions);
-  w.key("core_original_clauses");
-  w.value(st.core_original_clauses);
+  if (outcome == nullptr || !collects_no_core(outcome->backend)) {
+    w.key("core_original_clauses");
+    w.value(st.core_original_clauses);
+  }
   w.key("peak_mem_bytes");
   w.value(static_cast<std::uint64_t>(st.peak_mem_bytes));
   w.key("arena_allocated_bytes");
@@ -125,7 +134,7 @@ void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
   w.value(static_cast<std::uint64_t>(st.arena_peak_bytes));
   // Appended last so consumers keyed on the historical field prefix (the
   // CLI tests check the leading "total_derivations") are unaffected.
-  if (outcome != nullptr) {
+  if (tail) {
     if (counts_unit_propagation(outcome->backend)) {
       write_unit_propagation_counts(w, *outcome);
     }
@@ -138,7 +147,7 @@ void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
 }  // namespace
 
 void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st) {
-  write_stats_object(w, st, nullptr);
+  write_stats_object(w, st, nullptr, false);
 }
 
 std::string check_stats_json(const checker::CheckStats& stats) {
@@ -149,7 +158,7 @@ std::string check_stats_json(const checker::CheckStats& stats) {
 
 std::string check_stats_json(const JobOutcome& o) {
   util::JsonWriter w;
-  write_stats_object(w, o.stats, &o);
+  write_stats_object(w, o.stats, &o, true);
   return w.take();
 }
 
@@ -168,7 +177,7 @@ std::string outcome_json(const JobOutcome& o) {
     write_unit_propagation_counts(w, o);
   } else {
     w.key("stats");
-    write_check_stats(w, o.stats);
+    write_stats_object(w, o.stats, &o, false);
   }
   w.end_object();
   return w.take();

@@ -94,7 +94,8 @@ struct CertOptions {
 ///   "CHECK FAILED: <diagnostic>"
 [[nodiscard]] std::string verdict_line(const JobOutcome& outcome);
 
-/// JSON document describing the outcome (ok, verdict, error, stats).
+/// JSON document describing the outcome (ok, verdict, error, stats; the
+/// stats of bf carry no "core_original_clauses", as bf collects no core).
 [[nodiscard]] std::string outcome_json(const JobOutcome& outcome);
 
 /// Writes a replay backend's CheckStats as one JSON object: the one
@@ -106,7 +107,9 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 [[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats);
 
 /// The `satproof check --stats=json` document for any backend: the
-/// CheckStats object (zeros for DRUP and RUP); for DRUP and RUP, their
+/// CheckStats object (zeros for DRUP and RUP), without
+/// "core_original_clauses" for the backends that collect no core (bf,
+/// drup, rup); for DRUP and RUP, their
 /// unit-propagation counts under the backend's name, as outcome_json
 /// carries them; and last a "backend" key naming the backend that actually
 /// ran, the provenance record for `--checker=auto`.

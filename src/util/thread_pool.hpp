@@ -12,15 +12,15 @@ namespace satproof::util {
 /// Bounded worker pool over std::jthread.
 ///
 /// Deliberately work-stealing-free: one shared FIFO guarded by one mutex.
-/// The parallel checker submits one coarse task per worker per cone (the
-/// independent sub-proofs dealt to that worker), so queue contention is
+/// The parallel checker submits one coarse task per lane per build round
+/// (that lane's share of the round's clauses), so queue contention is
 /// negligible and the simple design keeps the pool easy to reason about
 /// under TSan. Workers are started once and live for the pool's lifetime;
 /// destruction requests stop and joins.
 ///
 /// Tasks must not throw — a task that needs to report failure stores its
-/// error somewhere the submitter can see (the checker records the lowest
-/// failing clause per worker and rethrows after wait_idle()).
+/// error somewhere the submitter can see (the checker records each
+/// failing clause on its lane and reads them after wait_idle()).
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; 0 means std::thread::hardware_concurrency

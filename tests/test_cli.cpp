@@ -169,6 +169,30 @@ TEST_F(CliTest, CheckStatsJsonEmitsMachineReadableCounters) {
   EXPECT_NE(bad.err.find("--stats"), std::string::npos);
 }
 
+// bf and rup collect no core: their JSON has no core size to misread as
+// an empty core, while df, hybrid, window and parallel report one.
+TEST_F(CliTest, CheckStatsJsonOmitsTheCoreSizeOfBackendsWithoutACore) {
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  for (const char* backend : {"df", "hybrid", "window", "parallel"}) {
+    const CliRun c = run({"check", std::string("--checker=") + backend,
+                          "--stats=json", cnf(), aux()});
+    ASSERT_EQ(c.exit_code, 0) << backend << ": " << c.err;
+    EXPECT_NE(c.out.find("\"core_original_clauses\":"), std::string::npos)
+        << backend << ": " << c.out;
+  }
+  for (const char* backend : {"bf", "rup"}) {
+    const CliRun c = run({"check", std::string("--checker=") + backend,
+                          "--stats=json", cnf(), aux()});
+    ASSERT_EQ(c.exit_code, 0) << backend << ": " << c.err;
+    EXPECT_NE(c.out.find("{\"total_derivations\":"), std::string::npos)
+        << backend << ": " << c.out;
+    EXPECT_EQ(c.out.find("core_original_clauses"), std::string::npos)
+        << backend << ": " << c.out;
+  }
+}
+
 TEST_F(CliTest, CheckRejectsMismatchedTrace) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux()});

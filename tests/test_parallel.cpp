@@ -1,9 +1,9 @@
-// Tests for the partitioned parallel checker: agreement with the
-// sequential depth-first checker on verdict, unsat core and stats;
-// byte-identical determinism across worker counts and repeated runs;
-// rejection of corrupted traces; assumption-trace support; and, on a trace
-// of independent ladders, that the partition really runs its groups
-// concurrently with DF-identical results and diagnostics.
+// Tests for the parallel checker: agreement with the sequential
+// depth-first checker on verdict, unsat core and stats; byte-identical
+// determinism across worker counts and repeated runs; rejection of
+// corrupted traces with DF's diagnostics; assumption-trace support; and,
+// on a trace of independent ladders and on a suite row, that a round of
+// antecedent cones really runs on the lanes with DF-identical results.
 
 #include <gtest/gtest.h>
 
@@ -235,6 +235,21 @@ struct LadderTrace {
   std::vector<std::vector<ClauseId>> steps;  ///< derivation IDs per ladder
 };
 
+/// How ladder_trace ends and what it corrupts.
+struct LadderOptions {
+  /// Derivation IDs that cross a far-away implication first, which does
+  /// not clash.
+  std::set<ClauseId> corrupt;
+  /// End on the trail instead of the join derivation: z is false by (~z),
+  /// each top rung true by its ladder's last unit, and the join original
+  /// is the final conflict. The final derivation then fetches ladder 15's
+  /// cone first, then ladder 14's, and so on down to ladder 0's and (~z).
+  bool trail_end = false;
+  /// Midway, a derivation that no clause uses and whose sources do not
+  /// clash.
+  bool unreached_corruption = false;
+};
+
 /// 16 ladders of 64 rungs. Ladder w has the unit (v_0) and the implications
 /// up (~v_i | v_i+1) and down (~v_i+1 | v_i). A seeded walker per ladder
 /// steps up or down 4 rungs at a time, each step deriving the unit of the
@@ -242,9 +257,8 @@ struct LadderTrace {
 /// crossed. At the end every walker climbs to the top rung, the join
 /// (~top_0 | ... | ~top_15 | z) resolves with each top unit into (z), and
 /// (~z) is the final conflict. Every derivation is reachable and no two
-/// ladders share a clause below the join. A derivation whose ID is in
-/// `corrupt` crosses a far-away implication first, which does not clash.
-LadderTrace ladder_trace(const std::set<ClauseId>& corrupt = {}) {
+/// ladders share a clause below the join.
+LadderTrace ladder_trace(const LadderOptions& options = {}) {
   constexpr std::uint64_t kLadders = 16, kRungs = 64, kChain = 4;
   constexpr std::uint64_t kSteps = 48 * kLadders;
   constexpr std::uint64_t kPerLadder = 1 + 2 * (kRungs - 1);
@@ -288,7 +302,7 @@ LadderTrace ladder_trace(const std::set<ClauseId>& corrupt = {}) {
       sources.push_back(climb ? up(l, pos[l]) : down(l, pos[l] - 1));
       pos[l] = climb ? pos[l] + 1 : pos[l] - 1;
     }
-    if (corrupt.count(next_id) != 0) {
+    if (options.corrupt.count(next_id) != 0) {
       sources[1] = up(l, (pos[l] + kRungs / 2) % (kRungs - 1));
     }
     w.derivation(next_id, sources);
@@ -303,6 +317,10 @@ LadderTrace ladder_trace(const std::set<ClauseId>& corrupt = {}) {
     return rng;
   };
   for (std::uint64_t n = 0; n < kSteps; ++n) {
+    if (options.unreached_corruption && n == kSteps / 2) {
+      const std::vector<ClauseId> no_clash{up(0, 0), up(0, kRungs / 2)};
+      w.derivation(next_id++, no_clash);
+    }
     const std::uint64_t l = next_random() % kLadders;
     bool climb = (next_random() & 1) != 0;
     if (pos[l] + kChain > kRungs - 1) climb = false;
@@ -314,11 +332,19 @@ LadderTrace ladder_trace(const std::set<ClauseId>& corrupt = {}) {
       step(l, true, std::min(kChain, kRungs - 1 - pos[l]));
     }
   }
-  std::vector<ClauseId> sources{id_join};
-  sources.insert(sources.end(), unit.begin(), unit.end());
-  w.derivation(next_id, sources);
-  w.final_conflict(id_not_z);
-  w.level0(z, true, next_id);
+  if (options.trail_end) {
+    w.final_conflict(id_join);
+    w.level0(z, false, id_not_z);
+    for (std::uint64_t l = 0; l < kLadders; ++l) {
+      w.level0(var(l, kRungs - 1), true, unit[l]);
+    }
+  } else {
+    std::vector<ClauseId> sources{id_join};
+    sources.insert(sources.end(), unit.begin(), unit.end());
+    w.derivation(next_id, sources);
+    w.final_conflict(id_not_z);
+    w.level0(z, true, next_id);
+  }
   w.end();
   out.trace = w.take();
   return out;
@@ -363,7 +389,7 @@ std::size_t count_spans(const std::string& json, const std::string& name) {
   return n;
 }
 
-TEST(ParallelChecker, LadderPartitionRunsItsGroupsAsTasks) {
+TEST(ParallelChecker, LadderRoundRunsOneTaskPerLane) {
   const LadderTrace lt = ladder_trace();
   obs::TraceSession session;
   const CheckResult par = run_parallel(lt.formula, lt.trace, 4);
@@ -371,8 +397,51 @@ TEST(ParallelChecker, LadderPartitionRunsItsGroupsAsTasks) {
   // The pool's threads flushed their spans when the checker joined them.
   obs::flush_this_thread();
   const std::string json = session.sink().to_chrome_json();
-  EXPECT_EQ(count_spans(json, "partition"), 1u);
-  EXPECT_GE(count_spans(json, "task"), 4u);
+  // One round for the final conflict (~z), one for the join's cone, which
+  // holds every ladder and is dealt to all four lanes.
+  EXPECT_EQ(count_spans(json, "schedule"), 2u);
+  EXPECT_EQ(count_spans(json, "task"), 4u);
+}
+
+/// Every CheckStats field of `par` equals DF's.
+void expect_stats_equal(const CheckStats& par, const CheckStats& df,
+                        const std::string& what) {
+  EXPECT_EQ(par.total_derivations, df.total_derivations) << what;
+  EXPECT_EQ(par.clauses_built, df.clauses_built) << what;
+  EXPECT_EQ(par.resolutions, df.resolutions) << what;
+  EXPECT_EQ(par.peak_mem_bytes, df.peak_mem_bytes) << what;
+  EXPECT_EQ(par.core_original_clauses, df.core_original_clauses) << what;
+  EXPECT_EQ(par.arena_allocated_bytes, df.arena_allocated_bytes) << what;
+  EXPECT_EQ(par.arena_recycled_bytes, df.arena_recycled_bytes) << what;
+  EXPECT_EQ(par.arena_peak_bytes, df.arena_peak_bytes) << what;
+}
+
+TEST(ParallelChecker, AntecedentConesOfASuiteRowRunOnTheLanes) {
+  // miter_mult3's final conflicting clause is an original: all the work
+  // lies in the trail antecedents' cones, which one round builds.
+  for (const auto& inst : encode::unsat_suite(encode::SuiteScale::Small)) {
+    if (inst.name != "miter_mult3") continue;
+    const SolvedUnsat su = solve_unsat(inst.formula);
+    ASSERT_LT(su.trace.final_conflict, su.trace.num_original);
+    trace::MemoryTraceReader r(su.trace);
+    const CheckResult df = check_depth_first(su.formula, r);
+    ASSERT_TRUE(df.ok) << df.error;
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+      const std::string what = "jobs=" + std::to_string(jobs);
+      obs::TraceSession session;
+      const CheckResult par = run_parallel(su, jobs);
+      obs::flush_this_thread();
+      ASSERT_TRUE(par.ok) << what << ": " << par.error;
+      EXPECT_GE(count_spans(session.sink().to_chrome_json(), "task"), 2u)
+          << what;
+      EXPECT_EQ(par.core, df.core) << what;
+      EXPECT_EQ(par.failed_assumption_clause, df.failed_assumption_clause)
+          << what;
+      expect_stats_equal(par.stats, df.stats, what);
+    }
+    return;
+  }
+  FAIL() << "miter_mult3 is no longer in the small suite";
 }
 
 TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
@@ -383,7 +452,7 @@ TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
   const ClauseId late = clean.steps[0].back();
   const ClauseId early = clean.steps[9].front();
   ASSERT_LT(early, late);
-  const LadderTrace lt = ladder_trace({late, early});
+  const LadderTrace lt = ladder_trace({.corrupt = {late, early}});
   const std::string expected =
       "derivation of clause " + std::to_string(early) + ":";
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
@@ -401,6 +470,70 @@ TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
   EXPECT_EQ(df.error.rfind("derivation of clause " + std::to_string(late), 0),
             0u)
       << df.error;
+}
+
+TEST(ParallelChecker, RejectionNamesTheFirstFetchedConeThatFails) {
+  // The final derivation fetches ladder 15's cone, then ladder 14's. One
+  // round builds every ladder, but the diagnostic must be the one of the
+  // first fetched cone that fails (ladder 14), not the lowest failing ID
+  // overall (ladder 3's), at every job count, and DF's.
+  const LadderTrace clean = ladder_trace({.corrupt = {}, .trail_end = true});
+  const ClauseId second = clean.steps[14][clean.steps[14].size() / 2];
+  const ClauseId later = clean.steps[3].front();
+  ASSERT_LT(later, second);
+  const LadderTrace lt =
+      ladder_trace({.corrupt = {second, later}, .trail_end = true});
+  trace::MemoryTraceReader r(lt.trace);
+  const CheckResult df = check_depth_first(lt.formula, r);
+  ASSERT_FALSE(df.ok);
+  EXPECT_EQ(df.error.rfind("derivation of clause " + std::to_string(second) +
+                               ":",
+                           0),
+            0u)
+      << df.error;
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const CheckResult par = run_parallel(lt.formula, lt.trace, jobs);
+      ASSERT_FALSE(par.ok) << "jobs=" << jobs;
+      EXPECT_EQ(par.error, df.error) << "jobs=" << jobs;
+    }
+  }
+
+  // A failed antecedent check on the first fetch comes before any cone
+  // fetched later: ladder 15's top rung is given ladder 13's unit.
+  LadderTrace wrong = ladder_trace({.corrupt = {second}, .trail_end = true});
+  wrong.trace.level0.back().antecedent = wrong.steps[13].back();
+  trace::MemoryTraceReader r2(wrong.trace);
+  const CheckResult df2 = check_depth_first(wrong.formula, r2);
+  ASSERT_FALSE(df2.ok);
+  EXPECT_EQ(df2.error.rfind("antecedent clause " +
+                                std::to_string(wrong.steps[13].back()) + " ",
+                            0),
+            0u)
+      << df2.error;
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    const CheckResult par = run_parallel(wrong.formula, wrong.trace, jobs);
+    ASSERT_FALSE(par.ok) << "jobs=" << jobs;
+    EXPECT_EQ(par.error, df2.error) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelChecker, UnreachedCorruptDerivationDoesNotSurface) {
+  for (const bool trail_end : {false, true}) {
+    const LadderTrace lt = ladder_trace(
+        {.corrupt = {}, .trail_end = trail_end, .unreached_corruption = true});
+    trace::MemoryTraceReader r(lt.trace);
+    const CheckResult df = check_depth_first(lt.formula, r);
+    ASSERT_TRUE(df.ok) << df.error;
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+      const std::string what = "jobs=" + std::to_string(jobs) +
+                               (trail_end ? " trail end" : " join end");
+      const CheckResult par = run_parallel(lt.formula, lt.trace, jobs);
+      ASSERT_TRUE(par.ok) << what << ": " << par.error;
+      EXPECT_EQ(par.core, df.core) << what;
+      expect_stats_equal(par.stats, df.stats, what);
+    }
+  }
 }
 
 }  // namespace

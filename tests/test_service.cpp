@@ -665,6 +665,11 @@ TEST_F(ServiceE2E, OutcomeStatsAreCheckStatsJson) {
         json.substr(first, json.find('}', first) + 1 - first);
     EXPECT_EQ(stats, check_stats_json(direct.stats)) << backend_name(backend);
   }
+  // bf collects no core, so its stats carry no core size to misread.
+  const JobOutcome bf = run_check(fx_->php4(), fx_->trace4(), Backend::kBf);
+  ASSERT_TRUE(bf.ok) << bf.error;
+  EXPECT_NE(outcome_json(bf).find("\"stats\":{"), std::string::npos);
+  EXPECT_EQ(outcome_json(bf).find("core_original_clauses"), std::string::npos);
 }
 
 TEST_F(ServiceE2E, CountersObeyConservationLawsAfterDrain) {
