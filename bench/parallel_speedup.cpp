@@ -1,17 +1,17 @@
 // Sequential vs parallel proof checking on the bundled UNSAT suite:
-// wall-clock for the depth-first checker and for the parallel checker at
-// 1, 2 and 4 workers, plus the speedup of 4 workers over sequential
-// depth-first. Checking — not solving — is the throughput bottleneck at
-// scale, so this is the number the parallel backend exists to move. Every
-// run also cross-checks that the parallel core is byte-identical to the
-// depth-first core.
+// wall-clock for the depth-first checker on its default single lane and
+// on 1, 2 and 4 lanes (`DepthFirstOptions::jobs`), plus the speedup of 4
+// lanes over one. Checking — not solving — is the throughput bottleneck
+// at scale, so this is the number the lanes exist to move. Every run also
+// cross-checks that the core on lanes is byte-identical to the
+// single-lane core.
 //
 // Note: speedup tracks the machine. On a single-hardware-thread host the
-// parallel rows measure pure scheduling overhead (expect ~1.0x or below).
-// On the suite's CDCL proofs most of the work lies in the trail
-// antecedents' cones, which the parallel checker builds as one round on
-// its lanes, so the larger rows (php9, tseitin4x5, clique9_c8,
-// miter_mult6) gain most; rows whose rounds are small stay at DF speed.
+// multi-lane rows measure pure scheduling overhead (expect ~1.0x or
+// below). On the suite's CDCL proofs most of the work lies in the trail
+// antecedents' cones, which the checker builds as one round on its
+// lanes, so the larger rows (php9, tseitin4x5, clique9_c8, miter_mult6)
+// gain most; rows whose rounds are small run on the calling thread.
 
 #include <cstring>
 #include <fstream>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/checker/depth_first.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/encode/suite.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/memory.hpp"
@@ -97,11 +96,11 @@ int main(int argc, char** argv) {
     const unsigned jobs_grid[3] = {1, 2, 4};
     for (int j = 0; j < 3; ++j) {
       trace::MemoryTraceReader reader(t);
-      checker::ParallelOptions opts;
+      checker::DepthFirstOptions opts;
       opts.jobs = jobs_grid[j];
       util::Timer timer;
       const checker::CheckResult par =
-          checker::check_parallel(inst.formula, reader, opts);
+          checker::check_depth_first(inst.formula, reader, opts);
       par_secs[j] = timer.elapsed_seconds();
       if (!par.ok) {
         std::cerr << "FATAL: parallel check failed on " << inst.name << ": "

@@ -105,8 +105,9 @@ class BinaryLratWriter final : public LratWriter {
 /// IDs: LRAT numbers the original clauses 1..num_original in formula
 /// order; trace ID i maps to i+1 for originals. Derived clauses take
 /// consecutive fresh IDs in *emission* order — the depth-first checker
-/// replays its cone in DFS postorder, not trace order, so trace IDs are
-/// remapped densely here (LRAT requires strictly increasing addition IDs).
+/// announces its cone round by round, not in trace order, so trace IDs
+/// are remapped densely here (LRAT requires strictly increasing addition
+/// IDs).
 ///
 /// Deletions (window/hybrid only — on_released fires at use-count
 /// exhaustion) are batched per chain and flushed ahead of the next

@@ -59,51 +59,6 @@ void DerivationIndex::throw_never_derived(ClauseId id) {
                      " is referenced but never derived in the trace");
 }
 
-void plan_cone(ClauseId root, const DerivationIndex& derivations,
-               std::vector<std::uint8_t>& planned,
-               std::vector<ClauseId>& plan) {
-  if (root < planned.size() && planned[root] != 0) return;
-  if (root < derivations.num_original()) {
-    plan.push_back(root);
-    planned[root] = 1;
-    return;
-  }
-  // recursive_build() with an explicit stack, so pathological traces
-  // cannot overflow the call stack. Sources strictly precede the derived
-  // ID (validated at load), so the descent terminates.
-  struct Frame {
-    ClauseId id;
-    std::span<const std::uint32_t> sources;
-    std::size_t scan = 0;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root, derivations.sources_of(root)});
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    bool descended = false;
-    while (f.scan < f.sources.size()) {
-      const ClauseId s = f.sources[f.scan];
-      if (planned[s] != 0) {
-        ++f.scan;
-        continue;
-      }
-      if (s < derivations.num_original()) {
-        plan.push_back(s);
-        planned[s] = 1;
-        ++f.scan;
-        continue;
-      }
-      stack.push_back({s, derivations.sources_of(s)});
-      descended = true;
-      break;
-    }
-    if (descended) continue;
-    plan.push_back(f.id);
-    planned[f.id] = 1;
-    stack.pop_back();
-  }
-}
-
 std::string derivation_failure(ClauseId id, ClauseId source, std::size_t step,
                                ResolveStatus status) {
   return "derivation of clause " + std::to_string(id) +

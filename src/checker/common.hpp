@@ -39,7 +39,7 @@ struct CheckStats {
   /// Clause-arena traffic: cumulative bytes handed out, cumulative bytes
   /// served from free lists instead of fresh space, and the high-water
   /// mark of live clause bytes. Deterministic for a given trace regardless
-  /// of backend parallelism (the parallel checker sums its shards).
+  /// of backend parallelism (the depth-first checker sums its lanes).
   std::size_t arena_allocated_bytes = 0;
   std::size_t arena_recycled_bytes = 0;
   std::size_t arena_peak_bytes = 0;
@@ -97,14 +97,6 @@ class ClauseStore {
   ClauseStore(const ClauseStore&) = delete;
   ClauseStore& operator=(const ClauseStore&) = delete;
 
-  /// Pre-sizes the ref table for IDs in [0, num_ids). put() grows it on
-  /// demand, so this is an optimization, not a requirement.
-  void reserve(std::size_t num_ids) {
-    if (num_ids > refs_.size()) {
-      refs_.resize(num_ids, util::ClauseArena::kNullRef);
-    }
-  }
-
   [[nodiscard]] bool contains(ClauseId id) const {
     return id < refs_.size() && refs_[id] != util::ClauseArena::kNullRef;
   }
@@ -128,18 +120,8 @@ class ClauseStore {
     refs_[id] = util::ClauseArena::kNullRef;
   }
 
-  /// Hints the cache to load `id`'s clause block; a no-op when `id` is not
-  /// stored (replay prefetches a couple of derivations ahead, where a
-  /// source may still be under construction).
-  void prefetch(ClauseId id) const {
-    if (contains(id)) arena_->prefetch(refs_[id]);
-  }
-
   [[nodiscard]] util::ClauseArena& arena() { return *arena_; }
   [[nodiscard]] const util::ClauseArena& arena() const { return *arena_; }
-
-  /// One past the highest ID the ref table covers.
-  [[nodiscard]] std::size_t id_limit() const { return refs_.size(); }
 
  private:
   util::ClauseArena owned_;     ///< backing store for the default ctor
@@ -149,16 +131,15 @@ class ClauseStore {
 
 /// Accounted footprint of one loaded derivation record: the source IDs in
 /// the pool (stored narrowed to 32 bits — see DerivationIndex) plus the
-/// per-record index entry. Shared by the depth-first and parallel checkers
-/// so the two report identical peak memory for the same trace, and by the
-/// window checker as the unit its window budget is measured in.
+/// per-record index entry. The depth-first checker accounts its loaded
+/// trace with it, and the window checker measures its window budget in it.
 [[nodiscard]] constexpr std::size_t derivation_record_bytes(
     std::size_t num_sources) {
   return num_sources * sizeof(std::uint32_t) + 8;
 }
 
-/// The derivation DAG of a trace for whole-trace checkers (depth-first,
-/// parallel): source lists packed into one pool, indexed by a flat
+/// The derivation DAG of a trace for the whole-trace checker
+/// (depth-first): source lists packed into one pool, indexed by a flat
 /// ordinal-indexed table (ordinal = id - num_original). Records validate
 /// on insertion with the same diagnostics the checkers have always
 /// produced.
@@ -206,13 +187,14 @@ class DerivationIndex {
   }
   [[nodiscard]] std::uint64_t num_records() const { return num_records_; }
 
+  /// Throws sources_of()'s CheckFailure for `id`.
+  [[noreturn]] static void throw_never_derived(ClauseId id);
+
  private:
   struct Entry {
     std::uint32_t begin = 0;  ///< offset into pool_
     std::uint32_t len = 0;    ///< 0 = not derived (real records have >= 2)
   };
-
-  [[noreturn]] static void throw_never_derived(ClauseId id);
 
   ClauseId num_original_;
   std::vector<std::uint32_t> pool_;
@@ -220,22 +202,6 @@ class DerivationIndex {
   ClauseId max_id_ = 0;
   std::uint64_t num_records_ = 0;
 };
-
-/// Schedules the derivation cone of `root` as a flat build plan: appends
-/// to `plan` every clause reachable from `root` through derivation sources
-/// (originals included) in the order recursive_build() of Fig. 3 would
-/// build them — DFS postorder, so every clause follows all of its sources
-/// — and sets its `planned` bit. Clauses whose bit is already set (cones
-/// planned by earlier calls) are skipped, so repeated calls, one per
-/// trail-antecedent fetch during the final derivation, schedule each
-/// clause exactly once across a run. `planned` must cover every ID up to
-/// derivations.max_id(). Structural errors (a source that is never
-/// derived) throw here with the lazy walk's diagnostic; content errors
-/// surface when the plan is executed. Shared by the depth-first and
-/// parallel checkers, which therefore build the same clauses.
-void plan_cone(ClauseId root, const DerivationIndex& derivations,
-               std::vector<std::uint8_t>& planned,
-               std::vector<ClauseId>& plan);
 
 /// Diagnostic for a failed resolution step while replaying the derivation
 /// of clause `id`: step `step` resolved against `source` with `status`.
@@ -388,7 +354,7 @@ void check_derivation_record(const trace::Record& rec, ClauseId num_original,
                              std::optional<ClauseId>& last_id);
 
 /// Single-pass trace load for checkers that keep the whole DAG in memory
-/// (depth-first, parallel): fills `derivations` and `level0`, accounts the
+/// (depth-first): fills `derivations` and `level0`, accounts the
 /// loaded bytes in `mem`, counts derivations in `stats`, and returns the
 /// final conflict ID. Throws CheckFailure on any structural violation,
 /// including a missing end record, and when the trace has no final
@@ -427,8 +393,8 @@ using ClauseFetcher = std::function<ClauseView(ClauseId)>;
 ///
 /// Contract the checkers guarantee to observers:
 ///  - on_original() (depth-first only) fires once per original clause the
-///    replay stores, in replay order, interleaved with on_derived().
-///  - on_derived() fires once per clause actually built, in replay order;
+///    replay stores, interleaved with on_derived().
+///  - on_derived() fires once per clause actually built;
 ///    every source of a derivation has been announced (as an original ID or
 ///    an earlier on_derived) before the derivation that consumes it.
 ///  - on_released() fires when a derived clause provably has no remaining

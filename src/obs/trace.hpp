@@ -42,7 +42,7 @@ class TraceSink {
 
 /// Builds a nested tree of spans on ONE thread, for human-readable slow-job
 /// dumps. Installed per-thread via `set_thread_collector`; spans opened on
-/// other threads (e.g. the parallel backend's pool) are not captured.
+/// other threads (e.g. the depth-first checker's lane pool) are not captured.
 class SpanTreeCollector {
  public:
   void on_enter(const char* name, std::uint64_t start_us);

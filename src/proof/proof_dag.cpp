@@ -8,10 +8,10 @@ namespace satproof::proof {
 
 namespace {
 
-/// Turns the depth-first checker's replay into DAG nodes. DF stores every
-/// clause of the proof cone exactly once, sources before consumers, and
-/// announces each as it is stored, so the nodes arrive in DFS postorder —
-/// a topological order — and the final derivation appends the root.
+/// Turns the depth-first checker's replay into DAG nodes. DF builds every
+/// clause of the proof cone exactly once, in rounds, and announces each
+/// round's clauses in ascending ID order, so every source arrives before
+/// its consumers; the final derivation appends the root.
 class DagBuilder final : public checker::CertObserver {
  public:
   explicit DagBuilder(ProofDag& dag) : dag_(&dag) {}

@@ -42,10 +42,10 @@ class Client {
   };
 
   /// Submits one job. With `wait`, blocks until the server delivers the
-  /// result frame. With `certify` (requires `wait`; df, hybrid or window),
-  /// asks for an LRAT certificate and reads the RESULT_CERT frame that
-  /// follows an ok result. Transport errors come back in the reply (never
-  /// thrown).
+  /// result frame. With `certify` (requires `wait`; df, parallel, hybrid
+  /// or window), asks for an LRAT certificate and reads the RESULT_CERT
+  /// frame that follows an ok result. Transport errors come back in the
+  /// reply (never thrown).
   SubmitReply submit(const std::string& cnf_path,
                      const std::string& trace_path, Backend backend,
                      bool wait, unsigned jobs = 0,

@@ -7,7 +7,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/metrics.hpp"
@@ -109,31 +108,35 @@ bool collects_no_core(Backend b) {
 }
 
 /// write_check_stats, without the core size when `outcome` names a backend
-/// that collects no core; with `tail`, also the outcome's
-/// unit-propagation counts (DRUP, RUP) and a final "backend" key.
+/// that collects no core, and without any CheckStats counter when it names
+/// a unit-propagation backend, which computes none; with `tail`, also the
+/// outcome's unit-propagation counts (DRUP, RUP) and a final "backend" key.
 void write_stats_object(util::JsonWriter& w, const checker::CheckStats& st,
                         const JobOutcome* outcome, bool tail) {
   w.begin_object();
-  w.key("total_derivations");
-  w.value(st.total_derivations);
-  w.key("clauses_built");
-  w.value(st.clauses_built);
-  w.key("resolutions");
-  w.value(st.resolutions);
-  if (outcome == nullptr || !collects_no_core(outcome->backend)) {
-    w.key("core_original_clauses");
-    w.value(st.core_original_clauses);
+  if (outcome == nullptr || !counts_unit_propagation(outcome->backend)) {
+    w.key("total_derivations");
+    w.value(st.total_derivations);
+    w.key("clauses_built");
+    w.value(st.clauses_built);
+    w.key("resolutions");
+    w.value(st.resolutions);
+    if (outcome == nullptr || !collects_no_core(outcome->backend)) {
+      w.key("core_original_clauses");
+      w.value(st.core_original_clauses);
+    }
+    w.key("peak_mem_bytes");
+    w.value(static_cast<std::uint64_t>(st.peak_mem_bytes));
+    w.key("arena_allocated_bytes");
+    w.value(static_cast<std::uint64_t>(st.arena_allocated_bytes));
+    w.key("arena_recycled_bytes");
+    w.value(static_cast<std::uint64_t>(st.arena_recycled_bytes));
+    w.key("arena_peak_bytes");
+    w.value(static_cast<std::uint64_t>(st.arena_peak_bytes));
   }
-  w.key("peak_mem_bytes");
-  w.value(static_cast<std::uint64_t>(st.peak_mem_bytes));
-  w.key("arena_allocated_bytes");
-  w.value(static_cast<std::uint64_t>(st.arena_allocated_bytes));
-  w.key("arena_recycled_bytes");
-  w.value(static_cast<std::uint64_t>(st.arena_recycled_bytes));
-  w.key("arena_peak_bytes");
-  w.value(static_cast<std::uint64_t>(st.arena_peak_bytes));
-  // Appended last so consumers keyed on the historical field prefix (the
-  // CLI tests check the leading "total_derivations") are unaffected.
+  // Appended last: the replay backends keep the historical leading fields
+  // ("total_derivations" first), and the unit-propagation backends, which
+  // print none of them, lead with their own counts.
   if (tail) {
     if (counts_unit_propagation(outcome->backend)) {
       write_unit_propagation_counts(w, *outcome);
@@ -220,16 +223,18 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
   const bool certify = cert.sink != nullptr;
   if (certify && !can_certify(backend)) {
     out.error =
-        "certificate emission requires the df, hybrid or window backend";
+        "certificate emission requires the df, parallel, hybrid or window "
+        "backend";
     bump_global_counters(out);
     return out;
   }
-  // Per-job memory cap: a df or hybrid request whose estimated peak
-  // exceeds the budget runs as window instead. A hybrid request that fits
-  // stays hybrid, running at the budget (one window when the structure
-  // fits it).
+  // Per-job memory cap: a df (parallel included) or hybrid request whose
+  // estimated peak exceeds the budget runs as window instead. A hybrid
+  // request that fits stays hybrid, running at the budget (one window when
+  // the structure fits it).
   if (mem_limit_bytes != 0 &&
-      (backend == Backend::kDf || backend == Backend::kHybrid) &&
+      (backend == Backend::kDf || backend == Backend::kParallel ||
+       backend == Backend::kHybrid) &&
       select_backend_for_budget(trace_file_bytes(trace_path),
                                 mem_limit_bytes) == Backend::kWindow) {
     backend = Backend::kWindow;
@@ -292,12 +297,6 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         res = checker::check_breadth_first(f, *reader, bopts);
         break;
       }
-      case Backend::kParallel: {
-        checker::ParallelOptions popts;
-        popts.jobs = jobs;
-        res = checker::check_parallel(f, *reader, popts);
-        break;
-      }
       case Backend::kHybrid:
       case Backend::kWindow: {
         checker::WindowOptions wopts;
@@ -313,8 +312,12 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         break;
       }
       case Backend::kDf:
+      case Backend::kParallel:
       default: {
+        // df runs on one lane whatever `jobs` says; parallel is df on
+        // `jobs` lanes.
         checker::DepthFirstOptions dopts;
+        dopts.jobs = backend == Backend::kParallel ? jobs : 1;
         dopts.recycle_arena = recycle_arena;
         dopts.observer = emitter.get();
         res = checker::check_depth_first(f, *reader, dopts);

@@ -18,7 +18,7 @@ enum class Backend : std::uint8_t {
   kDf = 0,        ///< depth-first resolution replay
   kBf = 1,        ///< breadth-first (bounded-memory) replay
   kHybrid = 2,    ///< window replay with no budget (one window)
-  kParallel = 3,  ///< depth-first, independent sub-proofs on N workers
+  kParallel = 3,  ///< depth-first on N lanes (df with `jobs`)
   kDrup = 4,      ///< forward DRUP (trace file holds a DRUP proof)
   kWindow = 5,    ///< window-shifting replay under a memory budget
   kRup = 6,       ///< RUP re-check of every derived clause of the proof DAG
@@ -30,9 +30,10 @@ inline constexpr std::uint8_t kNumBackends = 7;
 [[nodiscard]] const char* backend_name(Backend b);
 
 /// True for the backends that can stream an LRAT certificate of their
-/// replay: df, hybrid and window.
+/// replay: df (parallel included), hybrid and window.
 [[nodiscard]] constexpr bool can_certify(Backend b) {
-  return b == Backend::kDf || b == Backend::kHybrid || b == Backend::kWindow;
+  return b == Backend::kDf || b == Backend::kParallel ||
+         b == Backend::kHybrid || b == Backend::kWindow;
 }
 
 /// Trace size from which an uncapped auto selection prefers hybrid.
@@ -106,13 +107,13 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 /// write_check_stats as a standalone document.
 [[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats);
 
-/// The `satproof check --stats=json` document for any backend: the
-/// CheckStats object (zeros for DRUP and RUP), without
-/// "core_original_clauses" for the backends that collect no core (bf,
-/// drup, rup); for DRUP and RUP, their
-/// unit-propagation counts under the backend's name, as outcome_json
-/// carries them; and last a "backend" key naming the backend that actually
-/// ran, the provenance record for `--checker=auto`.
+/// The `satproof check --stats=json` document for any backend: for the
+/// replay backends the CheckStats counters, without
+/// "core_original_clauses" for bf, which collects no core; for DRUP and
+/// RUP, which compute none of them, only their unit-propagation counts
+/// under the backend's name, as outcome_json carries them; and last a
+/// "backend" key naming the backend that actually ran, the provenance
+/// record for `--checker=auto`.
 [[nodiscard]] std::string check_stats_json(const JobOutcome& outcome);
 
 /// Checks `trace_path` against `cnf_path` with `backend`.
@@ -125,15 +126,15 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 /// job can never take down the service.
 ///
 /// `jobs` is the worker count of the parallel, DRUP and RUP backends (0 =
-/// hardware threads); other backends ignore it. The DRUP and RUP
-/// `drup_propagations` depend on it; their verdicts and other counts do
-/// not.
+/// hardware threads); other backends ignore it, df included, which always
+/// runs on one lane. The DRUP and RUP `drup_propagations` depend on it;
+/// their verdicts and other counts do not.
 ///
 /// `recycle_arena`, when non-null, backs the df/bf/hybrid/window clause
-/// store so
-/// repeated checks on one thread reuse already-mapped chunks (it is
-/// reset() before use; the parallel, DRUP and RUP backends manage their
-/// own storage and ignore it). Outcomes are byte-identical either way.
+/// store (for parallel, its calling-thread lane's) so repeated checks on
+/// one thread reuse already-mapped chunks (it is reset() before use; the
+/// DRUP and RUP backends manage their own storage and ignore it).
+/// Outcomes are byte-identical either way.
 /// `cert`, when its sink is non-null, streams an LRAT certificate of the
 /// replay to that sink (backends for which can_certify() holds — others
 /// fail the job). A certified run demands unconditional unsatisfiability:
@@ -142,12 +143,12 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 /// passed.
 ///
 /// `mem_limit_bytes`, when non-zero, caps the checker's memory use: the
-/// window and hybrid backends take it as their budget, and a df or hybrid
-/// request whose estimated peak exceeds it (from the trace file size — see
-/// select_backend_for_budget) runs as window instead; JobOutcome::backend
-/// records what actually ran. Certifying runs are capped too (window
-/// certifies at any budget); bf, parallel, DRUP and RUP are unaffected (bf
-/// is already budget-bounded).
+/// window and hybrid backends take it as their budget, and a df, parallel
+/// or hybrid request whose estimated peak exceeds it (from the trace file
+/// size — see select_backend_for_budget) runs as window instead;
+/// JobOutcome::backend records what actually ran. Certifying runs are
+/// capped too (window certifies at any budget); bf, DRUP and RUP are
+/// unaffected (bf is already budget-bounded).
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,

@@ -550,8 +550,8 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         if (!can_certify(static_cast<Backend>(header.backend))) {
           return protocol_error(
               ErrorCode::kBadRequest,
-              "certificate emission requires the df, hybrid or window "
-              "backend");
+              "certificate emission requires the df, parallel, hybrid or "
+              "window backend");
         }
         if ((header.flags & kSubmitFlagWait) == 0) {
           // A certificate only travels on the result path; fire-and-forget

@@ -38,7 +38,7 @@ namespace satproof::util {
 /// 2^16 slots, and clauses longer than a chunk get a dedicated exact-size
 /// chunk at offset 0. Chunks are never reallocated or freed before the
 /// arena dies, so `const Lit*` block pointers stay stable for the arena's
-/// lifetime — the parallel checker relies on this to publish clause
+/// lifetime — the depth-first checker relies on this to publish clause
 /// pointers (tagged_block()) across threads.
 ///
 /// Bounded-memory (breadth-first) replay calls release(): the block goes
@@ -82,7 +82,7 @@ class ClauseArena {
 
   /// Block pointer with the layout encoded in its low bit (Lit blocks are
   /// 4-byte aligned, so the bit is free): set for a headerless binary
-  /// block, clear for a headered one. This is what the parallel checker
+  /// block, clear for a headered one. This is what the depth-first checker
   /// publishes through its slot table; view_of() decodes it.
   [[nodiscard]] const Lit* tagged_block(Ref ref) const {
     const Chunk& c = chunks_[ref >> 16];
@@ -93,7 +93,7 @@ class ClauseArena {
   }
 
   /// The literals of a clause given its (possibly tagged) block pointer,
-  /// as published by the parallel checker's slot table.
+  /// as published by the depth-first checker's slot table.
   [[nodiscard]] static std::span<const Lit> view_of(const Lit* block) {
     const auto bits = reinterpret_cast<std::uintptr_t>(block);
     if (bits & 1u) {
@@ -103,22 +103,13 @@ class ClauseArena {
   }
 
   /// Hints the cache to load `p`, for example a (possibly tagged) block
-  /// pointer as published by the parallel checker. Any address is safe to
+  /// pointer as published by the depth-first checker. Any address is safe to
   /// pass, null included.
   static void prefetch_block(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(p);
 #else
     (void)p;
-#endif
-  }
-
-  /// Hints the cache to load the start of `ref`'s block.
-  void prefetch(Ref ref) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(chunks_[ref >> 16].data.get() + (ref & 0xffffu));
-#else
-    (void)ref;
 #endif
   }
 

@@ -12,7 +12,7 @@ namespace satproof::util {
 /// Bounded worker pool over std::jthread.
 ///
 /// Deliberately work-stealing-free: one shared FIFO guarded by one mutex.
-/// The parallel checker submits one coarse task per lane per build round
+/// The depth-first checker submits one coarse task per lane per build round
 /// (that lane's share of the round's clauses), so queue contention is
 /// negligible and the simple design keeps the pool easy to reason about
 /// under TSan. Workers are started once and live for the pool's lifetime;

@@ -12,7 +12,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/suite.hpp"
@@ -180,7 +179,7 @@ TEST(Checkers, RangedCountingWithTinyRange) {
 }
 
 /// Every backend's verdict and diagnostic on `t` over `f`: depth-first,
-/// breadth-first, hybrid, window under a budget, parallel at 1 and 4 jobs,
+/// breadth-first, hybrid, window under a budget, depth-first on 4 lanes,
 /// and RUP (which rejects through the depth-first checker's replay).
 std::vector<std::pair<std::string, CheckResult>> check_everywhere(
     const Formula& f, const trace::MemoryTrace& t) {
@@ -197,13 +196,9 @@ std::vector<std::pair<std::string, CheckResult>> check_everywhere(
     options.mem_limit_bytes = 1 << 20;
     return check_window(f, r, options);
   });
-  for (const unsigned jobs : {1u, 4u}) {
-    run("parallel jobs " + std::to_string(jobs), [&](auto& r) {
-      ParallelOptions options;
-      options.jobs = jobs;
-      return check_parallel(f, r, options);
-    });
-  }
+  run("df jobs 4", [&](auto& r) {
+    return check_depth_first(f, r, {.jobs = 4});
+  });
   run("rup", [&](auto& r) {
     const proof::RupResult rup = proof::check_trace_rup(f, r, 1);
     CheckResult result;

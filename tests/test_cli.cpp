@@ -186,11 +186,37 @@ TEST_F(CliTest, CheckStatsJsonOmitsTheCoreSizeOfBackendsWithoutACore) {
     const CliRun c = run({"check", std::string("--checker=") + backend,
                           "--stats=json", cnf(), aux()});
     ASSERT_EQ(c.exit_code, 0) << backend << ": " << c.err;
-    EXPECT_NE(c.out.find("{\"total_derivations\":"), std::string::npos)
+    // RUP prints no replay counters at all (RupCheckerPrintsStats).
+    EXPECT_EQ(c.out.find("{\"total_derivations\":") != std::string::npos,
+              std::string(backend) == "bf")
         << backend << ": " << c.out;
     EXPECT_EQ(c.out.find("core_original_clauses"), std::string::npos)
         << backend << ": " << c.out;
   }
+}
+
+// df with more than one lane runs as the parallel backend and says so in
+// --stats=json; its verdict and counters are those of one lane. php7's
+// larger rounds go to the lanes at --jobs=4.
+TEST_F(CliTest, DfOnSeveralLanesReportsParallel) {
+  gen_php(7);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const auto stats_of = [&](const std::string& jobs) {
+    const CliRun c = run({"check", "--checker=df", "--jobs=" + jobs,
+                          "--stats=json", cnf(), aux()});
+    EXPECT_EQ(c.exit_code, 0) << jobs << ": " << c.err;
+    EXPECT_NE(c.out.find("VERIFIED"), std::string::npos) << c.out;
+    return c.out.substr(c.out.find('{'));
+  };
+  const std::string one = stats_of("1");
+  const std::string four = stats_of("4");
+  const std::string df_tail = ",\"backend\":\"df\"}\n";
+  const std::string parallel_tail = ",\"backend\":\"parallel\"}\n";
+  ASSERT_TRUE(one.ends_with(df_tail)) << one;
+  ASSERT_TRUE(four.ends_with(parallel_tail)) << four;
+  EXPECT_EQ(one.substr(0, one.size() - df_tail.size()),
+            four.substr(0, four.size() - parallel_tail.size()));
 }
 
 TEST_F(CliTest, CheckRejectsMismatchedTrace) {
@@ -375,8 +401,9 @@ TEST_F(CliTest, RupCheckerDetectsBinaryTraces) {
       << capped.err;
 }
 
-// check --checker=rup prints the stats block every backend prints; its
-// JSON carries the RUP counts (as outcome_json does) and names the backend.
+// check --checker=rup prints a stats block of the counts RUP computes; its
+// JSON carries them (as outcome_json does) and names the backend, and
+// leaves out the replay counters, which RUP never computes.
 TEST_F(CliTest, RupCheckerPrintsStats) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux()});
@@ -385,24 +412,33 @@ TEST_F(CliTest, RupCheckerPrintsStats) {
       run({"check", "--checker=rup", "--stats=json", cnf(), aux()});
   ASSERT_EQ(j.exit_code, 0) << j.err;
   ASSERT_EQ(j.out.rfind("VERIFIED (RUP): ", 0), 0u) << j.out;
-  const std::size_t json_at = j.out.find("\n{\"total_derivations\":");
+  const std::size_t json_at = j.out.find("\n{\"rup\":{\"clauses_checked\":");
   ASSERT_NE(json_at, std::string::npos) << j.out;
   const std::string json = j.out.substr(json_at + 1);
   // The verdict line's counts reappear in the JSON.
   const std::string verdict = j.out.substr(0, json_at);
   // The first count follows "VERIFIED (RUP): " (16 characters).
   const std::string checked = verdict.substr(16, verdict.find(' ', 16) - 16);
-  EXPECT_NE(json.find("\"rup\":{\"clauses_checked\":" + checked +
-                      ",\"deletions\":0,\"propagations\":"),
-            std::string::npos)
+  EXPECT_EQ(json.rfind("{\"rup\":{\"clauses_checked\":" + checked +
+                           ",\"deletions\":0,\"propagations\":",
+                       0),
+            0u)
       << json;
-  EXPECT_EQ(json.size() - json.rfind(",\"backend\":\"rup\"}\n"),
-            std::string(",\"backend\":\"rup\"}\n").size())
+  EXPECT_EQ(json.size() - json.rfind("},\"backend\":\"rup\"}\n"),
+            std::string("},\"backend\":\"rup\"}\n").size())
       << json;
+  for (const char* never : {"total_derivations", "clauses_built",
+                            "resolutions", "peak_mem_bytes", "arena_"}) {
+    EXPECT_EQ(json.find(never), std::string::npos) << never << ": " << json;
+  }
 
   const CliRun t = run({"check", "--checker=rup", "--stats", cnf(), aux()});
   ASSERT_EQ(t.exit_code, 0) << t.err;
-  EXPECT_NE(t.out.find("\nstats: arena "), std::string::npos) << t.out;
+  EXPECT_NE(t.out.find("\nstats: " + checked + " clauses checked, 0 "
+                       "deletions, "),
+            std::string::npos)
+      << t.out;
+  EXPECT_EQ(t.out.find("arena"), std::string::npos) << t.out;
 }
 
 // solve --trace-out records the solver's spans: one "solve" span and a
@@ -525,6 +561,48 @@ TEST_F(CliTest, DrupEmitAndCheckRoundTrip) {
   const CliRun g2 = run({"gen", "php", "6", "-o", aux2()});
   ASSERT_EQ(g2.exit_code, 0);
   EXPECT_EQ(run({"drup", aux2(), aux()}).exit_code, kExitError);
+}
+
+// `check --checker=drup` runs DRUP through the same dispatch as every
+// other backend, so it takes --jobs, --stats and --trace-out; `drup` is
+// its alias. Both spellings print the same verdict counts.
+TEST_F(CliTest, DrupRunsThroughCheck) {
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--drup", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  // The clause and deletion counts do not depend on the job count.
+  const auto counts = [](const std::string& out) {
+    return out.substr(0, out.find(" deletions"));
+  };
+  const CliRun alias = run({"drup", cnf(), aux()});
+  ASSERT_EQ(alias.exit_code, 0) << alias.err;
+  ASSERT_EQ(alias.out.rfind("VERIFIED (DRUP): ", 0), 0u) << alias.out;
+  const CliRun one =
+      run({"check", "--checker=drup", "--jobs=1", cnf(), aux()});
+  ASSERT_EQ(one.exit_code, 0) << one.err;
+  ASSERT_EQ(one.out.rfind("VERIFIED (DRUP): ", 0), 0u) << one.out;
+  EXPECT_EQ(counts(alias.out), counts(one.out));
+
+  const CliRun j = run({"check", "--checker=drup", "--jobs=2", "--stats=json",
+                        "--trace-out", aux2(), cnf(), aux()});
+  ASSERT_EQ(j.exit_code, 0) << j.err;
+  EXPECT_NE(j.out.find("\n{\"drup\":{\"clauses_checked\":"),
+            std::string::npos)
+      << j.out;
+  EXPECT_NE(j.out.find(",\"backend\":\"drup\"}\n"), std::string::npos)
+      << j.out;
+  EXPECT_EQ(j.out.find("total_derivations"), std::string::npos) << j.out;
+  std::ifstream trace_in(aux2());
+  const std::string trace_json((std::istreambuf_iterator<char>(trace_in)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_NE(trace_json.find("\"name\":\"check\""), std::string::npos);
+
+  const CliRun st = run({"check", "--checker=drup", "--stats", cnf(), aux()});
+  ASSERT_EQ(st.exit_code, 0) << st.err;
+  EXPECT_NE(st.out.find("\nstats: "), std::string::npos) << st.out;
+  EXPECT_EQ(run({"check", "--checker=drup", "--mem-limit=1M", cnf(), aux()})
+                .exit_code,
+            kExitError);
 }
 
 TEST_F(CliTest, InterpolateCommand) {

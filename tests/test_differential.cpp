@@ -18,7 +18,6 @@
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/cnf/model.hpp"
 #include "src/encode/random_ksat.hpp"
@@ -68,7 +67,7 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
       trace::MemoryTraceReader r(t);
       EXPECT_FALSE(checker::check_depth_first(f, r).ok);
       trace::MemoryTraceReader r2(t);
-      EXPECT_FALSE(checker::check_parallel(f, r2).ok);
+      EXPECT_FALSE(checker::check_depth_first(f, r2, {.jobs = 4}).ok);
       for (const unsigned jobs : kRupJobs) {
         std::istringstream drup_in(drup_text.str());
         EXPECT_FALSE(checker::check_drup(f, drup_in, jobs).ok) << jobs;
@@ -87,9 +86,9 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
     trace::MemoryTraceReader r3(t);
     const checker::CheckResult hy = checker::check_hybrid(f, r3);
     trace::MemoryTraceReader r4(t);
-    checker::ParallelOptions popts;
-    popts.jobs = 1 + static_cast<unsigned>(i % 4);  // rotate 1..4 workers
-    const checker::CheckResult par = checker::check_parallel(f, r4, popts);
+    // Rotate 1..4 lanes.
+    const checker::CheckResult par = checker::check_depth_first(
+        f, r4, {.jobs = 1 + static_cast<unsigned>(i % 4)});
 
     EXPECT_TRUE(df.ok) << df.error;
     EXPECT_TRUE(bf.ok) << bf.error;

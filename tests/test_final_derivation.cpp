@@ -20,7 +20,6 @@
 #include "src/checker/common.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/random_ksat.hpp"
@@ -435,9 +434,8 @@ TEST(FinalDerivationChain, EveryBackendResolvesTheWholeTrail) {
   WindowOptions wopts;
   wopts.mem_limit_bytes = 2 << 20;
   results.emplace_back("window", check_window(f, r4, wopts));
-  ParallelOptions popts;
-  popts.jobs = 2;
-  results.emplace_back("parallel", check_parallel(f, r5, popts));
+  results.emplace_back("depth-first jobs 2",
+                       check_depth_first(f, r5, {.jobs = 2}));
   for (const auto& [name, res] : results) {
     EXPECT_TRUE(res.ok) << name << ": " << res.error;
     EXPECT_EQ(res.stats.resolutions, kSteps) << name;

@@ -1,10 +1,11 @@
-// Layout-equivalence regression for the replay microarchitecture: the
-// depth-first checker's streaming (first-use-order) replay and the
-// arena's binary clause tier are pure layout optimizations, so switching
-// either off must leave every observable output byte-identical — verdict,
-// error text, unsat core, failed-assumption clause, and every stats
-// counter (including the arena traffic counters, which account logical
-// block bytes precisely so layout cannot leak into them).
+// Layout-equivalence regression for the replay microarchitecture: how the
+// depth-first checker schedules its clauses (rounds planned by an ID sweep,
+// built in ID order or dealt to lanes) and the arena's binary clause tier
+// are pure layout choices, so every observable output must match the lazy
+// recursive build of Fig. 3 kept below as the reference — verdict, error
+// text, the set of clauses built, unsat core, failed-assumption clause, and
+// every stats counter (including the arena traffic counters, which account
+// logical block bytes precisely so layout cannot leak into them).
 //
 // The spelling of the formula's clauses is layout too: every backend reads
 // an original clause through canonical_view, in place when its literals
@@ -13,10 +14,12 @@
 // the formula as generated, certificates included.
 //
 // Runs the same 500 seeded instances as test_differential (same seed
-// formula: 1000 + shard * 50 + i), split into 10 shards.
+// formula: 1000 + shard * 50 + i), split into 10 shards, and the small
+// suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,9 +29,9 @@
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/random_ksat.hpp"
+#include "src/encode/suite.hpp"
 #include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
@@ -40,17 +43,185 @@ namespace {
 
 constexpr int kInstancesPerShard = 50;  // x 10 shards = 500 instances
 
-checker::CheckResult run_df(const Formula& f, const trace::MemoryTrace& t,
-                            bool streaming, bool binary_tier) {
+// ---- reference: the lazy depth-first build --------------------------------
+//
+// The depth-first checker used to build each clause recursively on its
+// first fetch (recursive_build() of Fig. 3), into a ClauseStore. It is kept
+// here as the oracle for the checker that plans rounds: on every accepted
+// trace the two build the same clauses and report the same verdict, core
+// and counters.
+namespace reference {
+
+struct Outcome {
+  checker::CheckResult result;
+  std::vector<ClauseId> built;  ///< ascending
+};
+
+class LazyChecker {
+ public:
+  LazyChecker(const Formula& f, trace::TraceReader& reader,
+              util::ClauseArena* arena)
+      : formula_(&f),
+        reader_(&reader),
+        num_original_(reader.num_original()),
+        level0_(reader.num_vars()),
+        derivations_(num_original_),
+        store_(arena) {}
+
+  Outcome run() {
+    Outcome out;
+    checker::CheckResult& result = out.result;
+    try {
+      checker::check_header(*formula_, reader_->num_vars(), num_original_);
+      const ClauseId final_id = checker::load_full_trace(
+          *reader_, derivations_, level0_, mem_, stats_);
+      chain_.reserve_vars(reader_->num_vars());
+      const checker::ClauseFetcher fetch = [this](ClauseId id) {
+        return build(id);
+      };
+      checker::SortedClause remaining =
+          checker::derive_final_clause(final_id, fetch, level0_, stats_);
+      checker::validate_assumption_clause(remaining, level0_);
+      result.failed_assumption_clause = std::move(remaining);
+      result.ok = true;
+    } catch (const checker::CheckFailure& e) {
+      result.error = e.what();
+    } catch (const std::runtime_error& e) {
+      result.error = std::string("trace error: ") + e.what();
+    }
+    const util::ClauseArena& arena = store_.arena();
+    stats_.peak_mem_bytes = mem_.peak_bytes() + arena.peak_bytes();
+    stats_.arena_allocated_bytes = arena.allocated_bytes();
+    stats_.arena_recycled_bytes = arena.recycled_bytes();
+    stats_.arena_peak_bytes = arena.peak_bytes();
+    for (ClauseId id = 0; id < derivations_.id_limit(); ++id) {
+      if (!store_.contains(id)) continue;
+      out.built.push_back(id);
+      if (id >= num_original_) continue;
+      ++stats_.core_original_clauses;
+      if (result.ok) result.core.push_back(id);
+    }
+    result.stats = stats_;
+    return out;
+  }
+
+ private:
+  /// The clause `id`, building it and, first, its unbuilt sources, with an
+  /// explicit stack.
+  checker::ClauseView build(ClauseId id) {
+    if (store_.contains(id)) return store_.view(id);
+    if (id < num_original_) return build_original(id);
+    struct Frame {
+      ClauseId id;
+      std::span<const std::uint32_t> sources;
+      std::size_t scan = 0;
+    };
+    std::vector<Frame> stack;
+    stack.push_back({id, derivations_.sources_of(id)});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      bool descended = false;
+      while (f.scan < f.sources.size()) {
+        const ClauseId s = f.sources[f.scan];
+        if (store_.contains(s)) {
+          ++f.scan;
+          continue;
+        }
+        if (s < num_original_) {
+          build_original(s);
+          ++f.scan;
+          continue;
+        }
+        stack.push_back({s, derivations_.sources_of(s)});
+        descended = true;
+        break;
+      }
+      if (descended) continue;
+      fold(f.id, f.sources);
+      stack.pop_back();
+    }
+    return store_.view(id);
+  }
+
+  checker::ClauseView build_original(ClauseId id) {
+    const checker::ClauseView lits =
+        checker::canonical_view(formula_->clause(id), scratch_);
+    if (checker::is_tautology(lits)) {
+      throw checker::CheckFailure(checker::tautological_original(id));
+    }
+    store_.put(id, lits);
+    return store_.view(id);
+  }
+
+  void fold(ClauseId id, std::span<const std::uint32_t> sources) {
+    chain_.start(store_.view(sources[0]));
+    for (std::size_t i = 1; i < sources.size(); ++i) {
+      const checker::ResolveResult r = chain_.step(store_.view(sources[i]));
+      ++stats_.resolutions;
+      if (r.status != checker::ResolveStatus::Ok) {
+        throw checker::CheckFailure(
+            checker::derivation_failure(id, sources[i], i, r.status));
+      }
+    }
+    store_.put(id, chain_.lits());
+    ++stats_.clauses_built;
+  }
+
+  const Formula* formula_;
+  trace::TraceReader* reader_;
+  ClauseId num_original_;
+  checker::Level0Table level0_;
+  checker::DerivationIndex derivations_;
+  checker::ClauseStore store_;
+  checker::ChainResolver chain_;
+  util::MemTracker mem_;
+  checker::CheckStats stats_;
+  checker::SortedClause scratch_;
+};
+
+Outcome check(const Formula& f, const trace::MemoryTrace& t,
+              bool binary_tier) {
+  trace::MemoryTraceReader reader(t);
+  util::ClauseArena arena;
+  arena.set_binary_tier(binary_tier);
+  return LazyChecker(f, reader, &arena).run();
+}
+
+}  // namespace reference
+
+/// Records the IDs of the clauses a check announces as built.
+class BuiltSet final : public checker::CertObserver {
+ public:
+  void on_original(ClauseId id, std::span<const Lit>) override {
+    ids.push_back(id);
+  }
+  void on_derived(ClauseId id, std::span<const Lit>,
+                  std::span<const std::uint32_t>) override {
+    ids.push_back(id);
+  }
+  void on_released(ClauseId) override {}
+  void on_final(ClauseId, std::span<const ClauseId>,
+                std::span<const Lit>) override {}
+
+  std::vector<ClauseId> ids;
+};
+
+reference::Outcome run_df(const Formula& f, const trace::MemoryTrace& t,
+                          unsigned jobs, bool binary_tier) {
   trace::MemoryTraceReader reader(t);
   checker::DepthFirstOptions options;
-  options.streaming_replay = streaming;
+  options.jobs = jobs;
   // The binary tier is an arena property; an external arena with the tier
   // toggled passes through the same recycle_arena seam satproofd uses.
   util::ClauseArena arena;
   arena.set_binary_tier(binary_tier);
   options.recycle_arena = &arena;
-  return checker::check_depth_first(f, reader, options);
+  BuiltSet built;
+  options.observer = &built;
+  reference::Outcome out{checker::check_depth_first(f, reader, options), {}};
+  out.built = std::move(built.ids);
+  std::sort(out.built.begin(), out.built.end());
+  return out;
 }
 
 checker::CheckResult run_window(const Formula& f, const trace::MemoryTrace& t,
@@ -66,7 +237,7 @@ checker::CheckResult run_window(const Formula& f, const trace::MemoryTrace& t,
 }
 
 void expect_identical(const checker::CheckResult& a,
-                      const checker::CheckResult& b, const char* what) {
+                      const checker::CheckResult& b, const std::string& what) {
   SCOPED_TRACE(what);
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.error, b.error);
@@ -80,6 +251,24 @@ void expect_identical(const checker::CheckResult& a,
   EXPECT_EQ(a.stats.arena_allocated_bytes, b.stats.arena_allocated_bytes);
   EXPECT_EQ(a.stats.arena_recycled_bytes, b.stats.arena_recycled_bytes);
   EXPECT_EQ(a.stats.arena_peak_bytes, b.stats.arena_peak_bytes);
+}
+
+/// The depth-first checker at jobs 1/2/3/4/8, with the binary tier on and
+/// off, against the lazy reference: the same clauses built, and the same
+/// verdict, diagnostic, core and counters. Returns the reference result.
+checker::CheckResult expect_matches_reference(const Formula& f,
+                                              const trace::MemoryTrace& t) {
+  const reference::Outcome want = reference::check(f, t, false);
+  for (const bool binary_tier : {false, true}) {
+    for (const unsigned jobs : {1u, 2u, 3u, 4u, 8u}) {
+      const std::string what = "jobs " + std::to_string(jobs) +
+                               (binary_tier ? ", binary tier" : "");
+      const reference::Outcome got = run_df(f, t, jobs, binary_tier);
+      expect_identical(want.result, got.result, what);
+      EXPECT_EQ(want.built, got.built) << what;
+    }
+  }
+  return want.result;
 }
 
 class LayoutEquivalence : public ::testing::TestWithParam<int> {};
@@ -105,16 +294,9 @@ TEST_P(LayoutEquivalence, StreamingAndBinaryTierAreByteIdentical) {
                  " m=" + std::to_string(m));
     if (solved == solver::SolveResult::Unsatisfiable) ++unsat_seen;
 
-    // Reference configuration: the pre-optimization layout (lazy build,
-    // headered blocks only). SAT-run traces ride along too: the rejection
-    // diagnostic must not depend on layout either.
-    const checker::CheckResult reference = run_df(f, t, false, false);
-    expect_identical(reference, run_df(f, t, true, false),
-                     "streaming replay vs lazy build");
-    expect_identical(reference, run_df(f, t, false, true),
-                     "binary tier vs headered-only");
-    expect_identical(reference, run_df(f, t, true, true),
-                     "streaming + binary tier vs neither");
+    // SAT-run traces ride along too: the rejection diagnostic must not
+    // depend on layout either.
+    const checker::CheckResult lazy = expect_matches_reference(f, t);
 
     // The window backend is subject to the same discipline: the arena's
     // binary tier is invisible in every observable output, and on valid
@@ -122,17 +304,29 @@ TEST_P(LayoutEquivalence, StreamingAndBinaryTierAreByteIdentical) {
     const checker::CheckResult window = run_window(f, t, false);
     expect_identical(window, run_window(f, t, true),
                      "window: binary tier vs headered-only");
-    EXPECT_EQ(window.ok, reference.ok);
-    if (reference.ok) {
-      EXPECT_EQ(window.core, reference.core);
-      EXPECT_EQ(window.stats.resolutions, reference.stats.resolutions);
-      EXPECT_EQ(window.stats.clauses_built, reference.stats.clauses_built);
+    EXPECT_EQ(window.ok, lazy.ok);
+    if (lazy.ok) {
+      EXPECT_EQ(window.core, lazy.core);
+      EXPECT_EQ(window.stats.resolutions, lazy.stats.resolutions);
+      EXPECT_EQ(window.stats.clauses_built, lazy.stats.clauses_built);
     }
   }
   EXPECT_GE(unsat_seen, kInstancesPerShard / 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, LayoutEquivalence, ::testing::Range(0, 10));
+
+TEST(LayoutReference, SmallSuiteMatchesTheLazyBuild) {
+  for (const auto& inst : encode::unsat_suite(encode::SuiteScale::Small)) {
+    SCOPED_TRACE(inst.name);
+    solver::Solver s;
+    s.add_formula(inst.formula);
+    trace::MemoryTraceWriter trace_writer;
+    s.set_trace_writer(&trace_writer);
+    ASSERT_EQ(s.solve(), solver::SolveResult::Unsatisfiable);
+    (void)expect_matches_reference(inst.formula, trace_writer.take());
+  }
+}
 
 /// `f` with every clause reversed and its new first literal repeated at
 /// the end: the same clause set, but no clause of two or more literals is
@@ -154,7 +348,7 @@ Formula respelled(const Formula& f) {
 /// backends' CheckResults, the LRAT text of the emitting ones (df, hybrid,
 /// window), and the unit-propagation checkers' counts.
 struct AllBackends {
-  std::vector<checker::CheckResult> results;  ///< df bf hybrid window par
+  std::vector<checker::CheckResult> results;  ///< df bf hybrid window df-N
   std::vector<std::string> certificates;      ///< df hybrid window
   std::vector<checker::DrupCheckResult> drup;
   std::vector<proof::RupResult> rup;
@@ -194,9 +388,8 @@ AllBackends run_all(const Formula& f, const trace::MemoryTrace& t,
   all.results.push_back(certify(f, t, 0, false, all.certificates));
   all.results.push_back(certify(f, t, 1 << 20, false, all.certificates));
   trace::MemoryTraceReader r_par(t);
-  checker::ParallelOptions popts;
-  popts.jobs = parallel_jobs;
-  all.results.push_back(checker::check_parallel(f, r_par, popts));
+  all.results.push_back(
+      checker::check_depth_first(f, r_par, {.jobs = parallel_jobs}));
   for (const unsigned jobs : {1u, 4u}) {
     std::istringstream drup_in(drup_text);
     all.drup.push_back(checker::check_drup(f, drup_in, jobs));
@@ -235,7 +428,7 @@ TEST_P(RespelledFormula, EveryBackendChecksItLikeTheOriginal) {
     const AllBackends as_respelled =
         run_all(respelled(f), t, drup_text.str(), jobs);
     const char* const names[] = {"df", "bf", "hybrid", "window 0",
-                                 "window 1MiB", "parallel"};
+                                 "window 1MiB", "df on lanes"};
     for (std::size_t k = 0; k < as_generated.results.size(); ++k) {
       expect_identical(as_generated.results[k], as_respelled.results[k],
                        names[k]);

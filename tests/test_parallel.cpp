@@ -1,19 +1,19 @@
-// Tests for the parallel checker: agreement with the sequential
-// depth-first checker on verdict, unsat core and stats; byte-identical
-// determinism across worker counts and repeated runs; rejection of
-// corrupted traces with DF's diagnostics; assumption-trace support; and,
-// on a trace of independent ladders and on a suite row, that a round of
-// antecedent cones really runs on the lanes with DF-identical results.
+// Tests for the depth-first checker on several lanes: agreement with one
+// lane on verdict, unsat core and stats; byte-identical determinism across
+// lane counts and repeated runs; rejection of corrupted traces with the
+// same diagnostics and counters at every lane count; assumption-trace
+// support; and, on a trace of independent ladders and on suite rows, that
+// a round of antecedent cones really runs on the lanes.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/checker/depth_first.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/parity.hpp"
 #include "src/encode/suite.hpp"
@@ -41,9 +41,7 @@ SolvedUnsat solve_unsat(Formula f) {
 
 CheckResult run_parallel(const SolvedUnsat& su, unsigned jobs) {
   trace::MemoryTraceReader r(su.trace);
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  return check_parallel(su.formula, r, opts);
+  return check_depth_first(su.formula, r, {.jobs = jobs});
 }
 
 /// Serializes a core exactly as a file dump would, to compare byte-for-byte.
@@ -110,10 +108,8 @@ TEST(ParallelChecker, JobsZeroMeansHardwareConcurrency) {
 TEST(ParallelChecker, CoreCollectionCanBeDisabled) {
   const SolvedUnsat su = solve_unsat(encode::pigeonhole(4));
   trace::MemoryTraceReader r(su.trace);
-  ParallelOptions opts;
-  opts.jobs = 2;
-  opts.collect_core = false;
-  const CheckResult res = check_parallel(su.formula, r, opts);
+  const CheckResult res =
+      check_depth_first(su.formula, r, {.jobs = 2, .collect_core = false});
   ASSERT_TRUE(res.ok);
   EXPECT_TRUE(res.core.empty());
   EXPECT_GT(res.stats.core_original_clauses, 0u);
@@ -145,7 +141,7 @@ TEST(ParallelChecker, RejectSatRunTrace) {
   ASSERT_EQ(s.solve(), solver::SolveResult::Satisfiable);
   const trace::MemoryTrace t = w.take();
   trace::MemoryTraceReader r(t);
-  const CheckResult res = check_parallel(f, r);
+  const CheckResult res = check_depth_first(f, r, {.jobs = 4});
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("final"), std::string::npos);
 }
@@ -154,7 +150,7 @@ TEST(ParallelChecker, RejectTraceForDifferentFormula) {
   const SolvedUnsat su = solve_unsat(encode::pigeonhole(5));
   const Formula other = encode::pigeonhole(6);
   trace::MemoryTraceReader r(su.trace);
-  const CheckResult res = check_parallel(other, r);
+  const CheckResult res = check_depth_first(other, r, {.jobs = 4});
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("original clauses"), std::string::npos);
 }
@@ -176,9 +172,7 @@ TEST(ParallelChecker, RejectionDiagnosticIsDeterministicAcrossJobs) {
   std::string reference;
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
     trace::MemoryTraceReader r(t);
-    ParallelOptions opts;
-    opts.jobs = jobs;
-    const CheckResult res = check_parallel(f, r, opts);
+    const CheckResult res = check_depth_first(f, r, {.jobs = jobs});
     ASSERT_FALSE(res.ok) << "jobs=" << jobs;
     ASSERT_FALSE(res.error.empty());
     if (reference.empty()) {
@@ -206,9 +200,7 @@ TEST(ParallelChecker, ValidatesAssumptionRefutationTrace) {
   const CheckResult df = check_depth_first(f, r1);
   ASSERT_TRUE(df.ok) << df.error;
   trace::MemoryTraceReader r2(t);
-  ParallelOptions opts;
-  opts.jobs = 4;
-  const CheckResult par = check_parallel(f, r2, opts);
+  const CheckResult par = check_depth_first(f, r2, {.jobs = 4});
   ASSERT_TRUE(par.ok) << par.error;
   EXPECT_FALSE(par.failed_assumption_clause.empty());
   EXPECT_EQ(par.failed_assumption_clause, df.failed_assumption_clause);
@@ -353,9 +345,7 @@ LadderTrace ladder_trace(const LadderOptions& options = {}) {
 CheckResult run_parallel(const Formula& f, const trace::MemoryTrace& t,
                          unsigned jobs) {
   trace::MemoryTraceReader r(t);
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  return check_parallel(f, r, opts);
+  return check_depth_first(f, r, {.jobs = jobs});
 }
 
 TEST(ParallelChecker, LadderPartitionMatchesDepthFirstAtEveryJobCount) {
@@ -445,9 +435,9 @@ TEST(ParallelChecker, AntecedentConesOfASuiteRowRunOnTheLanes) {
 }
 
 TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
-  // Corrupt the last step of ladder 0 and the first step of ladder 9. The
-  // depth-first plan reaches ladder 0 first, but every job count must name
-  // the lower clause ID, whatever the groups' schedule.
+  // Corrupt the last step of ladder 0 and the first step of ladder 9. A
+  // depth-first walk from the join reaches ladder 0 first, but every job
+  // count must name the lower clause ID, whatever the groups' schedule.
   const LadderTrace clean = ladder_trace();
   const ClauseId late = clean.steps[0].back();
   const ClauseId early = clean.steps[9].front();
@@ -463,13 +453,6 @@ TEST(ParallelChecker, RejectionAcrossGroupsNamesTheLowestFailingClause) {
           << "jobs=" << jobs << ": " << par.error;
     }
   }
-  // Depth-first stops at the first failure of its plan: the other one.
-  trace::MemoryTraceReader r(lt.trace);
-  const CheckResult df = check_depth_first(lt.formula, r);
-  ASSERT_FALSE(df.ok);
-  EXPECT_EQ(df.error.rfind("derivation of clause " + std::to_string(late), 0),
-            0u)
-      << df.error;
 }
 
 TEST(ParallelChecker, RejectionNamesTheFirstFetchedConeThatFails) {
@@ -533,6 +516,81 @@ TEST(ParallelChecker, UnreachedCorruptDerivationDoesNotSurface) {
       EXPECT_EQ(par.core, df.core) << what;
       expect_stats_equal(par.stats, df.stats, what);
     }
+  }
+}
+
+/// `t` rewritten through a FaultInjector of `kind`; nullopt when the fault
+/// never fired.
+std::optional<trace::MemoryTrace> inject(const trace::MemoryTrace& t,
+                                         trace::FaultKind kind,
+                                         std::uint64_t target) {
+  trace::MemoryTraceWriter out;
+  trace::FaultInjector injector(out, kind, /*seed=*/7, target);
+  injector.begin(t.num_vars, t.num_original);
+  for (const auto& d : t.derivations) injector.derivation(d.id, d.sources);
+  if (t.has_final) injector.final_conflict(t.final_conflict);
+  for (const auto& l : t.level0) {
+    if (l.antecedent == kInvalidClauseId) {
+      injector.assumption(l.var, l.value);
+    } else {
+      injector.level0(l.var, l.value, l.antecedent);
+    }
+  }
+  if (t.finished) injector.end();
+  if (!injector.fired()) return std::nullopt;
+  return out.take();
+}
+
+TEST(ParallelChecker, FaultInjectedTracesCheckAlikeAtEveryJobCount) {
+  // Every fault kind, at three targets, on the ladder traces (whose join
+  // cone is one round dealt to the lanes) and on three small-suite rows:
+  // the verdict, diagnostic, core and every counter are the same at every
+  // job count, and rounds of 256 or more clauses run on the lanes.
+  std::vector<std::pair<std::string, SolvedUnsat>> cases;
+  for (const bool trail_end : {false, true}) {
+    LadderTrace lt = ladder_trace({.corrupt = {}, .trail_end = trail_end});
+    cases.push_back({trail_end ? "ladder trail end" : "ladder",
+                     {std::move(lt.formula), std::move(lt.trace)}});
+  }
+  for (const auto& inst : encode::unsat_suite(encode::SuiteScale::Small)) {
+    if (inst.name == "miter_mult3" || inst.name == "tseitin3x3" ||
+        inst.name == "bmc_rotator4_k6") {
+      cases.push_back({inst.name, solve_unsat(inst.formula)});
+    }
+  }
+
+  ASSERT_EQ(cases.size(), 5u);
+  for (const auto& [name, su] : cases) {
+    std::size_t tasks = 0;
+    std::size_t rejected = 0;
+    for (int k = 1; k <= static_cast<int>(trace::FaultKind::TruncateTrace);
+         ++k) {
+      const auto kind = static_cast<trace::FaultKind>(k);
+      for (const std::uint64_t target : {0u, 5u, 50u}) {
+        const std::optional<trace::MemoryTrace> t =
+            inject(su.trace, kind, target);
+        if (!t.has_value()) continue;
+        const std::string what = name + " " + trace::to_string(kind) +
+                                 " target " + std::to_string(target);
+        const CheckResult one = run_parallel(su.formula, *t, 1);
+        if (!one.ok) ++rejected;
+        for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
+          const std::string at = what + " jobs=" + std::to_string(jobs);
+          obs::TraceSession session;
+          const CheckResult res = run_parallel(su.formula, *t, jobs);
+          obs::flush_this_thread();
+          tasks += count_spans(session.sink().to_chrome_json(), "task");
+          EXPECT_EQ(res.ok, one.ok) << at;
+          EXPECT_EQ(res.error, one.error) << at;
+          EXPECT_EQ(res.core, one.core) << at;
+          EXPECT_EQ(res.failed_assumption_clause, one.failed_assumption_clause)
+              << at;
+          expect_stats_equal(res.stats, one.stats, at);
+        }
+      }
+    }
+    EXPECT_GT(rejected, 0u) << name;
+    EXPECT_GE(tasks, 1u) << name << ": no round ran on the lanes";
   }
 }
 

@@ -42,14 +42,18 @@ ProofDag extract(const Solved& su) {
 // ---- reference extraction -------------------------------------------------
 //
 // The proof DAG used to come from its own replay engine, a DFS over hash
-// maps with a record loop of its own. It is kept here verbatim as the
-// oracle for extract_proof, which now records the depth-first checker's
-// replay: the two must produce the same DAG node for node, and the same
-// DOT and tracecheck bytes.
+// maps with a record loop of its own. It is kept here as the oracle for
+// extract_proof, which records the depth-first checker's replay: the two
+// must produce the same DAG node for node, and the same DOT and tracecheck
+// bytes. The checker announces its clauses round by round, each round in
+// ascending ID order, so the oracle lists the clauses each of its rounds
+// built in that order too.
 namespace reference {
 
-/// DFS-based extraction mirroring the depth-first checker's recursive
-/// build, with per-node bookkeeping (literals, depth, topological order).
+/// DFS-based extraction mirroring the depth-first checker's rounds: the
+/// final conflict's cone, then, at each fetch of an unbuilt antecedent,
+/// the cones of that antecedent and of every antecedent still pending.
+/// Keeps per-node bookkeeping (literals, depth, order).
 class Extractor {
  public:
   Extractor(const Formula& f, trace::TraceReader& reader)
@@ -70,6 +74,7 @@ class Extractor {
     // Build everything reachable from the final conflict, then replay the
     // empty-clause derivation and record it as the root node.
     build(*final_id_);
+    close_round();
 
     ProofDag::Node root;
     root.sources.push_back(*final_id_);
@@ -84,9 +89,18 @@ class Extractor {
       }
       return c;
     };
+    const checker::PendingHook before_fetch =
+        [this](ClauseId next, std::span<const std::uint64_t> pending) {
+          if (memo_.contains(next)) return;
+          build(next);
+          for (const std::uint64_t entry : pending) {
+            build(level0_.antecedent(checker::pending_literal(entry).var()));
+          }
+          close_round();
+        };
     checker::SortedClause remaining =
         checker::derive_final_clause(*final_id_, fetch, level0_,
-                                     scratch_stats);
+                                     scratch_stats, nullptr, &before_fetch);
     if (!remaining.empty()) {
       checker::validate_assumption_clause(remaining, level0_);
     }
@@ -98,7 +112,7 @@ class Extractor {
       root.depth = std::max(root.depth, depth_of(s) + 1);
     }
 
-    // Emit nodes in topological (build) order, root last.
+    // Emit nodes round by round, root last.
     dag.nodes.reserve(order_.size() + 1);
     for (const ClauseId id : order_) {
       ProofDag::Node n;
@@ -129,6 +143,13 @@ class Extractor {
   }
 
   [[nodiscard]] unsigned depth_of(ClauseId id) const { return depth_.at(id); }
+
+  /// Lists the clauses built since the last call in ascending ID order.
+  void close_round() {
+    std::sort(order_.begin() + static_cast<std::ptrdiff_t>(round_start_),
+              order_.end());
+    round_start_ = order_.size();
+  }
 
   void load_trace() {
     reader_->rewind();
@@ -247,6 +268,7 @@ class Extractor {
   std::unordered_map<ClauseId, checker::SortedClause> memo_;
   std::unordered_map<ClauseId, unsigned> depth_;
   std::vector<ClauseId> order_;
+  std::size_t round_start_ = 0;  ///< where the open round begins in order_
   checker::ChainResolver chain_;
 };
 

@@ -670,6 +670,14 @@ TEST_F(ServiceE2E, OutcomeStatsAreCheckStatsJson) {
   ASSERT_TRUE(bf.ok) << bf.error;
   EXPECT_NE(outcome_json(bf).find("\"stats\":{"), std::string::npos);
   EXPECT_EQ(outcome_json(bf).find("core_original_clauses"), std::string::npos);
+  // RUP computes none of the replay counters: neither document has them.
+  const JobOutcome rup = run_check(fx_->php4(), fx_->trace4(), Backend::kRup);
+  ASSERT_TRUE(rup.ok) << rup.error;
+  EXPECT_EQ(outcome_json(rup).find("\"stats\""), std::string::npos);
+  EXPECT_EQ(check_stats_json(rup).rfind("{\"rup\":{\"clauses_checked\":", 0),
+            0u)
+      << check_stats_json(rup);
+  EXPECT_EQ(check_stats_json(rup).find("total_derivations"), std::string::npos);
 }
 
 TEST_F(ServiceE2E, CountersObeyConservationLawsAfterDrain) {

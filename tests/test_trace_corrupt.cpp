@@ -12,7 +12,6 @@
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/solver/solver.hpp"
@@ -50,9 +49,8 @@ std::vector<BackendRun> run_all(const Formula& f, const trace::MemoryTrace& t) {
   }
   {
     trace::MemoryTraceReader r(t);
-    ParallelOptions opts;
-    opts.jobs = 3;
-    runs.push_back({"parallel", check_parallel(f, r, opts)});
+    runs.push_back(
+        {"depth-first jobs 3", check_depth_first(f, r, {.jobs = 3})});
   }
   {
     trace::MemoryTraceReader r(t);

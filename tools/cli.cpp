@@ -16,7 +16,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/circuit/tseitin.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/trace.hpp"
@@ -56,9 +55,10 @@ usage:
       --trace FILE     write the resolution trace (ASCII; --binary for binary)
       --binary         binary trace format
       --check MODE     validate an UNSAT answer in-process:
-                       df | bf | parallel | both
-      --jobs N         worker threads for --check parallel (default: all
-                       hardware threads)
+                       df | bf | parallel | both (parallel is df on
+                       all hardware threads)
+      --jobs N         lanes for the df check (default: 1; for --check
+                       parallel, all hardware threads)
       --core FILE      write the unsatisfiable core as DIMACS
       --minimal-core   shrink the core to a set-minimal one first
       --proof-dot FILE write the proof DAG in graphviz format
@@ -85,17 +85,20 @@ usage:
                  [--mem-limit=N] [--stats] [--trace-out FILE]
       replay a trace against the formula; exit 0 iff the proof is valid.
       --checker picks the backend: df (default) depth-first resolution
-      replay; bf breadth-first; hybrid the window replay with no budget
-      (df's clauses, bf's use-count release, one trace decode); parallel
-      depth-first with independent sub-proofs built on N worker threads
-      (--jobs, default: all hardware threads; identical verdict, core and
-      stats to df); rup cross-validates every derived clause of df's proof
-      DAG by reverse unit propagation instead of replaying resolutions (on
-      --jobs workers, same verdict at any count); window replays the
-      trace in budget-sized windows under --mem-limit (verdict, core and
-      stats identical to df at a fraction of the memory); auto picks df
-      for small traces and the memory-light hybrid for large ones (the
-      selection is recorded in the --stats=json "backend" field).
+      replay, building independent sub-proofs on --jobs lanes (default
+      1; identical verdict, core and stats at any count); parallel is df
+      on all hardware threads unless --jobs says otherwise; bf
+      breadth-first; hybrid the window replay with no budget (df's
+      clauses, bf's use-count release, one trace decode); rup
+      cross-validates every derived clause of df's proof DAG by reverse
+      unit propagation instead of replaying resolutions; drup
+      forward-checks a DRUP proof given as the trace file (rup and drup
+      on --jobs workers, default all hardware threads, same verdict at
+      any count); window replays the trace in budget-sized windows under
+      --mem-limit (verdict, core and stats identical to df at a fraction
+      of the memory); auto picks df for small traces and the
+      memory-light hybrid for large ones (the selection is recorded in
+      the --stats=json "backend" field).
       --mem-limit=N caps checker memory (K/M/G suffixes accepted): it is
       the window and hybrid backends' budget, steers --checker=auto by
       the budget and trace size, and runs df/hybrid requests that would
@@ -111,11 +114,13 @@ usage:
       checker's stage spans (parse/index/replay/...).
 
   satproof export-lrat <file.cnf> <trace-file> -o cert.lrat
-                       [--checker=df|hybrid|window|auto] [--binary-cert]
-                       [--mem-limit=N]
+                       [--checker=df|parallel|hybrid|window|auto]
+                       [--binary-cert] [--mem-limit=N]
       replay the trace (df by default) and stream a hint-annotated LRAT
       certificate of unsatisfiability to the output file; exit 0 iff the
-      check passed and the certificate was written. --binary-cert emits
+      check passed and the certificate was written. parallel is df on
+      all hardware threads; its certificate is the same bytes as df's.
+      --binary-cert emits
       the compact binary GRIT-style variant instead of text. --mem-limit
       caps replay memory exactly as for check (window's budget; df and
       hybrid requests that would not fit run as window). Re-verify
@@ -152,9 +157,9 @@ usage:
       df | bf | hybrid | parallel | drup | window | rup (default df; drup
       treats the trace argument as a DRUP proof; window replays under
       the daemon's --mem-limit budget). --wait blocks for the verdict and
-      exits 0 iff the proof checked out. --certify (df/hybrid/window,
-      implies --wait) asks the daemon for an LRAT certificate, delivered
-      in a RESULT_CERT frame; --cert-out saves it to a file.
+      exits 0 iff the proof checked out. --certify (df/parallel/hybrid/
+      window, implies --wait) asks the daemon for an LRAT certificate,
+      delivered in a RESULT_CERT frame; --cert-out saves it to a file.
 
   satproof stats (--socket PATH | --tcp PORT) [--format=json|prometheus]
       print a running daemon's metrics snapshot (JSON by default;
@@ -163,8 +168,9 @@ usage:
   satproof core <file.cnf> [--minimal] [--iterations N] [-o FILE]
       extract (and optionally minimize) an unsatisfiable core
 
-  satproof drup <file.cnf> <proof.drup>
-      forward-check a DRUP proof by reverse unit propagation
+  satproof drup <file.cnf> <proof.drup> [check options]
+      forward-check a DRUP proof by reverse unit propagation; the same as
+      satproof check --checker=drup
 
   satproof interpolate <file.cnf> --split N [-o FILE.dot]
       solve (UNSAT expected), then derive a Craig interpolant between
@@ -344,6 +350,31 @@ std::size_t take_mem_limit(Args& args) {
   return bytes;
 }
 
+/// `--jobs N` / `--jobs=N`, at least 1; 0 when absent.
+unsigned take_jobs(Args& args) {
+  const auto v = args.take_option("--jobs");
+  if (!v) return 0;
+  const auto jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
+  if (jobs == 0) throw CliError("--jobs must be at least 1");
+  return jobs;
+}
+
+/// The backend `mode` names for check and export-lrat: `auto` picks from
+/// the trace size and the budget (select_backend_for_budget, which
+/// run_check re-applies to explicit df/hybrid requests), and df on more
+/// than one lane is parallel.
+service::Backend resolve_backend(const std::string& mode,
+                                 const std::string& trace_path,
+                                 std::size_t mem_limit, unsigned jobs) {
+  const service::Backend backend =
+      mode == "auto" ? service::select_backend_for_budget(
+                           service::trace_file_bytes(trace_path), mem_limit)
+                     : *service::backend_from_name(mode);
+  return backend == service::Backend::kDf && jobs > 1
+             ? service::Backend::kParallel
+             : backend;
+}
+
 void write_formula_file(const std::string& path, const Formula& f,
                         const std::string& comment) {
   dimacs::write_file(path, f, comment);
@@ -372,11 +403,7 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
   const bool binary = args.take_flag("--binary");
   const auto trace_path = args.take_option("--trace");
   const auto check_mode = args.take_option("--check");
-  unsigned jobs = 0;
-  if (const auto v = args.take_option("--jobs")) {
-    jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
-    if (jobs == 0) throw CliError("--jobs must be at least 1");
-  }
+  const unsigned jobs = take_jobs(args);
   const auto core_path = args.take_option("--core");
   const bool minimal_core_wanted = args.take_flag("--minimal-core");
   const auto dot_path = args.take_option("--proof-dot");
@@ -543,15 +570,21 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
   const trace::MemoryTrace t = memory_writer.take();
 
   std::optional<checker::CheckResult> df_result;
-  if (check_mode && (*check_mode == "df" || *check_mode == "both")) {
+  if (check_mode && *check_mode != "bf") {
+    // parallel is df on --jobs lanes, all hardware threads by default.
+    const bool parallel = *check_mode == "parallel";
+    const char* name = parallel ? "parallel" : "depth-first";
     trace::MemoryTraceReader reader(t);
     util::Timer ct;
-    df_result = checker::check_depth_first(f, reader);
+    checker::DepthFirstOptions dopts;
+    dopts.jobs = jobs != 0 ? jobs : parallel ? 0 : 1;
+    df_result = checker::check_depth_first(f, reader, dopts);
     if (!df_result->ok) {
-      err << "PROOF CHECK FAILED (depth-first): " << df_result->error << "\n";
+      err << "PROOF CHECK FAILED (" << name << "): " << df_result->error
+          << "\n";
       return kExitError;
     }
-    out << "c depth-first check ok in " << ct.elapsed_seconds() << "s ("
+    out << "c " << name << " check ok in " << ct.elapsed_seconds() << "s ("
         << df_result->stats.clauses_built << "/"
         << df_result->stats.total_derivations << " clauses built)\n";
   }
@@ -565,21 +598,6 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
     }
     out << "c breadth-first check ok in " << ct.elapsed_seconds() << "s\n";
   }
-  if (check_mode && *check_mode == "parallel") {
-    trace::MemoryTraceReader reader(t);
-    util::Timer ct;
-    checker::ParallelOptions popts;
-    popts.jobs = jobs;
-    const checker::CheckResult pr = checker::check_parallel(f, reader, popts);
-    if (!pr.ok) {
-      err << "PROOF CHECK FAILED (parallel): " << pr.error << "\n";
-      return kExitError;
-    }
-    out << "c parallel check ok in " << ct.elapsed_seconds() << "s ("
-        << pr.stats.clauses_built << "/" << pr.stats.total_derivations
-        << " clauses built)\n";
-  }
-
   if (core_path) {
     std::vector<ClauseId> ids;
     if (minimal_core_wanted) {
@@ -640,11 +658,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   }
   const auto checker_opt = args.take_option("--checker");
   const auto trace_out_path = args.take_option("--trace-out");
-  unsigned jobs = 0;
-  if (const auto v = args.take_option("--jobs")) {
-    jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
-    if (jobs == 0) throw CliError("--jobs must be at least 1");
-  }
+  const unsigned jobs = take_jobs(args);
   const std::size_t mem_limit = take_mem_limit(args);
   const std::string cnf_path = args.next("CNF file");
   const std::string trace_path = args.next("trace file");
@@ -657,30 +671,31 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
                      : use_hybrid ? "hybrid"
                      : use_rup    ? "rup"
                                   : checker_opt.value_or("df");
-  if (mode != "df" && mode != "bf" && mode != "hybrid" && mode != "rup" &&
-      mode != "parallel" && mode != "window" && mode != "auto") {
+  if (mode != "auto" && !service::backend_from_name(mode)) {
     throw CliError(
-        "--checker expects df, bf, hybrid, rup, parallel, window or auto");
+        "--checker expects df, bf, hybrid, rup, drup, parallel, window or "
+        "auto");
   }
-  if (mem_limit != 0 && mode == "rup") {
-    throw CliError("--mem-limit does not apply to the rup checker");
+  if (mem_limit != 0 && (mode == "rup" || mode == "drup")) {
+    throw CliError("--mem-limit does not apply to the " + mode + " checker");
   }
 
   util::Timer timer;
   // Every backend goes through the same dispatch as the service daemon,
   // so a CLI verdict and a `satproof submit` verdict come from one code path.
   // Binary traces are detected by their magic; --binary stays accepted as a
-  // no-op for compatibility. --checker=auto picks the backend from the
-  // trace size and the budget (select_backend_for_budget); run_check then
-  // re-applies the same cap to explicit df/hybrid requests.
+  // no-op for compatibility.
   const service::Backend backend =
-      mode == "auto" ? service::select_backend_for_budget(
-                           service::trace_file_bytes(trace_path), mem_limit)
-                     : *service::backend_from_name(mode);
+      resolve_backend(mode, trace_path, mem_limit, jobs);
   const service::JobOutcome result = service::run_check(
       cnf_path, trace_path, backend, jobs, nullptr, {}, mem_limit);
   if (result.ok) {
-    if (backend == service::Backend::kRup) {
+    if (backend == service::Backend::kDrup) {
+      out << "VERIFIED (DRUP): " << result.drup_clauses_checked
+          << " clauses, " << result.drup_deletions << " deletions, "
+          << result.drup_propagations << " propagations, "
+          << timer.elapsed_seconds() << "s\n";
+    } else if (backend == service::Backend::kRup) {
       out << "VERIFIED (RUP): " << result.drup_clauses_checked
           << " derived clauses re-derived by unit propagation ("
           << result.drup_propagations << " propagations, "
@@ -701,6 +716,11 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
       // The backend field reports what actually ran, so `--checker=auto`
       // records accurate certificate/stats provenance.
       out << service::check_stats_json(result) << "\n";
+    } else if (want_stats && (backend == service::Backend::kDrup ||
+                              backend == service::Backend::kRup)) {
+      out << "stats: " << result.drup_clauses_checked
+          << " clauses checked, " << result.drup_deletions << " deletions, "
+          << result.drup_propagations << " propagations\n";
     } else if (want_stats) {
       const checker::CheckStats& st = result.stats;
       out << "stats: arena " << st.arena_allocated_bytes
@@ -725,7 +745,8 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
     const auto b = service::backend_from_name(*v);
     if (*v != "auto" && !(b && service::can_certify(*b))) {
       throw CliError(
-          "export-lrat --checker expects df, hybrid, window or auto");
+          "export-lrat --checker expects df, parallel, hybrid, window or "
+          "auto");
     }
     mode = *v;
   }
@@ -737,9 +758,7 @@ int cmd_export_lrat(Args args, std::ostream& out, std::ostream& err) {
   ScopedTraceOut scoped_trace(trace_out_path, err);
 
   const service::Backend backend =
-      mode == "auto" ? service::select_backend_for_budget(
-                           service::trace_file_bytes(trace_path), mem_limit)
-                     : *service::backend_from_name(mode);
+      resolve_backend(mode, trace_path, mem_limit, 1);
   std::ofstream cert_out(*out_path, binary_cert
                                         ? std::ios::out | std::ios::binary
                                         : std::ios::out);
@@ -799,26 +818,6 @@ int cmd_core(Args args, std::ostream& out, std::ostream&) {
     out << "core written to " << *out_path << "\n";
   }
   return 0;
-}
-
-// ------------------------------------------------------------------ drup
-
-int cmd_drup(Args args, std::ostream& out, std::ostream& err) {
-  const std::string cnf_path = args.next("CNF file");
-  const std::string proof_path = args.next("DRUP proof file");
-  args.expect_done();
-
-  util::Timer timer;
-  const service::JobOutcome res =
-      service::run_check(cnf_path, proof_path, service::Backend::kDrup);
-  if (res.ok) {
-    out << "VERIFIED (DRUP): " << res.drup_clauses_checked << " clauses, "
-        << res.drup_deletions << " deletions, " << res.drup_propagations
-        << " propagations, " << timer.elapsed_seconds() << "s\n";
-    return 0;
-  }
-  err << "CHECK FAILED: " << res.error << "\n";
-  return kExitError;
 }
 
 // ----------------------------------------------------------------- serve
@@ -1231,7 +1230,11 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (args[0] == "stats") return cmd_stats(std::move(rest), out, err);
     if (args[0] == "core") return cmd_core(std::move(rest), out, err);
     if (args[0] == "trim") return cmd_trim(std::move(rest), out, err);
-    if (args[0] == "drup") return cmd_drup(std::move(rest), out, err);
+    if (args[0] == "drup") {
+      std::vector<std::string> check{"--checker=drup"};
+      check.insert(check.end(), args.begin() + 1, args.end());
+      return cmd_check(Args(std::move(check)), out, err);
+    }
     if (args[0] == "interpolate") {
       return cmd_interpolate(std::move(rest), out, err);
     }
