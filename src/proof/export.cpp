@@ -1,7 +1,9 @@
 #include "src/proof/export.hpp"
 
 #include <ostream>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace satproof::proof {
 
@@ -24,12 +26,25 @@ void write_clause_label(std::ostream& out, const ProofDag::Node& node) {
 
 void write_dot(std::ostream& out, const ProofDag& dag,
                const DotOptions& options) {
-  // Select the nodes closest to the root: walk the topological order
-  // backwards (root last) until the budget is exhausted.
+  // Select the nodes closest to the root: a breadth-first walk from the
+  // root over each node's sources, in stored order, until the budget is
+  // exhausted.
+  std::unordered_map<ClauseId, std::size_t> index;
+  for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
+    index.emplace(dag.nodes[i].id, i);
+  }
   std::unordered_set<ClauseId> selected;
-  for (std::size_t i = dag.nodes.size();
-       i-- > 0 && selected.size() < options.max_nodes;) {
-    selected.insert(dag.nodes[i].id);
+  std::vector<ClauseId> frontier;
+  if (options.max_nodes > 0 && index.contains(dag.root_id)) {
+    selected.insert(dag.root_id);
+    frontier.push_back(dag.root_id);
+  }
+  for (std::size_t head = 0;
+       head < frontier.size() && selected.size() < options.max_nodes; ++head) {
+    for (const ClauseId s : dag.nodes[index.at(frontier[head])].sources) {
+      if (selected.size() == options.max_nodes) break;
+      if (selected.insert(s).second) frontier.push_back(s);
+    }
   }
 
   out << "digraph proof {\n"

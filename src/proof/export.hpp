@@ -9,7 +9,8 @@ namespace satproof::proof {
 /// Options for Graphviz export.
 struct DotOptions {
   /// Emit at most this many nodes (proofs grow to millions of nodes; the
-  /// default keeps graphs renderable). Nodes closest to the root win.
+  /// default keeps graphs renderable). Nodes closest to the root win;
+  /// among equally close ones, sources listed earlier.
   std::size_t max_nodes = 512;
   /// Print clause literals inside the nodes (off: just IDs).
   bool show_literals = true;

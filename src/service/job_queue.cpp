@@ -1,133 +1,40 @@
 #include "src/service/job_queue.hpp"
 
-#include <algorithm>
-
 namespace satproof::service {
 
-ShardedJobQueue::ShardedJobQueue(unsigned shards, std::size_t capacity)
-    : capacity_(capacity), shards_(std::max(1u, shards)) {}
-
-ShardedJobQueue::EnqueueResult ShardedJobQueue::try_enqueue(QueuedJob&& job) {
-  if (closed_.load(std::memory_order_acquire)) {
-    return EnqueueResult::kClosed;
-  }
-  // Reserve a slot before touching any shard. With concurrent producers
-  // the fetch_add can transiently overshoot capacity_, in which case the
-  // loser rolls back and reports kFull — admission never exceeds the cap.
-  const std::size_t prior = size_.fetch_add(1, std::memory_order_acq_rel);
-  if (prior >= capacity_) {
-    size_.fetch_sub(1, std::memory_order_acq_rel);
-    return EnqueueResult::kFull;
-  }
-
-  const auto shard_index = static_cast<std::size_t>(
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size());
-  Shard& s = shards_[shard_index];
+JobQueue::EnqueueResult JobQueue::try_enqueue(QueuedJob&& job) {
   {
-    std::lock_guard lock(s.mutex);
-    if (closed_.load(std::memory_order_acquire)) {
-      size_.fetch_sub(1, std::memory_order_acq_rel);
-      return EnqueueResult::kClosed;
-    }
-    if (job.lane == Lane::kBulk) {
-      s.bulk.push_back(std::move(job));
-      ++s.enqueued_bulk;
-    } else {
-      s.fast.push_back(std::move(job));
-      ++s.enqueued_fast;
-    }
+    std::lock_guard lock(mutex_);
+    if (closed_) return EnqueueResult::kClosed;
+    if (fast_.size() + bulk_.size() >= capacity_) return EnqueueResult::kFull;
+    (job.lane == Lane::kBulk ? bulk_ : fast_).push_back(std::move(job));
   }
-  {
-    // Touch the sleep mutex before notifying so a worker that found
-    // size_ == 0 under it is guaranteed to be in wait() by now.
-    std::lock_guard lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_one();
+  ready_.notify_one();
   return EnqueueResult::kAccepted;
 }
 
-std::optional<QueuedJob> ShardedJobQueue::take(Shard& s, Lane lane,
-                                               bool from_back) {
-  std::deque<QueuedJob>& q = lane == Lane::kFast ? s.fast : s.bulk;
-  if (q.empty()) return std::nullopt;
-  std::optional<QueuedJob> job;
-  if (from_back) {
-    job.emplace(std::move(q.back()));
-    q.pop_back();
-  } else {
-    job.emplace(std::move(q.front()));
-    q.pop_front();
-  }
-  size_.fetch_sub(1, std::memory_order_acq_rel);
+std::optional<QueuedJob> JobQueue::pop_blocking() {
+  std::unique_lock lock(mutex_);
+  ready_.wait(lock,
+              [this] { return closed_ || !fast_.empty() || !bulk_.empty(); });
+  std::deque<QueuedJob>& lane = fast_.empty() ? bulk_ : fast_;
+  if (lane.empty()) return std::nullopt;  // closed and drained
+  std::optional<QueuedJob> job(std::move(lane.front()));
+  lane.pop_front();
   return job;
 }
 
-std::optional<QueuedJob> ShardedJobQueue::try_pop(unsigned worker) {
-  const auto n = shards_.size();
-  const auto own = static_cast<std::size_t>(worker) % n;
-
-  // Strict lane priority across the whole queue: any fast-lane job on any
-  // shard beats any bulk job, so a burst of multi-MB uploads can never
-  // make a small submission wait behind them. Within a lane the own shard
-  // is tried first (front; oldest), then victims in ring order (back).
-  // Thieves take from the back, owners from the front — under contention
-  // they meet in the middle instead of fighting over the same element.
-  for (const Lane lane : {Lane::kFast, Lane::kBulk}) {
-    {
-      Shard& s = shards_[own];
-      std::lock_guard lock(s.mutex);
-      if (auto job = take(s, lane, /*from_back=*/false)) return job;
-    }
-    for (std::size_t k = 1; k < n; ++k) {
-      Shard& victim = shards_[(own + k) % n];
-      std::optional<QueuedJob> job;
-      {
-        std::lock_guard lock(victim.mutex);
-        job = take(victim, lane, /*from_back=*/true);
-      }
-      if (job) {
-        Shard& s = shards_[own];
-        std::lock_guard lock(s.mutex);
-        ++s.steals;
-        return job;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<QueuedJob> ShardedJobQueue::pop_blocking(unsigned worker) {
-  for (;;) {
-    if (auto job = try_pop(worker)) return job;
-    std::unique_lock lock(sleep_mutex_);
-    if (size_.load(std::memory_order_acquire) > 0) continue;
-    if (closed_.load(std::memory_order_acquire)) return std::nullopt;
-    sleep_cv_.wait(lock, [this] {
-      return size_.load(std::memory_order_acquire) > 0 ||
-             closed_.load(std::memory_order_acquire);
-    });
-  }
-}
-
-void ShardedJobQueue::close() {
-  closed_.store(true, std::memory_order_release);
+void JobQueue::close() {
   {
-    std::lock_guard lock(sleep_mutex_);
+    std::lock_guard lock(mutex_);
+    closed_ = true;
   }
-  sleep_cv_.notify_all();
+  ready_.notify_all();
 }
 
-ShardedJobQueue::ShardSnapshot ShardedJobQueue::shard_snapshot(
-    unsigned shard) const {
-  const Shard& s = shards_[shard % shards_.size()];
-  std::lock_guard lock(s.mutex);
-  ShardSnapshot out;
-  out.depth_fast = s.fast.size();
-  out.depth_bulk = s.bulk.size();
-  out.enqueued_fast = s.enqueued_fast;
-  out.enqueued_bulk = s.enqueued_bulk;
-  out.steals = s.steals;
-  return out;
+std::size_t JobQueue::depth() const {
+  std::lock_guard lock(mutex_);
+  return fast_.size() + bulk_.size();
 }
 
 }  // namespace satproof::service

@@ -133,7 +133,7 @@ ServerMetrics::ServerMetrics(obs::MetricsRegistry& r,
                    "Largest clause-arena peak observed over completed jobs.",
                    [this] { return static_cast<double>(arena_peak_bytes_); });
   // The scheduler's values: one snapshot per render feeds every family,
-  // so the queue, shard and lane series of one scrape read one sample.
+  // so the queue and worker series of one scrape read one sample.
   r.before_snapshot(
       [this, scheduler = std::move(scheduler)] { scheduler_ = scheduler(); });
   const auto gauge = [&](const char* name, const char* help,
@@ -148,46 +148,14 @@ ServerMetrics::ServerMetrics(obs::MetricsRegistry& r,
         &SchedulerSnapshot::queue_capacity);
   gauge("satproofd_running_jobs", "Jobs currently executing.",
         &SchedulerSnapshot::running_jobs);
-  r.register_gauge("satproofd_workers",
-                   "Checker worker threads (one queue shard each).",
-                   [this] { return scheduler_.shards.size(); });
-  using Samples = std::vector<obs::Sample>;
-  r.register_callback(
-      "satproofd_worker_queue_depth",
-      "Jobs waiting in one worker's shard, by priority lane.",
-      obs::MetricType::kGauge, [this] {
-        Samples out;
-        for (std::size_t i = 0; i < scheduler_.shards.size(); ++i) {
-          const auto& shard = scheduler_.shards[i];
-          const std::string w = std::to_string(i);
-          out.push_back({{{"worker", w}, {"lane", "fast"}},
-                         static_cast<double>(shard.depth_fast)});
-          out.push_back({{{"worker", w}, {"lane", "bulk"}},
-                         static_cast<double>(shard.depth_bulk)});
-        }
-        return out;
-      });
-  r.register_callback(
-      "satproofd_worker_steals_total",
-      "Jobs a worker obtained by stealing from another shard.",
-      obs::MetricType::kCounter, [this] {
-        Samples out;
-        for (std::size_t i = 0; i < scheduler_.shards.size(); ++i) {
-          out.push_back({{{"worker", std::to_string(i)}},
-                         static_cast<double>(scheduler_.shards[i].steals)});
-        }
-        return out;
-      });
-  r.register_callback(
-      "satproofd_lane_jobs_enqueued_total", "Jobs admitted, by priority lane.",
-      obs::MetricType::kCounter, [this] {
-        Samples out{{{{"lane", "fast"}}, 0}, {{{"lane", "bulk"}}, 0}};
-        for (const auto& shard : scheduler_.shards) {
-          out[0].value += static_cast<double>(shard.enqueued_fast);
-          out[1].value += static_cast<double>(shard.enqueued_bulk);
-        }
-        return out;
-      });
+  gauge("satproofd_workers", "Checker worker threads (one clause arena each).",
+        &SchedulerSnapshot::workers);
+  for (const Lane lane : {Lane::kFast, Lane::kBulk}) {
+    lane_enqueued_[static_cast<std::size_t>(lane)] =
+        &r.counter("satproofd_lane_jobs_enqueued_total",
+                   "Jobs admitted, by priority lane.",
+                   {{"lane", lane == Lane::kFast ? "fast" : "bulk"}});
+  }
   // Every backend's series exist from the start, zeros included.
   for (std::uint8_t b = 0; b < kNumBackends; ++b) {
     const obs::Labels l{{"backend", backend_name(static_cast<Backend>(b))}};
@@ -227,20 +195,20 @@ void ServerMetrics::record_timeout(Backend backend) {
   backends_[static_cast<std::size_t>(backend)].timed_out->inc();
 }
 
+void ServerMetrics::record_accepted(Lane lane) {
+  accepted.inc();
+  lane_enqueued_[static_cast<std::size_t>(lane)]->inc();
+}
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       worker_count_(options_.workers != 0
                         ? options_.workers
                         : std::max(1u, std::thread::hardware_concurrency())),
-      queue_(worker_count_,
-             options_.queue_capacity == 0 ? 1 : options_.queue_capacity),
+      queue_(options_.queue_capacity == 0 ? 1 : options_.queue_capacity),
       metrics_(registry_, [this] {
-        SchedulerSnapshot s{queue_.depth(), queue_.capacity(),
-                            running_jobs_.load(), {}};
-        for (unsigned i = 0; i < queue_.shards(); ++i) {
-          s.shards.push_back(queue_.shard_snapshot(i));
-        }
-        return s;
+        return SchedulerSnapshot{queue_.depth(), queue_.capacity(),
+                                 running_jobs_.load(), worker_count_};
       }) {}
 
 Server::~Server() {
@@ -283,7 +251,7 @@ void Server::start() {
   }
   workers_.reserve(worker_count_);
   for (unsigned w = 0; w < worker_count_; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
+    workers_.emplace_back([this] { worker_main(); });
   }
   io_thread_ = std::jthread([this] { io_loop(); });
 }
@@ -612,9 +580,7 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
 
       QueuedJob job;
       job.request = std::move(request);
-      job.lane = effective_bytes >= options_.bulk_threshold_bytes
-                     ? Lane::kBulk
-                     : Lane::kFast;
+      job.lane = lane_for_bytes(effective_bytes);
       const std::uint64_t conn_key = conn.key;
       job.on_done = [this, conn_key, job_id, wait, certify](
                         JobOutcome outcome, bool timed_out) {
@@ -649,16 +615,16 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         completion_pipe_.notify();
       };
 
-      const ShardedJobQueue::EnqueueResult res =
-          queue_.try_enqueue(std::move(job));
+      const Lane lane = job.lane;
+      const JobQueue::EnqueueResult res = queue_.try_enqueue(std::move(job));
 
-      if (res == ShardedJobQueue::EnqueueResult::kClosed) {
+      if (res == JobQueue::EnqueueResult::kClosed) {
         queue_output(conn, FrameTag::kError,
                      encode_error(ErrorCode::kDraining,
                                   "server is draining; job refused"));
         return false;
       }
-      if (res == ShardedJobQueue::EnqueueResult::kFull) {
+      if (res == JobQueue::EnqueueResult::kFull) {
         metrics_.rejected_busy.inc();
         std::vector<std::uint8_t> payload;
         append_u32le(payload, static_cast<std::uint32_t>(queue_.capacity()));
@@ -666,7 +632,7 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         return true;  // connection stays usable
       }
 
-      metrics_.accepted.inc();
+      metrics_.record_accepted(lane);
       ++pending_jobs_;
       std::vector<std::uint8_t> payload;
       append_u64le(payload, job_id);
@@ -768,12 +734,12 @@ void Server::sweep_idle(std::uint64_t now_us) {
 // Worker pool
 // ----------------------------------------------------------------------
 
-void Server::worker_main(unsigned worker) {
+void Server::worker_main() {
   // One arena per worker, reused across every job this worker runs:
   // concurrent checks never contend on clause allocation, and steady
   // traffic recycles chunk memory instead of round-tripping malloc.
   util::ClauseArena arena;
-  while (auto job = queue_.pop_blocking(worker)) {
+  while (auto job = queue_.pop_blocking()) {
     execute_job(std::move(*job), arena);
   }
 }

@@ -42,9 +42,6 @@ struct ServerOptions {
   /// (one block per slow job) and bump the slow-job counter. 0 disables
   /// per-job span collection entirely.
   std::uint32_t slow_job_ms = 0;
-  /// Upload size (declared, or measured when undeclared) at which a job
-  /// is scheduled on the bulk lane instead of the fast lane.
-  std::uint64_t bulk_threshold_bytes = kBulkLaneThresholdBytes;
   /// Run the trusted kernel over every certificate emitted for a certify
   /// job before reporting success (`satproof serve --certify`). A kernel
   /// REJECT turns the job into an error outcome — the service never ships
@@ -63,7 +60,7 @@ struct SchedulerSnapshot {
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
   std::size_t running_jobs = 0;
-  std::vector<ShardedJobQueue::ShardSnapshot> shards;
+  std::size_t workers = 0;
 };
 
 /// satproofd's `satproofd_*` series on one registry: counter and
@@ -79,6 +76,8 @@ class ServerMetrics {
   void record_completed(Backend backend, double seconds, bool ok,
                         std::size_t arena_peak_bytes);
   void record_timeout(Backend backend);
+  /// One job admitted to the queue on `lane`.
+  void record_accepted(Lane lane);
 
   obs::Counter& connections;
   obs::Counter& malformed_frames;
@@ -99,23 +98,24 @@ class ServerMetrics {
     obs::Histogram* seconds;  ///< wall time of completed jobs
   };
   std::array<BackendSeries, kNumBackends> backends_{};
+  std::array<obs::Counter*, 2> lane_enqueued_{};  ///< indexed by Lane
   std::atomic<std::size_t> arena_peak_bytes_{0};  ///< max over completed
   SchedulerSnapshot scheduler_;  ///< this render's; under the registry lock
 };
 
 /// The satproofd daemon: accepts proof-checking jobs over the framed
 /// protocol (src/service/protocol.hpp), streams uploads to temp files,
-/// schedules checking runs on a sharded work-stealing worker pool behind
-/// a bounded two-lane queue, and serves live metrics.
+/// schedules checking runs on a worker pool behind one bounded two-lane
+/// queue, and serves live metrics.
 ///
 /// Threading: ONE I/O thread runs an EventPoller (epoll on Linux) over
 /// the listeners, a drain pipe, a completion pipe, and every live
 /// connection — all non-blocking, so a slow or stalled uploader costs a
 /// buffer, never a thread, and dead connections are reaped the moment
-/// they close. N worker threads (one queue shard + one recycled
-/// ClauseArena each) pull jobs fast-lane-first from their own shard and
-/// steal from others when idle; finished results travel back to the I/O
-/// thread over the completion pipe for non-blocking delivery.
+/// they close. N worker threads (one recycled ClauseArena each) take
+/// jobs fast-lane-first, oldest-first from the one queue; finished
+/// results travel back to the I/O thread over the completion pipe for
+/// non-blocking delivery.
 /// Ingestion never buffers a whole trace in memory — upload chunks go
 /// straight to disk, and the checkers then read the file through the mmap
 /// ByteSource path.
@@ -194,7 +194,7 @@ class Server {
   void begin_drain();
   [[nodiscard]] bool drain_complete() const;
 
-  void worker_main(unsigned worker);
+  void worker_main();
   void execute_job(QueuedJob job, util::ClauseArena& arena);
 
   ServerOptions options_;
@@ -205,7 +205,7 @@ class Server {
   util::WakePipe wake_pipe_;        ///< drain trigger (async-signal-safe)
   util::WakePipe completion_pipe_;  ///< worker -> I/O thread wakeup
 
-  ShardedJobQueue queue_;
+  JobQueue queue_;
   std::atomic<std::size_t> running_jobs_{0};
   obs::MetricsRegistry registry_;  ///< per server: counts start at zero
   ServerMetrics metrics_;

@@ -358,14 +358,11 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
   scheduler.queue_depth = 3;
   scheduler.queue_capacity = 64;
   scheduler.running_jobs = 1;
-  scheduler.shards.resize(2);
-  scheduler.shards[0].depth_fast = 3;
-  scheduler.shards[0].enqueued_fast = 4;
-  scheduler.shards[1].steals = 2;
+  scheduler.workers = 2;
   MetricsRegistry registry;
   service::ServerMetrics m(registry, [&scheduler] { return scheduler; });
   m.connections.inc();
-  m.accepted.inc();
+  for (int i = 0; i < 4; ++i) m.record_accepted(service::Lane::kFast);
   m.record_completed(service::Backend::kDf, 0.010, true, 4096);
   m.slow_jobs.inc();
   // Make sure the process-wide checker counters exist (they are created on
@@ -378,13 +375,12 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
   EXPECT_NE(text.find("satproofd_queue_depth 3"), std::string::npos);
   EXPECT_NE(text.find("satproofd_running_jobs 1"), std::string::npos);
   EXPECT_NE(text.find("satproofd_workers 2"), std::string::npos);
-  EXPECT_NE(text.find(
-                "satproofd_worker_queue_depth{worker=\"0\",lane=\"fast\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("satproofd_worker_steals_total{worker=\"1\"} 2"),
-            std::string::npos);
+  EXPECT_NE(text.find("satproofd_jobs_accepted_total 4"), std::string::npos);
   EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"fast\"} 4"),
             std::string::npos);
+  EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"bulk\"} 0"),
+            std::string::npos);
+  EXPECT_EQ(text.find("satproofd_worker_"), std::string::npos);
   EXPECT_NE(text.find("satproofd_jobs_completed_total 1"), std::string::npos);
   EXPECT_NE(text.find("satproofd_slow_jobs_total 1"), std::string::npos);
   EXPECT_NE(
@@ -399,27 +395,23 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
 }
 
 TEST(ObsMetrics, ServiceSamplesTheSchedulerOncePerRender) {
-  // Each call returns a later moment: one more job queued on worker 0.
+  // Each call returns a later moment: one more job queued and running.
   int calls = 0;
   MetricsRegistry registry;
   service::ServerMetrics m(registry, [&calls] {
     ++calls;
     service::SchedulerSnapshot s;
     s.queue_depth = static_cast<std::size_t>(calls);
-    s.shards.resize(2);
-    s.shards[0].depth_fast = s.queue_depth;
-    s.shards[0].enqueued_fast = s.queue_depth;
+    s.running_jobs = s.queue_depth;
+    s.workers = 2;
     return s;
   });
   EXPECT_EQ(calls, 0);
   const std::string text = render_prometheus({&registry});
   EXPECT_EQ(calls, 1);
   EXPECT_NE(text.find("satproofd_queue_depth 1\n"), std::string::npos);
-  EXPECT_NE(text.find(
-                "satproofd_worker_queue_depth{worker=\"0\",lane=\"fast\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"fast\"} 1\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("satproofd_running_jobs 1\n"), std::string::npos);
+  EXPECT_NE(text.find("satproofd_workers 2\n"), std::string::npos);
   (void)render_json({&registry});
   EXPECT_EQ(calls, 2);
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/checker/common.hpp"
 #include "src/checker/depth_first.hpp"
@@ -423,6 +426,57 @@ TEST(Export, DotHonoursNodeBudget) {
     }
   }
   EXPECT_LE(node_count, 10u);
+}
+
+/// IDs of the nodes a DOT document declares ("  n<id> [...];" lines).
+std::unordered_set<ClauseId> declared_nodes(const std::string& dot) {
+  std::unordered_set<ClauseId> ids;
+  std::istringstream in(dot);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("  n", 0) == 0 && line.size() > 3 &&
+        std::isdigit(static_cast<unsigned char>(line[3])) != 0 &&
+        line.find("->") == std::string::npos) {
+      ids.insert(static_cast<ClauseId>(std::stoull(line.substr(3))));
+    }
+  }
+  return ids;
+}
+
+TEST(Export, DotBudgetKeepsTheNodesNearestTheRoot) {
+  const Solved su = solve_unsat(encode::pigeonhole(8));
+  const ProofDag dag = extract(su);
+  DotOptions opts;  // the default budget of 512 nodes
+  ASSERT_GT(dag.nodes.size(), opts.max_nodes);
+
+  // Distance of every node from the root, following sources.
+  std::unordered_map<ClauseId, std::size_t> index;
+  for (std::size_t i = 0; i < dag.nodes.size(); ++i) {
+    index.emplace(dag.nodes[i].id, i);
+  }
+  std::unordered_map<ClauseId, std::size_t> dist{{dag.root_id, 0}};
+  std::vector<ClauseId> frontier{dag.root_id};
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const ClauseId id = frontier[head];
+    for (const ClauseId s : dag.nodes[index.at(id)].sources) {
+      if (dist.emplace(s, dist.at(id) + 1).second) frontier.push_back(s);
+    }
+  }
+
+  std::ostringstream out;
+  write_dot(out, dag, opts);
+  const std::unordered_set<ClauseId> declared = declared_nodes(out.str());
+  EXPECT_EQ(declared.size(), opts.max_nodes);
+  EXPECT_TRUE(declared.contains(dag.root_id));
+  std::size_t farthest_declared = 0;
+  std::size_t nearest_undeclared = ~std::size_t{0};
+  for (const auto& [id, d] : dist) {
+    if (declared.contains(id)) {
+      farthest_declared = std::max(farthest_declared, d);
+    } else {
+      nearest_undeclared = std::min(nearest_undeclared, d);
+    }
+  }
+  EXPECT_LE(farthest_declared, nearest_undeclared);
 }
 
 TEST(Export, TraceCheckRoundTripStructure) {

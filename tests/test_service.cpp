@@ -526,8 +526,8 @@ TEST_F(ServiceE2E, ClosedConnectionsAreReapedWithoutNewAccepts) {
 }
 
 TEST_F(ServiceE2E, MultiWorkerServerMatchesDirectVerdicts) {
-  // Four workers, concurrent mixed-backend jobs: scheduling across shards
-  // (including steals) must never change a verdict.
+  // Four workers, concurrent mixed-backend jobs: which worker takes a job
+  // (and with it which recycled clause arena) must never change a verdict.
   ServerOptions opts;
   opts.workers = 4;
   start_server(opts);
@@ -721,6 +721,9 @@ TEST_F(ServiceE2E, CountersObeyConservationLawsAfterDrain) {
   const double timed_out = s["satproofd_jobs_timed_out_total"];
   EXPECT_EQ(accepted, 6);
   EXPECT_EQ(accepted, completed + timed_out);
+  EXPECT_EQ(accepted,
+            s["satproofd_lane_jobs_enqueued_total{lane=\"fast\"}"] +
+                s["satproofd_lane_jobs_enqueued_total{lane=\"bulk\"}"]);
   EXPECT_LE(failed, completed);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(timed_out, 1);
@@ -780,7 +783,10 @@ TEST_F(ServiceE2E, JsonAndPrometheusCarryTheSameSamples) {
 
 // Every series of the exposition before the histogram existed, values
 // dropped: the p99 gauge `satproofd_backend_latency_p99_ms{backend}` is
-// the only one satproofd_job_seconds replaced.
+// the only one satproofd_job_seconds replaced. The per-worker families
+// `satproofd_worker_queue_depth{worker,lane}` and
+// `satproofd_worker_steals_total{worker}` went with the sharded queue,
+// and `satproofd_workers` names the clause arena in place of the shard.
 constexpr const char* kParentSeries = R"(
 # HELP satproofd_connections_total Client connections accepted.
 # TYPE satproofd_connections_total counter
@@ -824,19 +830,9 @@ satproofd_queue_capacity
 # HELP satproofd_running_jobs Jobs currently executing.
 # TYPE satproofd_running_jobs gauge
 satproofd_running_jobs
-# HELP satproofd_workers Checker worker threads (one queue shard each).
+# HELP satproofd_workers Checker worker threads (one clause arena each).
 # TYPE satproofd_workers gauge
 satproofd_workers
-# HELP satproofd_worker_queue_depth Jobs waiting in one worker's shard, by priority lane.
-# TYPE satproofd_worker_queue_depth gauge
-satproofd_worker_queue_depth{worker="0",lane="fast"}
-satproofd_worker_queue_depth{worker="0",lane="bulk"}
-satproofd_worker_queue_depth{worker="1",lane="fast"}
-satproofd_worker_queue_depth{worker="1",lane="bulk"}
-# HELP satproofd_worker_steals_total Jobs a worker obtained by stealing from another shard.
-# TYPE satproofd_worker_steals_total counter
-satproofd_worker_steals_total{worker="0"}
-satproofd_worker_steals_total{worker="1"}
 # HELP satproofd_lane_jobs_enqueued_total Jobs admitted, by priority lane.
 # TYPE satproofd_lane_jobs_enqueued_total counter
 satproofd_lane_jobs_enqueued_total{lane="fast"}

@@ -131,9 +131,8 @@ usage:
       run satproofd, the batch proof-checking daemon (see docs/SERVICE.md)
       --socket PATH    listen on a unix-domain socket (first-class)
       --tcp PORT       also listen on 127.0.0.1:PORT (0 = ephemeral)
-      --workers N      checker worker threads, one queue shard each
-                       (default: all hardware threads; --jobs is a
-                       deprecated alias)
+      --workers N      checker worker threads, one clause arena each
+                       (default: all hardware threads)
       --queue N        pending-job capacity before BUSY (default 64)
       --timeout-ms N   default per-job wall-clock budget (0 = unlimited)
       --idle-timeout-ms N  drop connections silent this long (default 30000)
@@ -840,10 +839,6 @@ int cmd_serve(Args args, std::ostream& out, std::ostream&) {
   if (const auto v = args.take_option("--workers")) {
     opts.workers = static_cast<unsigned>(parse_u64(*v, "--workers"));
     if (opts.workers == 0) throw CliError("--workers must be at least 1");
-  }
-  if (const auto v = args.take_option("--jobs")) {  // deprecated alias
-    opts.workers = static_cast<unsigned>(parse_u64(*v, "--jobs"));
-    if (opts.workers == 0) throw CliError("--jobs must be at least 1");
   }
   if (const auto v = args.take_option("--queue")) {
     opts.queue_capacity = parse_u64(*v, "--queue");

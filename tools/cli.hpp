@@ -21,7 +21,7 @@ inline constexpr int kExitError = 1;
 ///                    [--minimize] [--luby] [--no-restarts] [--no-deletion]
 ///                    [--budget N]
 ///     satproof check <file.cnf> <trace-file> [--checker=MODE] [--stats[=json]]
-///     satproof serve (--socket PATH | --tcp PORT) [--jobs N] [--queue N]
+///     satproof serve (--socket PATH | --tcp PORT) [--workers N] [--queue N]
 ///     satproof submit <file.cnf> <trace-file> (--socket PATH | --tcp PORT)
 ///                     [--backend=MODE] [--wait]
 ///     satproof stats (--socket PATH | --tcp PORT)
