@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: resolution
 // (reference sorted-merge vs the marker-based ChainResolver), solver BCP,
-// trace codecs, and CNF and DRUP parsing.
+// trace codecs, CNF and DRUP parsing, and the whole-trace load.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <sstream>
 
+#include "src/checker/common.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/cnf/dimacs.hpp"
@@ -15,7 +17,10 @@
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/binary.hpp"
 #include "src/trace/drup.hpp"
+#include "src/util/byte_source.hpp"
+#include "src/util/mem_tracker.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/varint.hpp"
 
@@ -168,6 +173,68 @@ void BM_DrupParse(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_DrupParse);
+
+/// A binary trace shaped like tools/gen_bigtrace's ladders, about 4 MiB:
+/// 64 ladders of 1024 rungs, each derivation folding a walker's unit with
+/// the 64 implications it crosses. Only its structure matters here: the
+/// load indexes derivations without resolving them.
+std::string ladder_trace_bytes() {
+  constexpr std::uint64_t kLadders = 64, kRungs = 1024, kChain = 64;
+  constexpr std::uint64_t kSteps = 20000;
+  constexpr std::uint64_t kPerLadder = 1 + 2 * (kRungs - 1);
+  const ClauseId num_original = kLadders * kPerLadder + 2;
+  std::ostringstream out;
+  trace::BinaryTraceWriter w(out);
+  w.begin(static_cast<Var>(kLadders * kRungs + 1), num_original);
+  std::vector<std::uint64_t> pos(kLadders, 0);
+  std::vector<ClauseId> unit(kLadders);
+  for (std::uint64_t l = 0; l < kLadders; ++l) unit[l] = l * kPerLadder;
+  util::Rng rng(28);
+  ClauseId id = num_original;
+  std::vector<ClauseId> sources;
+  for (std::uint64_t n = 0; n < kSteps; ++n, ++id) {
+    const std::uint64_t l = rng.next_below(kLadders);
+    const bool climb = pos[l] + kChain < kRungs &&
+                       (pos[l] < kChain || rng.next_bool());
+    sources.assign(1, unit[l]);
+    for (std::uint64_t s = 0; s < kChain; ++s) {
+      sources.push_back(l * kPerLadder +
+                        (climb ? 1 + pos[l] : kRungs + pos[l] - 1));
+      pos[l] = climb ? pos[l] + 1 : pos[l] - 1;
+    }
+    w.derivation(id, sources);
+    unit[l] = id;
+  }
+  w.final_conflict(num_original - 1);
+  w.level0(static_cast<Var>(kLadders * kRungs), true, id - 1);
+  w.end();
+  return out.str();
+}
+
+void BM_TraceLoad(benchmark::State& state) {
+  // load_full_trace, the depth-first checker's parse stage, over an
+  // in-memory binary trace; building the reader and freeing the previous
+  // index are left out of the timing.
+  const std::string text = ladder_trace_bytes();
+  const std::vector<std::uint8_t> bytes(text.begin(), text.end());
+  std::optional<trace::BinaryTraceReader> reader;
+  std::optional<checker::DerivationIndex> index;
+  std::optional<checker::Level0Table> level0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    reader.emplace(std::make_unique<util::MemoryByteSource>(bytes));
+    index.emplace(reader->num_original());
+    level0.emplace(reader->num_vars());
+    util::MemTracker mem;
+    checker::CheckStats stats;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        checker::load_full_trace(*reader, *index, *level0, mem, stats));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
 
 void BM_TseitinMultiplierMiter(benchmark::State& state) {
   for (auto _ : state) {

@@ -77,31 +77,48 @@ class BreadthFirstChecker {
     return id - num_original_;
   }
 
-  /// First traversal: validates record structure, sizes the use-count
-  /// store, collects the final conflict and the level-0 table, and pins
-  /// (pre-increments) the clauses the final derivation may need.
+  /// First traversal: validates record structure, collects the final
+  /// conflict and the level-0 table, and counts how often each learned
+  /// clause is used as a resolve source — every use, or with
+  /// options_.count_range > 0 the uses of the first range of ordinals.
+  /// The use-count store grows with the highest learned clause seen:
+  /// every source precedes its derivation, so it is always in range.
   void scan_pass() {
     reader_->rewind();
     std::optional<ClauseId> last_id;
-    const TraceScan scan =
-        scan_trace(*reader_, level0_, [&](const trace::Record& rec) {
-          check_derivation_record(rec, num_original_, last_id);
+    const std::uint64_t hi = options_.count_range == 0
+                                 ? ~std::uint64_t{0}
+                                 : options_.count_range;
+    const TraceScan scan = scan_trace(
+        *reader_, level0_, nullptr, [&](const trace::Record& rec) {
+          check_derivation_record(rec, rec.sources.size(), num_original_,
+                                  last_id);
           ++stats_.total_derivations;
+          counts_->grow(ordinal(rec.id) + 1);
+          count_uses(rec.sources, 0, hi);
         });
     final_id_ = scan.final_id;
-
     num_learned_slots_ = last_id.has_value() ? ordinal(*last_id) + 1 : 0;
-    counts_->resize(num_learned_slots_);
   }
 
-  /// Second traversal(s): count how often each learned clause is used as a
-  /// resolve source, then pin the clauses needed by the final derivation.
-  /// With options_.count_range > 0 the counting is performed in several
-  /// passes, each covering one range of learned-clause ordinals.
+  /// Counts the uses, among `sources`, of learned clauses whose ordinal is
+  /// in [lo, hi).
+  void count_uses(std::span<const ClauseId> sources, std::uint64_t lo,
+                  std::uint64_t hi) {
+    for (const ClauseId s : sources) {
+      if (s < num_original_) continue;
+      const std::uint64_t ord = ordinal(s);
+      if (ord >= lo && ord < hi) counts_->increment(ord);
+    }
+  }
+
+  /// Further traversals, only with options_.count_range > 0: count the
+  /// uses of each range of learned-clause ordinals after the first, one
+  /// pass per range. Then pin the clauses the final derivation needs.
   void counting_pass() {
-    const std::uint64_t range =
-        options_.count_range == 0 ? num_learned_slots_ : options_.count_range;
-    for (std::uint64_t lo = 0; lo < num_learned_slots_; lo += range) {
+    const std::uint64_t range = options_.count_range;
+    for (std::uint64_t lo = range; range != 0 && lo < num_learned_slots_;
+         lo += range) {
       const std::uint64_t hi = lo + range;
       reader_->rewind();
       trace::Record rec;
@@ -110,11 +127,7 @@ class BreadthFirstChecker {
         if (rec.kind == trace::RecordKind::End) {
           ended = true;
         } else if (rec.kind == trace::RecordKind::Derivation) {
-          for (const ClauseId s : rec.sources) {
-            if (s < num_original_) continue;
-            const std::uint64_t ord = ordinal(s);
-            if (ord >= lo && ord < hi) counts_->increment(ord);
-          }
+          count_uses(rec.sources, lo, hi);
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 
 #include "src/obs/trace.hpp"
 
@@ -13,16 +14,28 @@ std::string lit_str(Lit lit) { return to_string(lit); }
 
 }  // namespace
 
-void DerivationIndex::add(ClauseId id, std::span<const ClauseId> sources) {
+void DerivationIndex::reserve_sources(std::uint64_t n) {
+  // commit() rejects a pool beyond 2^32 sources, so reserve no more.
+  n = std::min<std::uint64_t>(n, std::numeric_limits<std::uint32_t>::max());
+  try {
+    pool_.reserve(pool_.size() + static_cast<std::size_t>(n));
+  } catch (const std::bad_alloc&) {
+    // No address space for the bound: the pool grows as it fills.
+  }
+}
+
+std::size_t DerivationIndex::commit(const trace::Record& rec) {
+  const ClauseId id = rec.id;
+  const std::size_t num_sources = pool_.size() - committed_;
   if (id < num_original_) {
     throw CheckFailure("derivation " + std::to_string(id) +
                        " reuses an original clause ID");
   }
-  if (sources.size() < 2) {
+  if (num_sources < 2) {
     throw CheckFailure("derivation " + std::to_string(id) +
                        " has fewer than two resolve sources");
   }
-  for (const ClauseId s : sources) {
+  for (const ClauseId s : rec.sources) {
     if (s >= id) {
       throw CheckFailure(
           "derivation " + std::to_string(id) + " references source " +
@@ -31,27 +44,24 @@ void DerivationIndex::add(ClauseId id, std::span<const ClauseId> sources) {
     }
   }
   const ClauseId ord = id - num_original_;
-  if (ord >= entries_.size()) entries_.resize(ord + 1);
-  Entry& e = entries_[ord];
-  if (e.len != 0) {
+  if (ord < entries_.size() && entries_[ord].len != 0) {
     throw CheckFailure("clause " + std::to_string(id) + " is derived twice");
   }
-  if (pool_.size() + sources.size() >
-      std::numeric_limits<std::uint32_t>::max()) {
+  if (pool_.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw CheckFailure("trace too large: derivation source pool exceeds 2^32");
   }
-  // Sources precede `id` (checked above), so this bounds them too and the
-  // narrowing below is lossless.
+  // Sources precede `id` (checked above, or by the reader), so this bounds
+  // them too and their narrowing in the pool was lossless.
   if (id > std::numeric_limits<std::uint32_t>::max()) {
     throw CheckFailure("trace too large: clause IDs exceed 2^32");
   }
-  e.begin = static_cast<std::uint32_t>(pool_.size());
-  e.len = static_cast<std::uint32_t>(sources.size());
-  for (const ClauseId s : sources) {
-    pool_.push_back(static_cast<std::uint32_t>(s));
-  }
+  if (ord >= entries_.size()) entries_.resize(ord + 1);
+  entries_[ord] = {static_cast<std::uint32_t>(committed_),
+                   static_cast<std::uint32_t>(num_sources)};
+  committed_ = pool_.size();
   max_id_ = std::max(max_id_, id);
   ++num_records_;
+  return num_sources;
 }
 
 void DerivationIndex::throw_never_derived(ClauseId id) {
@@ -82,7 +92,8 @@ ClauseId require_final_conflict(const std::optional<ClauseId>& final_id) {
   return *final_id;
 }
 
-void check_derivation_record(const trace::Record& rec, ClauseId num_original,
+void check_derivation_record(const trace::Record& rec, std::size_t num_sources,
+                             ClauseId num_original,
                              std::optional<ClauseId>& last_id) {
   if (rec.id < num_original) {
     throw CheckFailure("derivation " + std::to_string(rec.id) +
@@ -93,7 +104,7 @@ void check_derivation_record(const trace::Record& rec, ClauseId num_original,
                        std::to_string(rec.id) + " after " +
                        std::to_string(*last_id) + ")");
   }
-  if (rec.sources.size() < 2) {
+  if (num_sources < 2) {
     throw CheckFailure("derivation " + std::to_string(rec.id) +
                        " has fewer than two resolve sources");
   }
@@ -112,12 +123,15 @@ ClauseId load_full_trace(trace::TraceReader& reader,
                          util::MemTracker& mem, CheckStats& stats) {
   // Parsing and derivation-index construction share this streaming loop,
   // so one span covers both; backends add their own index/replay spans.
+  // The reader decodes each source once, into its final pool slot.
   obs::Span span("parse");
   reader.rewind();
-  const TraceScan scan =
-      scan_trace(reader, level0, [&](const trace::Record& rec) {
-        derivations.add(rec.id, rec.sources);
-        mem.add(derivation_record_bytes(rec.sources.size()));
+  if (const auto bytes = reader.remaining_bytes()) {
+    derivations.reserve_sources(*bytes);
+  }
+  const TraceScan scan = scan_trace(
+      reader, level0, &derivations.pool(), [&](const trace::Record& rec) {
+        mem.add(derivation_record_bytes(derivations.commit(rec)));
         ++stats.total_derivations;
       });
   mem.add(scan.trail_records * 16);

@@ -140,9 +140,10 @@ class ClauseStore {
 
 /// The derivation DAG of a trace for the whole-trace checker
 /// (depth-first): source lists packed into one pool, indexed by a flat
-/// ordinal-indexed table (ordinal = id - num_original). Records validate
-/// on insertion with the same diagnostics the checkers have always
-/// produced.
+/// ordinal-indexed table (ordinal = id - num_original). A reader decodes
+/// each derivation's sources straight onto the end of the pool
+/// (TraceReader::next_into), and commit() then validates the record, with
+/// the same diagnostics the checkers have always produced, and indexes it.
 ///
 /// The pool stores source IDs narrowed to 32 bits: the pool itself is
 /// capped at 2^32 entries and every source precedes its consumer, so IDs
@@ -155,10 +156,22 @@ class DerivationIndex {
   explicit DerivationIndex(ClauseId num_original)
       : num_original_(num_original) {}
 
-  /// Validates and stores one derivation record. Throws CheckFailure on an
-  /// original-ID reuse, fewer than two sources, a non-preceding source, or
-  /// a duplicate derivation.
-  void add(ClauseId id, std::span<const ClauseId> sources);
+  /// Reserves pool room for `n` more sources in one allocation. It
+  /// reserves address space only: pages become resident as sources are
+  /// written. A reservation the allocator refuses is skipped, and the
+  /// pool grows as it fills instead.
+  void reserve_sources(std::uint64_t n);
+
+  /// The pool a reader appends each derivation's sources to.
+  [[nodiscard]] std::vector<std::uint32_t>& pool() { return pool_; }
+
+  /// Validates and indexes derivation `rec`, whose sources are the pool
+  /// entries appended since the last commit (and, when not empty,
+  /// rec.sources at full width; see TraceReader::next_into). Returns the
+  /// number of sources. Throws CheckFailure on an original-ID reuse, fewer
+  /// than two sources, a non-preceding source, a duplicate derivation, or
+  /// a pool or ID beyond 32 bits.
+  std::size_t commit(const trace::Record& rec);
 
   [[nodiscard]] bool contains(ClauseId id) const {
     if (id < num_original_) return false;
@@ -198,6 +211,7 @@ class DerivationIndex {
 
   ClauseId num_original_;
   std::vector<std::uint32_t> pool_;
+  std::size_t committed_ = 0;   ///< pool_ entries of committed records
   std::vector<Entry> entries_;  ///< by ordinal
   ClauseId max_id_ = 0;
   std::uint64_t num_records_ = 0;
@@ -307,14 +321,17 @@ struct TraceScan {
 /// from its current position through the End record, registers Level0
 /// and Assumption records in `level0`, and passes each derivation record
 /// to `on_derivation(const trace::Record&)`, which validates and keeps
-/// what its checker needs. Throws CheckFailure on a second final conflict
-/// record and on a trace that ends without its End record.
+/// what its checker needs. When `pool` is not null, each derivation's
+/// sources are first appended to it, narrowed to 32 bits
+/// (TraceReader::next_into). Throws CheckFailure on a second final
+/// conflict record and on a trace that ends without its End record.
 template <class OnDerivation>
 TraceScan scan_trace(trace::TraceReader& reader, Level0Table& level0,
+                     std::vector<std::uint32_t>* pool,
                      OnDerivation&& on_derivation) {
   TraceScan scan;
   trace::Record rec;
-  while (reader.next(rec)) {
+  while (pool != nullptr ? reader.next_into(rec, *pool) : reader.next(rec)) {
     switch (rec.kind) {
       case trace::RecordKind::Derivation:
         on_derivation(rec);
@@ -345,12 +362,15 @@ TraceScan scan_trace(trace::TraceReader& reader, Level0Table& level0,
 ClauseId require_final_conflict(const std::optional<ClauseId>& final_id);
 
 /// Structure checks of the streaming checkers (breadth-first, window) on
-/// one derivation record, in this order: a learned (not original) ID,
-/// strictly above `last_id`, at least two sources, every source preceding
-/// the derived clause. Sets `last_id` to the record's ID. Throws
+/// one derivation record with `num_sources` sources, in this order: a
+/// learned (not original) ID, strictly above `last_id`, at least two
+/// sources, every source in rec.sources preceding the derived clause
+/// (rec.sources is empty when the reader checked that; see
+/// TraceReader::next_into). Sets `last_id` to the record's ID. Throws
 /// CheckFailure otherwise. The whole-trace checkers validate through
-/// DerivationIndex::add instead, which also rejects duplicates.
-void check_derivation_record(const trace::Record& rec, ClauseId num_original,
+/// DerivationIndex::commit instead, which also rejects duplicates.
+void check_derivation_record(const trace::Record& rec, std::size_t num_sources,
+                             ClauseId num_original,
                              std::optional<ClauseId>& last_id);
 
 /// Single-pass trace load for checkers that keep the whole DAG in memory

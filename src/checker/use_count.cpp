@@ -1,5 +1,6 @@
 #include "src/checker/use_count.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -9,6 +10,8 @@ namespace satproof::checker {
 // ---------------------------------------------------------------- in-memory
 
 void InMemoryUseCounts::resize(std::uint64_t n) { counts_.assign(n, 0); }
+
+void InMemoryUseCounts::grow(std::uint64_t n) { counts_.resize(n, 0); }
 
 void InMemoryUseCounts::increment(std::uint64_t index) { ++counts_.at(index); }
 
@@ -58,16 +61,28 @@ void FileBackedUseCounts::resize(std::uint64_t n) {
   size_ = n;
   page_index_ = ~std::uint64_t{0};
   page_dirty_ = false;
-  // Extend the file with zeroed records.
-  io_.seekp(0);
+  file_entries_ = 0;  // rewrite every record as zero
+  extend_file(n);
+}
+
+void FileBackedUseCounts::grow(std::uint64_t n) {
+  if (n <= size_) return;
+  // Records at and past size_ are zero in the file and in the cached page
+  // alike, so the page stays valid. The file grows geometrically: growing
+  // one counter at a time costs amortized O(1) writes.
+  if (n > file_entries_) extend_file(std::max(n, 2 * file_entries_));
+  size_ = n;
+}
+
+void FileBackedUseCounts::extend_file(std::uint64_t n) {
+  io_.seekp(static_cast<std::streamoff>(file_entries_ * sizeof(std::uint32_t)));
   const std::vector<std::uint32_t> zeros(page_entries_, 0);
-  std::uint64_t written = 0;
-  while (written < n) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(page_entries_,
-                                                        n - written);
+  while (file_entries_ < n) {
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(page_entries_, n - file_entries_);
     io_.write(reinterpret_cast<const char*>(zeros.data()),
               static_cast<std::streamsize>(chunk * sizeof(std::uint32_t)));
-    written += chunk;
+    file_entries_ += chunk;
   }
   io_.flush();
   if (!io_) throw std::runtime_error("FileBackedUseCounts: resize failed");

@@ -35,6 +35,11 @@ class UseCountStore {
   /// Grows the store to hold `n` counters, all zero.
   virtual void resize(std::uint64_t n) = 0;
 
+  /// Extends the store to `n` counters, keeping the current ones; the new
+  /// ones start at zero. Lets the breadth-first checker count uses while
+  /// it is still discovering how many learned clauses there are.
+  virtual void grow(std::uint64_t n) = 0;
+
   /// Adds one use to counter `index`.
   virtual void increment(std::uint64_t index) = 0;
 
@@ -66,6 +71,7 @@ class UseCountStore {
 class InMemoryUseCounts final : public UseCountStore {
  public:
   void resize(std::uint64_t n) override;
+  void grow(std::uint64_t n) override;
   void increment(std::uint64_t index) override;
   std::uint32_t decrement(std::uint64_t index) override;
   void decrement_batch(std::span<const std::uint64_t> indices,
@@ -88,12 +94,15 @@ class FileBackedUseCounts final : public UseCountStore {
   ~FileBackedUseCounts() override;
 
   void resize(std::uint64_t n) override;
+  void grow(std::uint64_t n) override;
   void increment(std::uint64_t index) override;
   std::uint32_t decrement(std::uint64_t index) override;
   [[nodiscard]] std::uint32_t get(std::uint64_t index) override;
   [[nodiscard]] std::size_t memory_bytes() const override;
 
  private:
+  /// Appends zeroed records to the file until it holds `n`.
+  void extend_file(std::uint64_t n);
   void load_page(std::uint64_t page);
   void flush_page();
   std::uint32_t& slot(std::uint64_t index);
@@ -101,6 +110,7 @@ class FileBackedUseCounts final : public UseCountStore {
   util::TempFile file_;
   std::fstream io_;
   std::uint64_t size_ = 0;
+  std::uint64_t file_entries_ = 0;  ///< zeroed records in the file
   std::size_t page_entries_;
   std::vector<std::uint32_t> page_;
   std::uint64_t page_index_ = ~std::uint64_t{0};

@@ -135,7 +135,7 @@ std::uint64_t BinaryTraceReader::read_u64(const char* what) {
   // Fast path: the whole (≤ 10 byte) varint is inside the current window,
   // so decode with raw pointer bumps. For mmap'd or in-memory traces this
   // is every varint in the file.
-  if (end_ - p_ >= kMaxVarintBytes) return util::decode_varint(p_, end_);
+  if (end_ - p_ >= kMaxVarintBytes) return util::decode_varint_padded(p_);
 
   // Window-boundary slow path: gather the encoding byte by byte (refilling
   // as needed), then decode the gathered bytes with the same strict
@@ -155,7 +155,45 @@ std::uint64_t BinaryTraceReader::read_u64(const char* what) {
   return util::decode_varint(q, buf + n);
 }
 
-bool BinaryTraceReader::next(Record& out) {
+template <class T>
+void BinaryTraceReader::read_sources(std::uint64_t k, ClauseId id,
+                                     std::vector<T>& out) {
+  std::uint64_t i = 0;
+  // Fast path: all k deltas lie inside the current window, so decode them
+  // with a local cursor and no per-source refill check.
+  if (static_cast<std::uint64_t>(end_ - p_) / kMaxVarintBytes >= k) {
+    const std::uint8_t* p = p_;
+    const std::size_t base = out.size();
+    out.resize(base + k);
+    T* dst = out.data() + base;
+    for (; i < k; ++i) {
+      const std::uint64_t delta = util::decode_varint_padded(p);
+      if (delta == 0 || delta > id) {
+        p_ = p;
+        out.resize(base + i);
+        fail("source delta out of range");
+      }
+      dst[i] = static_cast<T>(id - delta);
+    }
+    p_ = p;
+    return;
+  }
+  for (; i < k; ++i) {
+    const std::uint64_t delta = read_u64("source delta");
+    if (delta == 0 || delta > id) fail("source delta out of range");
+    out.push_back(static_cast<T>(id - delta));
+  }
+}
+
+bool BinaryTraceReader::next(Record& out) { return read_record(out, nullptr); }
+
+bool BinaryTraceReader::next_into(Record& out,
+                                  std::vector<std::uint32_t>& pool) {
+  return read_record(out, &pool);
+}
+
+bool BinaryTraceReader::read_record(Record& out,
+                                    std::vector<std::uint32_t>* pool) {
   if (done_) return false;
   const int tag = get();
   if (tag < 0) {
@@ -168,11 +206,14 @@ bool BinaryTraceReader::next(Record& out) {
       const std::uint64_t k = read_u64("source count");
       if (k < 2) fail("derivation needs at least two sources");
       out.sources.clear();
-      out.sources.reserve(k);
-      for (std::uint64_t i = 0; i < k; ++i) {
-        const std::uint64_t delta = read_u64("source delta");
-        if (delta == 0 || delta > out.id) fail("source delta out of range");
-        out.sources.push_back(out.id - delta);
+      // Nothing is reserved for k up front: k comes from the trace, and a
+      // list longer than the bytes left fails as a truncation.
+      if (pool != nullptr) {
+        // Straight into the caller's storage, which the whole-trace load
+        // sized once from remaining_bytes().
+        read_sources(k, out.id, *pool);
+      } else {
+        read_sources(k, out.id, out.sources);
       }
       return true;
     }
@@ -207,6 +248,12 @@ bool BinaryTraceReader::next(Record& out) {
     default:
       fail("unknown record tag " + std::to_string(tag));
   }
+}
+
+std::optional<std::uint64_t> BinaryTraceReader::remaining_bytes() const {
+  const std::optional<std::uint64_t> size = source_->size();
+  if (!size.has_value()) return std::nullopt;
+  return *size - tell();
 }
 
 void BinaryTraceReader::rewind() {

@@ -73,7 +73,9 @@ class BinaryTraceReader final : public TraceReader {
     return num_original_;
   }
   bool next(Record& out) override;
+  bool next_into(Record& out, std::vector<std::uint32_t>& pool) override;
   void rewind() override;
+  [[nodiscard]] std::optional<std::uint64_t> remaining_bytes() const override;
 
   /// Positions are absolute byte offsets into the trace, so the
   /// window-shifting checker can jump straight back to a recorded record
@@ -95,6 +97,14 @@ class BinaryTraceReader final : public TraceReader {
 
   /// Reads one varint; `what` labels truncation-at-record-boundary errors.
   std::uint64_t read_u64(const char* what);
+
+  /// next() and next_into(): a derivation's sources go to `pool` when it
+  /// is not null, else to out.sources.
+  bool read_record(Record& out, std::vector<std::uint32_t>* pool);
+
+  /// Decodes `k` source deltas of derivation `id`, appending the sources.
+  template <class T>
+  void read_sources(std::uint64_t k, ClauseId id, std::vector<T>& out);
 
   std::unique_ptr<util::ByteSource> source_;
   const std::uint8_t* p_ = nullptr;          ///< decode cursor

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -54,7 +55,8 @@ struct Record {
   /// Derivation: the learned clause's ID. FinalConflict: the conflicting
   /// clause's ID.
   ClauseId id = kInvalidClauseId;
-  /// Derivation only: resolve sources, conflicting clause first.
+  /// Derivation only: resolve sources, conflicting clause first (empty
+  /// when TraceReader::next_into decoded them into its pool instead).
   std::vector<ClauseId> sources;
   /// Level0 only: the assigned variable and its value.
   Var var = kInvalidVar;
@@ -100,8 +102,9 @@ class TraceWriter {
 
 /// Source interface the checkers read the trace from.
 ///
-/// The breadth-first checker makes two passes over the trace (a counting
-/// pass and the resolution pass), hence rewind().
+/// The breadth-first checker reads the trace twice (a scan that also
+/// counts uses, then the resolution pass; ranged counting adds one pass
+/// per further range), hence rewind().
 class TraceReader {
  public:
   virtual ~TraceReader() = default;
@@ -116,6 +119,25 @@ class TraceReader {
   /// (after the End record has been delivered). Throws std::runtime_error
   /// on malformed input.
   virtual bool next(Record& out) = 0;
+
+  /// Reads the next record as next() does, except that a derivation's
+  /// sources are appended to `pool`, narrowed to 32 bits: the whole-trace
+  /// and window checkers decode straight into their own source storage.
+  /// Callers check that out.id is below 2^32, which bounds the sources
+  /// that precede it. `out.sources` is then either empty, when the reader
+  /// has itself checked that every source precedes out.id, or it holds
+  /// the same sources at full width, unchecked. The default reads through
+  /// next(); the binary reader decodes into `pool` directly.
+  virtual bool next_into(Record& out, std::vector<std::uint32_t>& pool);
+
+  /// Bytes still to be read, when the reader knows them up front (a
+  /// mapped or in-memory binary trace); nullopt otherwise. Every binary
+  /// derivation source takes at least one byte, so this bounds the
+  /// sources still to come, and a caller can size its source storage
+  /// once instead of growing it.
+  [[nodiscard]] virtual std::optional<std::uint64_t> remaining_bytes() const {
+    return std::nullopt;
+  }
 
   /// Restarts reading from the first record after the header.
   virtual void rewind() = 0;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,12 @@ class ByteSource {
     (void)len;
   }
 
+  /// Total bytes in the source when known up front (a buffer or a mapped
+  /// file); nullopt for a stream, whose length shows only at its end.
+  [[nodiscard]] virtual std::optional<std::uint64_t> size() const {
+    return std::nullopt;
+  }
+
   /// Maps (or reads) `path` and returns a source over its contents.
   /// Prefers mmap; falls back to a MemoryByteSource on platforms without
   /// it. Throws std::runtime_error if the file cannot be opened.
@@ -68,6 +75,9 @@ class MemoryByteSource final : public ByteSource {
       : data_(std::move(data)) {}
 
   Window window(std::uint64_t pos) override;
+  [[nodiscard]] std::optional<std::uint64_t> size() const override {
+    return data_.size();
+  }
 
  private:
   std::vector<std::uint8_t> data_;
@@ -86,6 +96,9 @@ class MmapByteSource final : public ByteSource {
 
   Window window(std::uint64_t pos) override;
   void release(std::uint64_t pos, std::uint64_t len) override;
+  [[nodiscard]] std::optional<std::uint64_t> size() const override {
+    return size_;
+  }
 
  private:
   const std::uint8_t* base_ = nullptr;

@@ -45,7 +45,7 @@ std::optional<std::uint64_t> read_varint(std::istream& is);
 ///
 /// Defined inline: the trace reader decodes millions of varints per check
 /// (every clause ID, source delta and literal goes through here, and the
-/// breadth-first checker reads the file three times), so the call must
+/// breadth-first checker reads the file twice), so the call must
 /// vanish into the parse loop. Most trace fields are source deltas and
 /// counts below 128, hence the dedicated one-byte early exit — a single
 /// byte without the continuation bit is always canonical.
@@ -77,6 +77,29 @@ inline std::uint64_t decode_varint(const std::uint8_t*& p,
     }
     value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     shift += 7;
+  }
+}
+
+/// decode_varint for a cursor followed by at least 10 readable bytes (the
+/// longest encoding), so no byte needs an end-of-buffer check: the binary
+/// trace reader's loop over a source list that lies inside its window.
+/// Same strictness and the same errors as the bounded form.
+inline std::uint64_t decode_varint_padded(const std::uint8_t*& p) {
+  if (*p < 0x80) return *p++;
+  std::uint64_t value = *p & 0x7f;
+  for (int i = 1;; ++i) {
+    const std::uint8_t byte = p[i];
+    const int shift = 7 * i;
+    if ((byte & 0x80) == 0) {
+      if (shift == 63 && (byte >> 1) != 0) {
+        throw std::runtime_error("varint: value exceeds 64 bits");
+      }
+      if (byte == 0) throw std::runtime_error("varint: over-long encoding");
+      p += i + 1;
+      return value | static_cast<std::uint64_t>(byte) << shift;
+    }
+    if (shift == 63) throw std::runtime_error("varint: over-long encoding");
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
   }
 }
 

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +22,13 @@
 #include "src/encode/suite.hpp"
 #include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/ascii.hpp"
+#include "src/trace/binary.hpp"
 #include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
+#include "src/util/byte_source.hpp"
+#include "src/util/temp_file.hpp"
+#include "src/util/varint.hpp"
 
 namespace satproof::checker {
 namespace {
@@ -398,6 +408,321 @@ TEST(FaultInjector, NoneModePassesThrough) {
   const trace::MemoryTrace t = inner.take();
   trace::MemoryTraceReader r(t);
   EXPECT_TRUE(check_depth_first(f, r).ok);
+}
+
+// ------------------------------------------- every byte source alike
+
+/// A seeded ladder-shaped proof, the shape of tools/gen_bigtrace: ladder w
+/// has the unit (v_0) and the implications up (~v_i | v_i+1) and down
+/// (~v_i+1 | v_i); each derivation folds a walker's unit with the run of
+/// implications it crosses, and the join (~top_0 | ... | z) with every
+/// top unit derives (z), the antecedent that refutes the final (~z).
+SolvedUnsat ladder_proof() {
+  constexpr std::uint64_t kLadders = 8, kRungs = 96, kSteps = 600;
+  constexpr std::uint64_t kPerLadder = 1 + 2 * (kRungs - 1);
+  const auto var = [](std::uint64_t w, std::uint64_t i) {
+    return static_cast<Var>(w * kRungs + i);
+  };
+  const auto up = [](std::uint64_t w, std::uint64_t i) -> ClauseId {
+    return w * kPerLadder + 1 + i;
+  };
+  const auto down = [](std::uint64_t w, std::uint64_t i) -> ClauseId {
+    return w * kPerLadder + kRungs + i;
+  };
+  const Var z = var(kLadders, 0);
+  SolvedUnsat out{Formula(z + 1), {}, {}};
+  std::vector<Lit> join;
+  for (std::uint64_t w = 0; w < kLadders; ++w) {
+    out.formula.add_clause({Lit::pos(var(w, 0))});
+    for (std::uint64_t i = 0; i + 1 < kRungs; ++i) {
+      out.formula.add_clause({Lit::neg(var(w, i)), Lit::pos(var(w, i + 1))});
+    }
+    for (std::uint64_t i = 0; i + 1 < kRungs; ++i) {
+      out.formula.add_clause({Lit::neg(var(w, i + 1)), Lit::pos(var(w, i))});
+    }
+    join.push_back(Lit::neg(var(w, kRungs - 1)));
+  }
+  join.push_back(Lit::pos(z));
+  const ClauseId id_join = out.formula.add_clause(join);
+  const ClauseId id_not_z = out.formula.add_clause({Lit::neg(z)});
+
+  trace::MemoryTraceWriter w;
+  w.begin(out.formula.num_vars(), out.formula.num_clauses());
+  std::vector<std::uint64_t> pos(kLadders, 0);
+  std::vector<ClauseId> unit(kLadders);
+  for (std::uint64_t l = 0; l < kLadders; ++l) unit[l] = l * kPerLadder;
+  ClauseId next_id = out.formula.num_clauses();
+  const auto step = [&](std::uint64_t l, bool climb, std::uint64_t rungs) {
+    std::vector<ClauseId> sources{unit[l]};
+    for (std::uint64_t r = 0; r < rungs; ++r) {
+      sources.push_back(climb ? up(l, pos[l]) : down(l, pos[l] - 1));
+      pos[l] = climb ? pos[l] + 1 : pos[l] - 1;
+    }
+    w.derivation(next_id, sources);
+    unit[l] = next_id++;
+  };
+  std::uint64_t rng = 5;
+  const auto next_random = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (std::uint64_t n = 0; n < kSteps; ++n) {
+    const std::uint64_t l = next_random() % kLadders;
+    const std::uint64_t rungs = 1 + next_random() % 12;
+    bool climb = (next_random() & 1) != 0;
+    if (pos[l] + rungs > kRungs - 1) climb = false;
+    if (pos[l] < rungs) climb = true;
+    step(l, climb, rungs);
+  }
+  for (std::uint64_t l = 0; l < kLadders; ++l) {
+    while (pos[l] < kRungs - 1) {
+      step(l, true, std::min<std::uint64_t>(12, kRungs - 1 - pos[l]));
+    }
+  }
+  std::vector<ClauseId> sources{id_join};
+  sources.insert(sources.end(), unit.begin(), unit.end());
+  w.derivation(next_id, sources);
+  w.final_conflict(id_not_z);
+  w.level0(z, true, next_id);
+  w.end();
+  out.trace = w.take();
+  return out;
+}
+
+/// Writes `t` through `w`, record for record.
+void write_trace(const trace::MemoryTrace& t, trace::TraceWriter& w) {
+  w.begin(t.num_vars, t.num_original);
+  for (const auto& d : t.derivations) w.derivation(d.id, d.sources);
+  if (t.has_final) w.final_conflict(t.final_conflict);
+  for (const auto& l : t.level0) {
+    if (l.antecedent == kInvalidClauseId) {
+      w.assumption(l.var, l.value);
+    } else {
+      w.level0(l.var, l.value, l.antecedent);
+    }
+  }
+  if (t.finished) w.end();
+}
+
+/// The binary encoding of a trace, with the byte offset of each
+/// derivation record.
+struct BinaryImage {
+  std::string bytes;
+  std::vector<std::size_t> derivation_at;
+};
+
+BinaryImage binary_image(const trace::MemoryTrace& t) {
+  // A writer that notes where each derivation record starts.
+  struct Offsets final : trace::TraceWriter {
+    Offsets(std::ostringstream& out, std::vector<std::size_t>& at)
+        : binary(out), out(&out), at(&at) {}
+    void begin(Var v, ClauseId n) override { binary.begin(v, n); }
+    void derivation(ClauseId id, std::span<const ClauseId> s) override {
+      at->push_back(static_cast<std::size_t>(out->tellp()));
+      binary.derivation(id, s);
+    }
+    void final_conflict(ClauseId id) override { binary.final_conflict(id); }
+    void level0(Var v, bool value, ClauseId a) override {
+      binary.level0(v, value, a);
+    }
+    void assumption(Var v, bool value) override { binary.assumption(v, value); }
+    void end() override { binary.end(); }
+    trace::BinaryTraceWriter binary;
+    std::ostringstream* out;
+    std::vector<std::size_t>* at;
+  };
+  std::ostringstream out;
+  BinaryImage image;
+  Offsets w(out, image.derivation_at);
+  write_trace(t, w);
+  image.bytes = out.str();
+  return image;
+}
+
+/// A reader with whatever it reads from.
+struct OwnedReader {
+  std::unique_ptr<std::istream> in;
+  std::unique_ptr<trace::TraceReader> reader;
+};
+
+/// Every way to read one binary trace — a mapped file, a
+/// MemoryByteSource, and a StreamByteSource refilled every 7 bytes, so
+/// that varints and source lists straddle refills — plus, when `ascii` is
+/// not empty, the ASCII text of the same proof.
+std::vector<std::pair<std::string, std::function<OwnedReader()>>>
+every_source(const std::string& binary, const util::TempFile& file,
+             const std::string& ascii) {
+  std::ofstream(file.path(), std::ios::binary) << binary;
+  std::vector<std::pair<std::string, std::function<OwnedReader()>>> out;
+  out.emplace_back("mapped", [&file] {
+    return OwnedReader{nullptr,
+                       trace::open_binary_trace_file(file.path().string())};
+  });
+  out.emplace_back("memory", [binary] {
+    return OwnedReader{nullptr,
+                       std::make_unique<trace::BinaryTraceReader>(
+                           std::make_unique<util::MemoryByteSource>(
+                               std::vector<std::uint8_t>(binary.begin(),
+                                                         binary.end())))};
+  });
+  out.emplace_back("stream", [binary] {
+    OwnedReader r{std::make_unique<std::istringstream>(binary), nullptr};
+    r.reader = std::make_unique<trace::BinaryTraceReader>(
+        std::make_unique<util::StreamByteSource>(*r.in, 7));
+    return r;
+  });
+  if (!ascii.empty()) {
+    out.emplace_back("ascii", [ascii] {
+      OwnedReader r{std::make_unique<std::istringstream>(ascii), nullptr};
+      r.reader = std::make_unique<trace::AsciiTraceReader>(*r.in);
+      return r;
+    });
+  }
+  return out;
+}
+
+/// The backends compared across byte sources: df at jobs 1 and 4,
+/// hybrid, window at a budget small enough for several windows, and bf.
+std::vector<std::pair<std::string,
+                      std::function<CheckResult(const Formula&,
+                                                trace::TraceReader&)>>>
+source_backends() {
+  return {
+      {"df", [](const Formula& f, trace::TraceReader& r) {
+         return check_depth_first(f, r);
+       }},
+      {"df jobs 4", [](const Formula& f, trace::TraceReader& r) {
+         return check_depth_first(f, r, {.jobs = 4});
+       }},
+      {"hybrid", [](const Formula& f, trace::TraceReader& r) {
+         return check_hybrid(f, r);
+       }},
+      {"window", [](const Formula& f, trace::TraceReader& r) {
+         WindowOptions options;
+         options.mem_limit_bytes = 64 << 10;
+         options.collect_core = true;
+         return check_window(f, r, options);
+       }},
+      {"bf", [](const Formula& f, trace::TraceReader& r) {
+         return check_breadth_first(f, r);
+       }},
+  };
+}
+
+void expect_same_result(const CheckResult& a, const CheckResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.error, b.error) << what;
+  EXPECT_EQ(a.core, b.core) << what;
+  EXPECT_EQ(a.failed_assumption_clause, b.failed_assumption_clause) << what;
+  EXPECT_EQ(a.stats.total_derivations, b.stats.total_derivations) << what;
+  EXPECT_EQ(a.stats.clauses_built, b.stats.clauses_built) << what;
+  EXPECT_EQ(a.stats.resolutions, b.stats.resolutions) << what;
+  EXPECT_EQ(a.stats.peak_mem_bytes, b.stats.peak_mem_bytes) << what;
+  EXPECT_EQ(a.stats.core_original_clauses, b.stats.core_original_clauses)
+      << what;
+  EXPECT_EQ(a.stats.arena_allocated_bytes, b.stats.arena_allocated_bytes)
+      << what;
+  EXPECT_EQ(a.stats.arena_recycled_bytes, b.stats.arena_recycled_bytes)
+      << what;
+  EXPECT_EQ(a.stats.arena_peak_bytes, b.stats.arena_peak_bytes) << what;
+}
+
+/// Checks `binary` (and `ascii`, if given) from every byte source on every
+/// backend; each backend's results must agree across sources. Returns
+/// the results of the first source, by backend.
+std::vector<CheckResult> check_every_source(const Formula& f,
+                                            const std::string& binary,
+                                            const std::string& ascii,
+                                            const std::string& what) {
+  const util::TempFile file("every-source");
+  const auto sources = every_source(binary, file, ascii);
+  std::vector<CheckResult> first;
+  for (const auto& [backend, check] : source_backends()) {
+    std::vector<CheckResult> results;
+    for (const auto& [source, open] : sources) {
+      OwnedReader r = open();
+      results.push_back(check(f, *r.reader));
+      expect_same_result(results.front(), results.back(),
+                         what + ", " + backend + ", " + source + " vs " +
+                             sources.front().first);
+    }
+    first.push_back(results.front());
+  }
+  return first;
+}
+
+TEST(ByteSources, EverySourceLoadsToTheSameCheck) {
+  std::vector<std::pair<std::string, SolvedUnsat>> proofs;
+  proofs.emplace_back("ladder", ladder_proof());
+  for (auto& row : encode::unsat_suite(encode::SuiteScale::Small)) {
+    if (row.name == "php5" || row.name == "miter_mult3") {
+      proofs.emplace_back(row.name, solve_unsat(std::move(row.formula)));
+    }
+  }
+  ASSERT_EQ(proofs.size(), 3u);
+  for (const auto& [name, proof] : proofs) {
+    std::ostringstream ascii;
+    trace::AsciiTraceWriter aw(ascii);
+    write_trace(proof.trace, aw);
+    const std::string binary = binary_image(proof.trace).bytes;
+    for (const CheckResult& r :
+         check_every_source(proof.formula, binary, ascii.str(), name)) {
+      EXPECT_TRUE(r.ok) << name << ": " << r.error;
+    }
+  }
+}
+
+TEST(ByteSources, CorruptBinaryTraceGivesOneDiagnosticFromEverySource) {
+  const SolvedUnsat proof = ladder_proof();
+  const BinaryImage image = binary_image(proof.trace);
+  const std::size_t r = image.derivation_at.size() / 2;
+  const std::size_t at = image.derivation_at[r];
+  const ClauseId id = proof.trace.derivations[r].id;
+  // A derivation record of `id` with `k` sources whose deltas are
+  // `deltas` (raw bytes), spliced in before record r.
+  const auto splice = [&](std::uint64_t k,
+                          const std::vector<std::uint8_t>& deltas) {
+    std::vector<std::uint8_t> rec = {0x01};
+    util::append_varint(rec, id);
+    util::append_varint(rec, k);
+    rec.insert(rec.end(), deltas.begin(), deltas.end());
+    std::string out = image.bytes;
+    out.insert(at, std::string(rec.begin(), rec.end()));
+    return out;
+  };
+  const std::size_t list_at =
+      at + 1 + util::varint_size(id) +
+      util::varint_size(proof.trace.derivations[r].sources.size());
+  struct Corrupt {
+    const char* what;
+    std::string bytes;
+    const char* error;
+  };
+  const Corrupt corrupt[] = {
+      // Two bytes into the list: inside its first (multi-byte) delta.
+      {"truncated mid-source-list", image.bytes.substr(0, list_at + 2),
+       "trace error: varint: truncated encoding at end of stream"},
+      {"zero source delta", splice(2, {0x00, 0x01}),
+       "trace error: binary trace: source delta out of range"},
+      {"over-long varint",
+       splice(2, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                  0x01, 0x01}),
+       "trace error: varint: over-long encoding"},
+      // More sources than the trace has bytes: the list runs on into the
+      // records after it, until a delta fails.
+      {"source count beyond the trace", splice(std::uint64_t{1} << 40, {}),
+       "trace error: binary trace: source delta out of range"},
+  };
+  for (const Corrupt& c : corrupt) {
+    for (const CheckResult& r :
+         check_every_source(proof.formula, c.bytes, "", c.what)) {
+      EXPECT_FALSE(r.ok) << c.what;
+      EXPECT_EQ(r.error, c.error) << c.what;
+    }
+  }
 }
 
 }  // namespace

@@ -55,6 +55,30 @@ TEST(UseCounts, FileBackedSurvivesResizeReuse) {
   EXPECT_THROW(store.get(9), std::out_of_range);
 }
 
+template <typename Store>
+void grow_one_at_a_time(Store& store, std::uint64_t n) {
+  // Grow past each counter before counting it, as the breadth-first scan
+  // does, across the cached page's edge and past the file's end.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    store.grow(i + 1);
+    store.grow(i + 1);  // not growing is a no-op
+    for (std::uint64_t j = 0; j <= i; j += 5) store.increment(j);
+  }
+  // Counter j was counted once per growth step from j + 1 to n.
+  for (std::uint64_t j = 0; j < n; ++j) {
+    EXPECT_EQ(store.get(j), j % 5 == 0 ? n - j : 0u) << j;
+  }
+}
+
+TEST(UseCounts, GrowKeepsCounts) {
+  InMemoryUseCounts mem;
+  grow_one_at_a_time(mem, 37);
+  EXPECT_EQ(mem.memory_bytes(), 37 * sizeof(std::uint32_t));
+  FileBackedUseCounts file(4);
+  grow_one_at_a_time(file, 37);
+  EXPECT_THROW((void)file.get(37), std::out_of_range);
+}
+
 TEST(UseCounts, FileBackedLastPartialPage) {
   FileBackedUseCounts store(8);
   store.resize(13);  // last page holds 5 entries

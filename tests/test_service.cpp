@@ -761,6 +761,65 @@ TEST_F(ServiceE2E, CountersObeyConservationLawsAfterDrain) {
   EXPECT_EQ(by_backend[2], timed_out);
 }
 
+TEST_F(ServiceE2E, UploadsOfAMebibyteRunOnTheBulkLane) {
+  start_server();
+  const auto samples = [&] {
+    return prometheus_samples(server_->metrics_prometheus());
+  };
+  const std::string bulk = "satproofd_lane_jobs_enqueued_total{lane=\"bulk\"}";
+  const std::string fast = "satproofd_lane_jobs_enqueued_total{lane=\"fast\"}";
+  // A small job declares its real size and takes the fast lane.
+  Client client = connect();
+  ASSERT_EQ(client.submit(fx_->php4(), fx_->trace4(), Backend::kDf, true)
+                .status,
+            JobStatus::kOk);
+  EXPECT_EQ(samples()[fast], 1);
+
+  // php4 padded past the bulk threshold with comment lines.
+  std::string padded;
+  const std::string comment = "c " + std::string(78, 'x') + "\n";
+  while (padded.size() < kBulkLaneThresholdBytes) padded += comment;
+  padded += read_file(fx_->php4());
+  struct Upload {
+    const char* what;
+    std::uint64_t declared_bytes;
+    std::string cnf;
+  };
+  const Upload uploads[] = {
+      {"declared", kBulkLaneThresholdBytes, read_file(fx_->php4())},
+      {"measured", 0, padded},
+  };
+  const std::string trace = read_file(fx_->trace4());
+  for (const Upload& u : uploads) {
+    const double bulk_before = samples()[bulk];
+    util::Socket sock = util::connect_unix(socket_file_.path().string());
+    SubmitHeader header;
+    header.flags = kSubmitFlagWait;
+    header.declared_bytes = u.declared_bytes;
+    ASSERT_TRUE(
+        write_frame(sock, FrameTag::kSubmit, encode_submit_header(header)));
+    ASSERT_TRUE(write_frame(sock, FrameTag::kCnfData, u.cnf));
+    ASSERT_TRUE(write_frame(sock, FrameTag::kTraceData, trace));
+    ASSERT_TRUE(write_frame(sock, FrameTag::kSubmitEnd));
+    Frame frame;
+    ASSERT_EQ(read_frame(sock, frame), ReadStatus::kFrame);
+    ASSERT_EQ(frame.tag, FrameTag::kAccepted) << u.what;
+    ASSERT_EQ(read_frame(sock, frame), ReadStatus::kFrame);
+    ASSERT_EQ(frame.tag, FrameTag::kResult) << u.what;
+    JobStatus status = JobStatus::kCheckFailed;
+    std::uint64_t id = 0;
+    std::string verdict, json;
+    ASSERT_TRUE(decode_result(frame.payload, status, id, verdict, json));
+    EXPECT_EQ(status, JobStatus::kOk) << u.what << ": " << verdict;
+    EXPECT_EQ(samples()[bulk], bulk_before + 1) << u.what;
+  }
+  server_->drain_and_wait();
+  std::map<std::string, double> s = samples();
+  EXPECT_EQ(s[bulk], 2);
+  EXPECT_EQ(s[fast], 1);
+  EXPECT_EQ(s[fast] + s[bulk], s["satproofd_jobs_accepted_total"]);
+}
+
 TEST_F(ServiceE2E, JsonAndPrometheusCarryTheSameSamples) {
   ServerOptions opts;
   opts.workers = 2;

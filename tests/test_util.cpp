@@ -191,6 +191,37 @@ TEST(Varint, TenthByteOverflowRejected) {
   EXPECT_THROW(decode_varint(buf, pos), std::runtime_error);
 }
 
+TEST(Varint, PaddedDecodeMatchesBounded) {
+  // decode_varint_padded skips the end checks that ten readable bytes make
+  // needless; it must accept and reject exactly what decode_varint does.
+  const std::vector<std::vector<std::uint8_t>> cases = {
+      {0x05},
+      {0xac, 0x02},
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+      {0x81, 0x00},  // over-long
+      // Beyond 64 bits, then eleven bytes.
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+      {0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+  };
+  // The value decoded, or the error, and the bytes consumed.
+  const auto decode = [](const std::vector<std::uint8_t>& buf, bool padded) {
+    const std::uint8_t* p = buf.data();
+    try {
+      const std::uint64_t v =
+          padded ? decode_varint_padded(p)
+                 : decode_varint(p, buf.data() + buf.size());
+      return std::to_string(v) + " in " + std::to_string(p - buf.data());
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+  };
+  for (const auto& tight : cases) {
+    std::vector<std::uint8_t> padded = tight;
+    padded.resize(tight.size() + 10, 0x7f);
+    EXPECT_EQ(decode(tight, false), decode(padded, true));
+  }
+}
+
 TEST(Varint, PointerDecodeAdvances) {
   std::vector<std::uint8_t> buf;
   append_varint(buf, 7);
