@@ -13,6 +13,7 @@ class BreadthFirstChecker {
   BreadthFirstChecker(const Formula& f, trace::TraceReader& reader,
                       const BreadthFirstOptions& options)
       : formula_(&f),
+        canonical_(f),
         reader_(&reader),
         num_original_(reader.num_original()),
         num_vars_(reader.num_vars()),
@@ -198,16 +199,11 @@ class BreadthFirstChecker {
     }
   }
 
-  /// Fetches a clause for resolution: originals are read from the
-  /// formula itself, the single copy in memory, through canonical_view;
-  /// learned clauses come from the live window. The returned view is valid
-  /// until the next fetch.
+  /// Fetches a clause for resolution: originals are read in canonical
+  /// form through canonical_; learned clauses come from the live window.
+  /// The returned view is valid until the next fetch.
   ClauseView fetch_clause(ClauseId id) {
-    if (id < num_original_) {
-      const ClauseView lits = canonical_view(formula_->clause(id), scratch_);
-      if (is_tautology(lits)) throw CheckFailure(tautological_original(id));
-      return lits;
-    }
+    if (id < num_original_) return canonical_.source(id);
     if (!store_.contains(id)) {
       throw CheckFailure(
           "clause " + std::to_string(id) +
@@ -223,6 +219,7 @@ class BreadthFirstChecker {
   }
 
   const Formula* formula_;
+  const CanonicalOriginals canonical_;
   trace::TraceReader* reader_;
   // Cached: TraceReader's accessors are virtual, and the replay tests
   // every fetched source against num_original_.
@@ -234,7 +231,6 @@ class BreadthFirstChecker {
   std::optional<ClauseId> final_id_;
   std::uint64_t num_learned_slots_ = 0;
   ClauseStore store_;
-  SortedClause scratch_;  ///< canonical_view's buffer
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
   ChainResolver chain_;

@@ -12,6 +12,14 @@ namespace {
 
 std::string lit_str(Lit lit) { return to_string(lit); }
 
+/// True when `lits` is strictly ascending: sorted, no literal repeated.
+bool is_canonical(ClauseView lits) {
+  for (std::size_t i = 1; i < lits.size(); ++i) {
+    if (!(lits[i - 1] < lits[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void DerivationIndex::reserve_sources(std::uint64_t n) {
@@ -81,6 +89,24 @@ std::string derivation_failure(ClauseId id, ClauseId source, std::size_t step,
 std::string tautological_original(ClauseId id) {
   return "original clause " + std::to_string(id) +
          " is tautological and cannot be a resolution source";
+}
+
+CanonicalOriginals::CanonicalOriginals(const Formula& f) : formula_(&f) {
+  const std::size_t n = f.num_clauses();
+  for (ClauseId id = 0; id < n; ++id) {
+    ClauseView lits = formula_->clause(id);
+    if (formula_ == &f && !is_canonical(lits)) {
+      // The clauses before `id` read the same in the copy.
+      copy_ = f;
+      copy_.canonicalize();
+      formula_ = &copy_;
+      lits = copy_.clause(id);
+    }
+    if (is_tautology(lits)) {
+      if (tautologies_.empty()) tautologies_.assign(n, 0);
+      tautologies_[id] = 1;
+    }
+  }
 }
 
 ClauseId require_final_conflict(const std::optional<ClauseId>& final_id) {

@@ -223,30 +223,55 @@ class DerivationIndex {
                                              std::size_t step,
                                              ResolveStatus status);
 
-/// The canonical form (sorted by code, duplicate-free) of `raw`, through
-/// which every backend and the RUP engine read original clauses. A clause
-/// already strictly ascending is canonical as it stands: the view is `raw`
-/// itself and nothing is copied. Otherwise `raw` is sorted and
-/// deduplicated into `scratch`, whose capacity is reused, and the view is
-/// valid until `scratch`'s next use. Callers test the view with
-/// is_tautology; a replay that reaches a tautological original fails with
-/// tautological_original(id). Inline: BF and window call it once per
-/// original-clause fetch, millions of times on a long trace.
-[[nodiscard]] inline ClauseView canonical_view(ClauseView raw,
-                                               SortedClause& scratch) {
-  for (std::size_t i = 1; i < raw.size(); ++i) {
-    if (!(raw[i - 1] < raw[i])) {
-      scratch.assign(raw.begin(), raw.end());
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      return scratch;
-    }
-  }
-  return raw;
-}
-
 [[nodiscard]] std::string tautological_original(ClauseId id);
+
+/// A formula's original clauses in canonical form (sorted by code,
+/// duplicate-free), the one way every replay backend and the RUP engine
+/// read them. Built once per check, in one pass over the formula. When
+/// every clause is already canonical (run_check canonicalizes the formula
+/// it parses) the clauses are read in place; only a formula that is not
+/// gets a private canonicalized copy, which, like the caller's formula, is
+/// not counted in peak_mem_bytes. The same pass records which originals
+/// are tautologies, one byte per clause and nothing when there are none,
+/// so a fetch never scans a clause.
+class CanonicalOriginals {
+ public:
+  explicit CanonicalOriginals(const Formula& f);
+
+  // formula_ may point into this object.
+  CanonicalOriginals(const CanonicalOriginals&) = delete;
+  CanonicalOriginals& operator=(const CanonicalOriginals&) = delete;
+
+  /// Original clause `id`, canonical; `id` must be below num_clauses().
+  [[nodiscard]] ClauseView clause(ClauseId id) const {
+    return formula_->clause(id);
+  }
+
+  /// True when original clause `id` has a variable in both phases.
+  [[nodiscard]] bool tautology(ClauseId id) const {
+    return !tautologies_.empty() && tautologies_[id] != 0;
+  }
+
+  /// Original clause `id` as a resolve source. Throws CheckFailure with
+  /// tautological_original(id) when it is a tautology. Inline: BF and
+  /// window call it once per original-clause fetch, millions of times on
+  /// a long trace.
+  [[nodiscard]] ClauseView source(ClauseId id) const {
+    if (tautology(id)) [[unlikely]] {
+      throw CheckFailure(tautological_original(id));
+    }
+    return clause(id);
+  }
+
+  [[nodiscard]] std::size_t num_clauses() const {
+    return formula_->num_clauses();
+  }
+
+ private:
+  Formula copy_;  ///< the canonicalized copy; empty when unused
+  const Formula* formula_;
+  std::vector<std::uint8_t> tautologies_;  ///< by ID; empty when none
+};
 
 /// The final-trail assignment table reconstructed from the trace's Level0
 /// and Assumption records (Section 3.1, item 3; assumptions are the

@@ -54,6 +54,7 @@ class DepthFirstChecker {
   DepthFirstChecker(const Formula& f, trace::TraceReader& reader,
                     const DepthFirstOptions& options)
       : formula_(&f),
+        canonical_(f),
         reader_(&reader),
         level0_(reader.num_vars()),
         derivations_(reader.num_original()),
@@ -143,7 +144,6 @@ class DepthFirstChecker {
     util::ClauseArena own_arena;
     util::ClauseArena* arena = nullptr;  ///< own_arena or the recycled one
     ChainResolver chain;
-    SortedClause scratch;         ///< canonical_view's buffer
     std::vector<ClauseId> stack;  ///< build()'s claimed clauses
     std::vector<std::uint32_t> round;  ///< its share of order_, in order
     CheckStats stats;  ///< resolutions, clauses_built, core_original_clauses
@@ -461,13 +461,12 @@ class DepthFirstChecker {
 
   /// Original clause `id` in canonical form, stored on `lane`, or kFailed.
   const Lit* build_original(ClauseId id, Lane& lane) {
-    const ClauseView lits = canonical_view(formula_->clause(id), lane.scratch);
-    if (is_tautology(lits)) {
+    if (canonical_.tautology(id)) {
       lane.failures.emplace_back(id, tautological_original(id));
       return kFailed;
     }
     ++lane.stats.core_original_clauses;
-    return lane.arena->tagged_block(lane.arena->put(lits));
+    return lane.arena->tagged_block(lane.arena->put(canonical_.clause(id)));
   }
 
   /// Replays derivation `id`, whose sources are all published: a left fold
@@ -535,6 +534,7 @@ class DepthFirstChecker {
   }
 
   const Formula* formula_;
+  const CanonicalOriginals canonical_;
   trace::TraceReader* reader_;
   Level0Table level0_;
   DerivationIndex derivations_;

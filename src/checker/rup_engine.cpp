@@ -374,10 +374,9 @@ std::uint32_t RupProof::add(std::span<const Lit> clause_lits) {
 }
 
 void RupProof::add_originals(const Formula& f) {
-  SortedClause scratch;
-  for (ClauseId id = 0; id < f.num_clauses(); ++id) {
-    const ClauseView canonical = canonical_view(f.clause(id), scratch);
-    if (!is_tautology(canonical)) add(canonical);
+  const CanonicalOriginals originals(f);
+  for (ClauseId id = 0; id < originals.num_clauses(); ++id) {
+    if (!originals.tautology(id)) add(originals.clause(id));
   }
   num_original = num_clauses();
 }

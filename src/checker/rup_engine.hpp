@@ -33,7 +33,7 @@ struct RupProof {
   /// Appends a clause and returns its number. Both appends throw
   /// std::length_error beyond kMaxClauses clauses.
   std::uint32_t add(std::span<const Lit> clause_lits);
-  /// Appends every clause of `f` in canonical form (canonical_view),
+  /// Appends every clause of `f` in canonical form (CanonicalOriginals),
   /// skipping tautologies, which can never propagate, and sets
   /// num_original to the clauses appended.
   void add_originals(const Formula& f);

@@ -28,6 +28,7 @@ class WindowChecker {
   WindowChecker(const Formula& f, trace::TraceReader& reader,
                 const WindowOptions& options)
       : formula_(&f),
+        canonical_(f),
         reader_(&reader),
         num_original_(reader.num_original()),
         num_vars_(reader.num_vars()),
@@ -466,12 +467,11 @@ class WindowChecker {
     }
   }
 
-  /// Originals are read from the formula through canonical_view, as in
-  /// the breadth-first checker; learned clauses from the frontier.
+  /// Originals are read in canonical form through canonical_, as in the
+  /// breadth-first checker; learned clauses from the frontier.
   ClauseView fetch_clause(ClauseId id) {
     if (id < num_original_) {
-      const ClauseView lits = canonical_view(formula_->clause(id), scratch_);
-      if (is_tautology(lits)) throw CheckFailure(tautological_original(id));
+      const ClauseView lits = canonical_.source(id);
       mark_core(id);
       return lits;
     }
@@ -493,6 +493,7 @@ class WindowChecker {
   }
 
   const Formula* formula_;
+  const CanonicalOriginals canonical_;
   trace::TraceReader* reader_;
   // Cached: TraceReader's accessors are virtual, and the replay tests
   // every fetched source against num_original_.
@@ -527,7 +528,6 @@ class WindowChecker {
   std::uint64_t core_count_ = 0;
 
   ClauseStore store_;
-  SortedClause scratch_;  ///< canonical_view's buffer
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
   ChainResolver chain_;

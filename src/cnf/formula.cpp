@@ -1,5 +1,6 @@
 #include "src/cnf/formula.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace satproof {
@@ -16,6 +17,28 @@ ClauseId Formula::add_clause(std::span<const Lit> lits) {
   sizes_.push_back(static_cast<std::uint32_t>(lits.size()));
   pool_.insert(pool_.end(), lits.begin(), lits.end());
   return id;
+}
+
+void Formula::canonicalize() {
+  std::uint64_t kept = 0;  // literals kept so far, a prefix of pool_
+  for (std::size_t id = 0; id < offsets_.size(); ++id) {
+    Lit* const begin = pool_.data() + offsets_[id];
+    Lit* end = begin + sizes_[id];
+    const auto not_ascending = [](Lit a, Lit b) { return !(a < b); };
+    if (std::adjacent_find(begin, end, not_ascending) != end) {
+      std::sort(begin, end);
+      end = std::unique(begin, end);
+    }
+    const std::uint64_t size = end - begin;
+    // The clause moves down over the literals dropped before it.
+    if (kept != offsets_[id]) {
+      std::copy(begin, begin + size, pool_.data() + kept);
+    }
+    offsets_[id] = kept;
+    sizes_[id] = static_cast<std::uint32_t>(size);
+    kept += size;
+  }
+  pool_.resize(kept);
 }
 
 void Formula::throw_clause_out_of_range() {

@@ -42,13 +42,23 @@ class Formula {
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
 
-  /// The literals of clause `id`, as added. Throws std::out_of_range when
-  /// `id` >= num_clauses(). Inline: the replay backends read an original
-  /// clause per resolve source.
+  /// The literals of clause `id`: as added, or in canonical form after
+  /// canonicalize(). Throws std::out_of_range when `id` >= num_clauses().
+  /// Inline: the replay backends read an original clause per resolve
+  /// source.
   [[nodiscard]] std::span<const Lit> clause(ClauseId id) const {
     if (id >= offsets_.size()) [[unlikely]] throw_clause_out_of_range();
     return {pool_.data() + offsets_[id], sizes_[id]};
   }
+
+  /// Puts every clause in canonical form, in place: literals sorted by
+  /// code, repeated literals dropped, the pool compacted so that
+  /// num_literals() counts what remains. Clause IDs and the clause count
+  /// do not change; an empty clause stays empty and a tautology keeps
+  /// both phases of its variable. Idempotent. The checkers resolve
+  /// canonical clauses, so a check that canonicalizes the formula it owns
+  /// lets them read every original in place.
+  void canonicalize();
 
   /// Total number of stored literals across all clauses.
   [[nodiscard]] std::size_t num_literals() const { return pool_.size(); }

@@ -242,7 +242,11 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
   }
   try {
     obs::Span load_span("load_formula");
-    const Formula f = dimacs::parse_file(cnf_path);
+    Formula f = dimacs::parse_file(cnf_path);
+    // Every backend resolves canonical clauses: canonicalized here, once,
+    // they read the originals in place. Nothing below depends on the
+    // literal order of the file (the kernel rereads the CNF itself).
+    f.canonicalize();
     load_span.finish();
 
     if (backend == Backend::kDrup) {

@@ -29,6 +29,7 @@
 #include "src/util/byte_source.hpp"
 #include "src/util/temp_file.hpp"
 #include "src/util/varint.hpp"
+#include "tests/test_helpers.hpp"
 
 namespace satproof::checker {
 namespace {
@@ -491,21 +492,6 @@ SolvedUnsat ladder_proof() {
   return out;
 }
 
-/// Writes `t` through `w`, record for record.
-void write_trace(const trace::MemoryTrace& t, trace::TraceWriter& w) {
-  w.begin(t.num_vars, t.num_original);
-  for (const auto& d : t.derivations) w.derivation(d.id, d.sources);
-  if (t.has_final) w.final_conflict(t.final_conflict);
-  for (const auto& l : t.level0) {
-    if (l.antecedent == kInvalidClauseId) {
-      w.assumption(l.var, l.value);
-    } else {
-      w.level0(l.var, l.value, l.antecedent);
-    }
-  }
-  if (t.finished) w.end();
-}
-
 /// The binary encoding of a trace, with the byte offset of each
 /// derivation record.
 struct BinaryImage {
@@ -536,7 +522,7 @@ BinaryImage binary_image(const trace::MemoryTrace& t) {
   std::ostringstream out;
   BinaryImage image;
   Offsets w(out, image.derivation_at);
-  write_trace(t, w);
+  test::write_trace(t, w);
   image.bytes = out.str();
   return image;
 }
@@ -666,7 +652,7 @@ TEST(ByteSources, EverySourceLoadsToTheSameCheck) {
   for (const auto& [name, proof] : proofs) {
     std::ostringstream ascii;
     trace::AsciiTraceWriter aw(ascii);
-    write_trace(proof.trace, aw);
+    test::write_trace(proof.trace, aw);
     const std::string binary = binary_image(proof.trace).bytes;
     for (const CheckResult& r :
          check_every_source(proof.formula, binary, ascii.str(), name)) {

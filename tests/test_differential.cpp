@@ -7,7 +7,10 @@
 // where both SAT and UNSAT outcomes occur and proofs are nontrivial.
 //
 // 500 seeded instances split into 10 shards so ctest can run them in
-// parallel and a failure names its shard/seed.
+// parallel and a failure names its shard/seed. Every round those instances
+// plan is too small for the depth-first checker's lanes, so each shard
+// also checks a ladder trace (tools/gen_bigtrace's shape), seeded by the
+// shard and with its literals shuffled, whose round runs on four lanes.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,9 @@
 #include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
+#include "src/obs/trace.hpp"
 #include "src/trace/memory.hpp"
+#include "tests/test_helpers.hpp"
 
 namespace satproof {
 namespace {
@@ -163,6 +168,67 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
   // The ratio sweep straddles the phase transition, so a healthy fraction
   // of every shard must actually exercise the proof path.
   EXPECT_GE(unsat_seen, kInstancesPerShard / 5);
+}
+
+TEST_P(DifferentialFuzz, ShuffledLadderAgreesAcrossBackendsAndRunsOnLanes) {
+  const int shard = GetParam();
+  test::LadderOptions options;
+  options.seed = 1 + static_cast<std::uint64_t>(shard);
+  const test::LadderTrace lt = test::ladder_trace(options);
+  const Formula f = test::shuffled(lt.formula, shard);
+  const trace::MemoryTrace& t = lt.trace;
+
+  trace::MemoryTraceReader r1(t);
+  const checker::CheckResult df = checker::check_depth_first(f, r1);
+  ASSERT_TRUE(df.ok) << df.error;
+  ASSERT_FALSE(df.core.empty());
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    obs::TraceSession session;
+    trace::MemoryTraceReader r(t);
+    const checker::CheckResult par =
+        checker::check_depth_first(f, r, {.jobs = jobs});
+    // The pool's threads flushed their spans when the checker joined them.
+    obs::flush_this_thread();
+    const std::size_t tasks =
+        test::count_spans(session.sink().to_chrome_json(), "task");
+    ASSERT_TRUE(par.ok) << par.error;
+    EXPECT_EQ(par.core, df.core);
+    EXPECT_EQ(par.stats.total_derivations, df.stats.total_derivations);
+    EXPECT_EQ(par.stats.clauses_built, df.stats.clauses_built);
+    EXPECT_EQ(par.stats.resolutions, df.stats.resolutions);
+    EXPECT_EQ(par.stats.peak_mem_bytes, df.stats.peak_mem_bytes);
+    EXPECT_EQ(par.stats.core_original_clauses,
+              df.stats.core_original_clauses);
+    // At least one round reached the lanes.
+    if (jobs > 1) {
+      EXPECT_GE(tasks, 2u);
+    }
+  }
+
+  trace::MemoryTraceReader r2(t);
+  const checker::CheckResult bf = checker::check_breadth_first(f, r2);
+  EXPECT_TRUE(bf.ok) << bf.error;
+  EXPECT_EQ(bf.stats.total_derivations, df.stats.total_derivations);
+  EXPECT_EQ(bf.stats.resolutions, df.stats.resolutions);
+  trace::MemoryTraceReader r3(t);
+  const checker::CheckResult hy = checker::check_hybrid(f, r3);
+  EXPECT_TRUE(hy.ok) << hy.error;
+  EXPECT_EQ(hy.stats.resolutions, df.stats.resolutions);
+  trace::MemoryTraceReader r4(t);
+  checker::WindowOptions wopts;
+  wopts.mem_limit_bytes = 16 << 10;  // several windows
+  wopts.collect_core = true;
+  const checker::CheckResult wn = checker::check_window(f, r4, wopts);
+  EXPECT_TRUE(wn.ok) << wn.error;
+  EXPECT_EQ(wn.core, df.core);
+  EXPECT_EQ(wn.stats.resolutions, df.stats.resolutions);
+  EXPECT_EQ(wn.stats.clauses_built, df.stats.clauses_built);
+  for (const unsigned jobs : kRupJobs) {
+    trace::MemoryTraceReader r5(t);
+    const proof::RupResult rup = proof::check_trace_rup(f, r5, jobs);
+    EXPECT_TRUE(rup.ok) << "jobs " << jobs << ": " << rup.error;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DifferentialFuzz,

@@ -8,10 +8,10 @@
 // logical block bytes precisely so layout cannot leak into them).
 //
 // The spelling of the formula's clauses is layout too: every backend reads
-// an original clause through canonical_view, in place when its literals
-// are already ascending and sorted into scratch otherwise, so a formula
-// with each clause reversed and a literal repeated must check exactly like
-// the formula as generated, certificates included.
+// the original clauses through CanonicalOriginals, in place when they are
+// all canonical and from a canonicalized copy otherwise, so a formula with
+// each clause reversed and a literal repeated must check exactly like the
+// formula as generated, certificates included.
 //
 // Runs the same 500 seeded instances as test_differential (same seed
 // formula: 1000 + shard * 50 + i), split into 10 shards, and the small
@@ -37,6 +37,7 @@
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
 #include "src/util/arena.hpp"
+#include "tests/test_helpers.hpp"
 
 namespace satproof {
 namespace {
@@ -62,6 +63,7 @@ class LazyChecker {
   LazyChecker(const Formula& f, trace::TraceReader& reader,
               util::ClauseArena* arena)
       : formula_(&f),
+        canonical_(f),
         reader_(&reader),
         num_original_(reader.num_original()),
         level0_(reader.num_vars()),
@@ -144,12 +146,7 @@ class LazyChecker {
   }
 
   checker::ClauseView build_original(ClauseId id) {
-    const checker::ClauseView lits =
-        checker::canonical_view(formula_->clause(id), scratch_);
-    if (checker::is_tautology(lits)) {
-      throw checker::CheckFailure(checker::tautological_original(id));
-    }
-    store_.put(id, lits);
+    store_.put(id, canonical_.source(id));
     return store_.view(id);
   }
 
@@ -168,6 +165,7 @@ class LazyChecker {
   }
 
   const Formula* formula_;
+  const checker::CanonicalOriginals canonical_;
   trace::TraceReader* reader_;
   ClauseId num_original_;
   checker::Level0Table level0_;
@@ -176,7 +174,6 @@ class LazyChecker {
   checker::ChainResolver chain_;
   util::MemTracker mem_;
   checker::CheckStats stats_;
-  checker::SortedClause scratch_;
 };
 
 Outcome check(const Formula& f, const trace::MemoryTrace& t,
@@ -328,22 +325,6 @@ TEST(LayoutReference, SmallSuiteMatchesTheLazyBuild) {
   }
 }
 
-/// `f` with every clause reversed and its new first literal repeated at
-/// the end: the same clause set, but no clause of two or more literals is
-/// code-ascending, so every original read goes through canonical_view's
-/// sorting path.
-Formula respelled(const Formula& f) {
-  Formula out(f.num_vars());
-  std::vector<Lit> lits;
-  for (ClauseId id = 0; id < f.num_clauses(); ++id) {
-    const std::span<const Lit> raw = f.clause(id);
-    lits.assign(raw.rbegin(), raw.rend());
-    if (!lits.empty()) lits.push_back(lits.front());
-    out.add_clause(lits);
-  }
-  return out;
-}
-
 /// Every backend's outcome on one formula and trace: the resolution
 /// backends' CheckResults, the LRAT text of the emitting ones (df, hybrid,
 /// window), and the unit-propagation checkers' counts.
@@ -426,7 +407,7 @@ TEST_P(RespelledFormula, EveryBackendChecksItLikeTheOriginal) {
     const unsigned jobs = 1 + static_cast<unsigned>(i % 4);
     const AllBackends as_generated = run_all(f, t, drup_text.str(), jobs);
     const AllBackends as_respelled =
-        run_all(respelled(f), t, drup_text.str(), jobs);
+        run_all(test::respelled(f), t, drup_text.str(), jobs);
     const char* const names[] = {"df", "bf", "hybrid", "window 0",
                                  "window 1MiB", "df on lanes"};
     for (std::size_t k = 0; k < as_generated.results.size(); ++k) {
