@@ -11,16 +11,19 @@ namespace {
 class BreadthFirstChecker {
  public:
   BreadthFirstChecker(const Formula& f, trace::TraceReader& reader,
-                      const BreadthFirstOptions& options)
+                      const BreadthFirstOptions& options, CheckMemory& memory)
       : formula_(&f),
         canonical_(f),
         reader_(&reader),
         num_original_(reader.num_original()),
         num_vars_(reader.num_vars()),
         options_(options),
-        level0_(num_vars_),
+        level0_(memory.level0),
         counts_(make_use_count_store(options.use_counts)),
-        store_(options.recycle_arena) {}
+        store_(memory.store()),
+        chain_(memory.lane(0).chain) {
+    level0_.reset(num_vars_);
+  }
 
   CheckResult run() {
     CheckResult result;
@@ -226,14 +229,14 @@ class BreadthFirstChecker {
   ClauseId num_original_;
   Var num_vars_;
   BreadthFirstOptions options_;
-  Level0Table level0_;
+  Level0Table& level0_;  ///< the workspace's, like store_ and chain_
   std::unique_ptr<UseCountStore> counts_;
   std::optional<ClauseId> final_id_;
   std::uint64_t num_learned_slots_ = 0;
-  ClauseStore store_;
+  ClauseStore& store_;
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
-  ChainResolver chain_;
+  ChainResolver& chain_;
   util::MemTracker mem_;
   CheckStats stats_;
 };
@@ -242,7 +245,8 @@ class BreadthFirstChecker {
 
 CheckResult check_breadth_first(const Formula& f, trace::TraceReader& reader,
                                 const BreadthFirstOptions& options) {
-  BreadthFirstChecker checker(f, reader, options);
+  const CheckMemoryLease memory(options.memory);
+  BreadthFirstChecker checker(f, reader, options, *memory);
   return checker.run();
 }
 

@@ -19,9 +19,9 @@ struct BreadthFirstOptions {
   /// counts everything in a single pass.
   std::uint64_t count_range = 0;
 
-  /// When non-null, clause storage borrows this arena instead of growing a
-  /// private one (see DepthFirstOptions::recycle_arena).
-  util::ClauseArena* recycle_arena = nullptr;
+  /// The workspace the check runs in; null means the calling thread's
+  /// (see DepthFirstOptions::memory).
+  CheckMemory* memory = nullptr;
 };
 
 /// Breadth-first proof checking (paper Section 3.3).

@@ -22,6 +22,15 @@ bool is_canonical(ClauseView lits) {
 
 }  // namespace
 
+void DerivationIndex::reset(ClauseId num_original) {
+  num_original_ = num_original;
+  pool_.clear();
+  committed_ = 0;
+  entries_.clear();
+  max_id_ = 0;
+  num_records_ = 0;
+}
+
 void DerivationIndex::reserve_sources(std::uint64_t n) {
   // commit() rejects a pool beyond 2^32 sources, so reserve no more.
   n = std::min<std::uint64_t>(n, std::numeric_limits<std::uint32_t>::max());
@@ -165,6 +174,68 @@ ClauseId load_full_trace(trace::TraceReader& reader,
 }
 
 Level0Table::Level0Table(Var num_vars) : entries_(num_vars) {}
+
+void Level0Table::reset(Var num_vars) {
+  entries_.assign(num_vars, Entry{});
+  count_ = 0;
+  num_assumed_ = 0;
+}
+
+CheckMemory::CheckMemory() : store_(lane(0).arena) {}
+
+CheckMemory& CheckMemory::this_thread() {
+  thread_local CheckMemory memory;
+  return memory;
+}
+
+void CheckMemory::set_binary_tier(bool on) {
+  binary_tier_ = on;
+  for (Lane& l : lanes_) l.arena.set_binary_tier(on);
+}
+
+CheckMemory::Lane& CheckMemory::lane(std::size_t i) {
+  while (lanes_.size() <= i) {
+    lanes_.emplace_back().arena.set_binary_tier(binary_tier_);
+  }
+  Lane& l = lanes_[i];
+  l.arena.reset();
+  l.round.clear();
+  l.stack.clear();
+  return l;
+}
+
+std::span<std::atomic<const Lit*>> CheckMemory::slots(std::size_t n) {
+  if (n > slots_capacity_) {
+    slots_.reset();  // free the old table before mapping the larger one
+    slots_ = std::make_unique<std::atomic<const Lit*>[]>(n);
+    slots_capacity_ = n;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      slots_[i].store(nullptr, std::memory_order_relaxed);
+    }
+  }
+  return {slots_.get(), n};
+}
+
+ClauseStore& CheckMemory::store() {
+  store_.reset();
+  return store_;
+}
+
+CheckMemoryLease::CheckMemoryLease(CheckMemory* requested)
+    : memory_(requested != nullptr ? requested : &CheckMemory::this_thread()) {
+  if (memory_->in_use_.exchange(true, std::memory_order_acquire)) {
+    private_ = std::make_unique<CheckMemory>();
+    memory_ = private_.get();
+    memory_->in_use_.store(true, std::memory_order_relaxed);
+  }
+}
+
+CheckMemoryLease::~CheckMemoryLease() {
+  if (private_ == nullptr) {
+    memory_->in_use_.store(false, std::memory_order_release);
+  }
+}
 
 void Level0Table::add(Var var, bool value, ClauseId antecedent) {
   if (var >= entries_.size()) {

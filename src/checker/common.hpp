@@ -1,8 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -83,19 +86,18 @@ class CheckFailure : public std::runtime_error {
 /// chasing.
 class ClauseStore {
  public:
-  /// Owns a private arena (the default, used by one-shot CLI checks).
-  ClauseStore() : arena_(&owned_) {}
-
-  /// Borrows `external` for clause storage instead of owning one
-  /// (nullptr = own a private arena). The satproofd worker pool passes a
-  /// per-worker arena here (reset() between jobs) so repeated checks reuse
-  /// already-mapped chunks and concurrent workers never share an
-  /// allocator. `external` must outlive the store.
-  explicit ClauseStore(util::ClauseArena* external)
-      : arena_(external != nullptr ? external : &owned_) {}
+  /// Stores clauses in `arena`, which must outlive the store.
+  explicit ClauseStore(util::ClauseArena& arena) : arena_(&arena) {}
 
   ClauseStore(const ClauseStore&) = delete;
   ClauseStore& operator=(const ClauseStore&) = delete;
+
+  /// Forgets every clause, keeping the arena's chunks and the ref table's
+  /// capacity (see util::ClauseArena::reset).
+  void reset() {
+    arena_->reset();
+    refs_.clear();
+  }
 
   [[nodiscard]] bool contains(ClauseId id) const {
     return id < refs_.size() && refs_[id] != util::ClauseArena::kNullRef;
@@ -120,12 +122,10 @@ class ClauseStore {
     refs_[id] = util::ClauseArena::kNullRef;
   }
 
-  [[nodiscard]] util::ClauseArena& arena() { return *arena_; }
   [[nodiscard]] const util::ClauseArena& arena() const { return *arena_; }
 
  private:
-  util::ClauseArena owned_;     ///< backing store for the default ctor
-  util::ClauseArena* arena_;    ///< &owned_, or the borrowed external arena
+  util::ClauseArena* arena_;
   std::vector<util::ClauseArena::Ref> refs_;
 };
 
@@ -155,6 +155,10 @@ class DerivationIndex {
  public:
   explicit DerivationIndex(ClauseId num_original)
       : num_original_(num_original) {}
+
+  /// Empties the index for a trace with `num_original` originals, keeping
+  /// the pool's and the entries' capacity.
+  void reset(ClauseId num_original);
 
   /// Reserves pool room for `n` more sources in one allocation. It
   /// reserves address space only: pages become resident as sources are
@@ -282,6 +286,10 @@ class Level0Table {
   /// Prepares a table for `num_vars` variables.
   explicit Level0Table(Var num_vars);
 
+  /// Empties the table and sizes it for `num_vars` variables, keeping its
+  /// capacity.
+  void reset(Var num_vars);
+
   /// Registers one Level0 (implied assignment) record. Throws CheckFailure
   /// on a repeated or out-of-range variable.
   void add(Var var, bool value, ClauseId antecedent);
@@ -331,6 +339,95 @@ class Level0Table {
   std::vector<Entry> entries_;
   std::size_t count_ = 0;
   std::size_t num_assumed_ = 0;
+};
+
+/// The memory a replay check works in, kept between checks: the buffers
+/// every check fills and would otherwise allocate, and page-fault, anew.
+/// Each thread has one (this_thread()), created by its first check and
+/// kept until the thread exits, so a thread that checks repeatedly (a
+/// satproofd worker, a benchmark pass) maps and faults them once. A check
+/// borrows it through a CheckMemoryLease and re-initialises every table
+/// it uses; arenas restart their counters, so stats, verdicts and
+/// certificates do not depend on what ran before. peak_mem_bytes stays
+/// the logical accounting of what the check holds, not what is mapped.
+class CheckMemory {
+ public:
+  /// One depth-first lane's buffers. Lane 0 is the calling thread's; its
+  /// arena and resolver also serve the breadth-first and window checkers.
+  /// Aligned so that lanes writing their own arenas share no cache line.
+  struct alignas(64) Lane {
+    util::ClauseArena arena;
+    ChainResolver chain;
+    std::vector<std::uint32_t> round;  ///< the lane's share of a round
+    std::vector<ClauseId> stack;       ///< clauses it claimed and builds
+  };
+
+  CheckMemory();
+  CheckMemory(const CheckMemory&) = delete;
+  CheckMemory& operator=(const CheckMemory&) = delete;
+
+  /// The calling thread's workspace.
+  [[nodiscard]] static CheckMemory& this_thread();
+
+  /// Enables or disables every lane arena's binary tier (default on); the
+  /// layout tests check that the tier changes nothing.
+  void set_binary_tier(bool on);
+
+  /// Lane `i`, with its arena reset and its lists empty. Lanes are created
+  /// on first use and never move.
+  [[nodiscard]] Lane& lane(std::size_t i);
+
+  /// The depth-first slot table for IDs below `n`, every slot null.
+  [[nodiscard]] std::span<std::atomic<const Lit*>> slots(std::size_t n);
+
+  /// The breadth-first and window clause store, reset, on lane 0's arena.
+  [[nodiscard]] ClauseStore& store();
+
+  /// Tables the checkers re-initialise themselves.
+  DerivationIndex derivations{0};
+  Level0Table level0{0};
+  // Depth-first, by ID: planned marks, and at jobs > 1 heights,
+  // consumers and lane hints; and its rounds.
+  std::vector<std::uint8_t> planned;
+  std::vector<std::uint32_t> height;
+  std::vector<std::uint32_t> consumer;
+  std::vector<std::uint32_t> lane_hint;
+  std::vector<std::uint32_t> round;
+  std::vector<std::uint32_t> originals;
+  std::vector<std::uint32_t> order;
+  // Window: the resident derivation IDs and one window's source lists.
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> win_pool;
+  std::vector<std::uint32_t> win_offset;
+
+ private:
+  friend class CheckMemoryLease;
+
+  bool binary_tier_ = true;  // before lanes_: lane(0) reads it
+  std::deque<Lane> lanes_;
+  ClauseStore store_;
+  std::unique_ptr<std::atomic<const Lit*>[]> slots_;
+  std::size_t slots_capacity_ = 0;
+  std::atomic<bool> in_use_{false};
+};
+
+/// A check's exclusive hold on a CheckMemory, released when it goes out of
+/// scope, a throw included. It holds `requested`, or the calling thread's
+/// workspace when that is null; when that workspace is already held (a
+/// check started from inside another's observer callback), it holds a
+/// private workspace of its own instead, freed with the lease.
+class CheckMemoryLease {
+ public:
+  explicit CheckMemoryLease(CheckMemory* requested);
+  ~CheckMemoryLease();
+  CheckMemoryLease(const CheckMemoryLease&) = delete;
+  CheckMemoryLease& operator=(const CheckMemoryLease&) = delete;
+
+  [[nodiscard]] CheckMemory& operator*() const { return *memory_; }
+
+ private:
+  std::unique_ptr<CheckMemory> private_;
+  CheckMemory* memory_;
 };
 
 /// What scan_trace() gathers besides the derivation records it hands on.

@@ -52,21 +52,29 @@ void cpu_relax() {
 class DepthFirstChecker {
  public:
   DepthFirstChecker(const Formula& f, trace::TraceReader& reader,
-                    const DepthFirstOptions& options)
+                    const DepthFirstOptions& options, CheckMemory& memory)
       : formula_(&f),
         canonical_(f),
         reader_(&reader),
-        level0_(reader.num_vars()),
-        derivations_(reader.num_original()),
+        memory_(&memory),
+        level0_(memory.level0),
+        derivations_(memory.derivations),
         num_original_(reader.num_original()),
-        observer_(options.observer) {
+        observer_(options.observer),
+        planned_(memory.planned),
+        round_(memory.round),
+        originals_(memory.originals),
+        height_(memory.height),
+        consumer_(memory.consumer),
+        lane_hint_(memory.lane_hint),
+        order_(memory.order) {
+    level0_.reset(reader.num_vars());
+    derivations_.reset(num_original_);
     unsigned jobs = options.jobs;
     if (jobs == 0) jobs = std::thread::hardware_concurrency();
-    lanes_ = std::vector<Lane>(std::max(jobs, 1u));
-    for (Lane& lane : lanes_) lane.arena = &lane.own_arena;
-    if (options.recycle_arena != nullptr) {
-      lanes_[0].arena = options.recycle_arena;
-    }
+    jobs = std::max(jobs, 1u);
+    lanes_.reserve(jobs);
+    for (unsigned l = 0; l < jobs; ++l) lanes_.emplace_back(memory.lane(l));
   }
 
   CheckResult run(bool collect_core) {
@@ -78,7 +86,7 @@ class DepthFirstChecker {
       {
         obs::Span span("index");
         const std::size_t limit = derivations_.id_limit();
-        slots_ = std::vector<std::atomic<const Lit*>>(limit);
+        slots_ = memory_->slots(limit);
         planned_.assign(limit, kUnplanned);
         if (lanes_.size() > 1) {
           height_.assign(limit, 0);
@@ -116,9 +124,9 @@ class DepthFirstChecker {
     // Nothing is released, so each lane's arena peak is all it built and
     // their sum is the same at any job count.
     for (const Lane& lane : lanes_) {
-      stats_.arena_peak_bytes += lane.arena->peak_bytes();
-      stats_.arena_allocated_bytes += lane.arena->allocated_bytes();
-      stats_.arena_recycled_bytes += lane.arena->recycled_bytes();
+      stats_.arena_peak_bytes += lane.arena.peak_bytes();
+      stats_.arena_allocated_bytes += lane.arena.allocated_bytes();
+      stats_.arena_recycled_bytes += lane.arena.recycled_bytes();
       stats_.resolutions += lane.stats.resolutions;
       stats_.clauses_built += lane.stats.clauses_built;
       stats_.core_original_clauses += lane.stats.core_original_clauses;
@@ -137,15 +145,20 @@ class DepthFirstChecker {
   }
 
  private:
-  /// One worker's state; lane 0 runs on the calling thread. Arena blocks
-  /// stay put for the whole check. Aligned so that lanes' counters do not
-  /// share a cache line.
+  /// One worker's state; lane 0 runs on the calling thread. Its buffers
+  /// are the workspace's lane of the same index; arena blocks stay put for
+  /// the whole check. Aligned so that lanes' counters do not share a cache
+  /// line.
   struct alignas(64) Lane {
-    util::ClauseArena own_arena;
-    util::ClauseArena* arena = nullptr;  ///< own_arena or the recycled one
-    ChainResolver chain;
-    std::vector<ClauseId> stack;  ///< build()'s claimed clauses
-    std::vector<std::uint32_t> round;  ///< its share of order_, in order
+    explicit Lane(CheckMemory::Lane& memory)
+        : arena(memory.arena),
+          chain(memory.chain),
+          stack(memory.stack),
+          round(memory.round) {}
+    util::ClauseArena& arena;
+    ChainResolver& chain;
+    std::vector<ClauseId>& stack;  ///< build()'s claimed clauses
+    std::vector<std::uint32_t>& round;  ///< its share of order_, in order
     CheckStats stats;  ///< resolutions, clauses_built, core_original_clauses
     /// This round's failing clauses and their diagnostics.
     std::vector<std::pair<ClauseId, std::string>> failures;
@@ -466,7 +479,7 @@ class DepthFirstChecker {
       return kFailed;
     }
     ++lane.stats.core_original_clauses;
-    return lane.arena->tagged_block(lane.arena->put(canonical_.clause(id)));
+    return lane.arena.tagged_block(lane.arena.put(canonical_.clause(id)));
   }
 
   /// Replays derivation `id`, whose sources are all published: a left fold
@@ -492,7 +505,7 @@ class DepthFirstChecker {
       }
     }
     ++lane.stats.clauses_built;
-    return lane.arena->tagged_block(lane.arena->put(lane.chain.lits()));
+    return lane.arena.tagged_block(lane.arena.put(lane.chain.lits()));
   }
 
   static bool finished(const Lit* block) {
@@ -536,26 +549,28 @@ class DepthFirstChecker {
   const Formula* formula_;
   const CanonicalOriginals canonical_;
   trace::TraceReader* reader_;
-  Level0Table level0_;
-  DerivationIndex derivations_;
+  CheckMemory* memory_;
+  // The tables below live in memory_ and are re-initialised by this check.
+  Level0Table& level0_;
+  DerivationIndex& derivations_;
   ClauseId num_original_;  ///< cached: TraceReader's accessor is virtual
   CertObserver* observer_;
   /// Tagged arena block pointers by ID: null until the clause is built or
   /// a lane claims it, kBuilding (kWaiting once another lane blocks on it)
   /// until that lane publishes the block, or kFailed when it or a source
   /// failed.
-  std::vector<std::atomic<const Lit*>> slots_;
-  std::vector<std::uint8_t> planned_;  ///< per ID: kUnplanned, ...
+  std::span<std::atomic<const Lit*>> slots_;
+  std::vector<std::uint8_t>& planned_;  ///< per ID: kUnplanned, ...
   // Rounds hold 32-bit IDs: DerivationIndex rejects larger ones.
-  std::vector<std::uint32_t> round_;      ///< the current round, ascending
-  std::vector<std::uint32_t> originals_;  ///< schedule()'s originals found
+  std::vector<std::uint32_t>& round_;      ///< the current round, ascending
+  std::vector<std::uint32_t>& originals_;  ///< schedule()'s originals found
   // deal()'s state (jobs > 1 only).
-  std::vector<std::uint32_t> height_;     ///< per ID
-  std::vector<std::uint32_t> consumer_;   ///< per ID: set the height last
-  std::vector<std::uint32_t> lane_hint_;  ///< per ID: lane + 1 handed to it
+  std::vector<std::uint32_t>& height_;     ///< per ID
+  std::vector<std::uint32_t>& consumer_;   ///< per ID: set the height last
+  std::vector<std::uint32_t>& lane_hint_;  ///< per ID: lane + 1 handed to it
   std::uint32_t base_ = 0;  ///< the highest height of planned rounds
   std::uint32_t round_base_ = 0;  ///< base_ before the current round
-  std::vector<std::uint32_t> order_;  ///< the current round, by height
+  std::vector<std::uint32_t>& order_;  ///< the current round, by height
   std::map<ClauseId, std::string> failures_;  ///< failing clauses so far
   std::vector<Lane> lanes_;                   ///< one per job
   std::optional<util::ThreadPool> pool_;      ///< jobs - 1 threads
@@ -567,7 +582,8 @@ class DepthFirstChecker {
 
 CheckResult check_depth_first(const Formula& f, trace::TraceReader& reader,
                               const DepthFirstOptions& options) {
-  DepthFirstChecker checker(f, reader, options);
+  const CheckMemoryLease memory(options.memory);
+  DepthFirstChecker checker(f, reader, options, *memory);
   return checker.run(options.collect_core);
 }
 

@@ -17,12 +17,10 @@ struct DepthFirstOptions {
   /// extra beyond returning the list.
   bool collect_core = true;
 
-  /// When non-null, lane 0 (the calling thread's) stores its clauses in
-  /// this arena instead of growing a private one (satproofd workers pass
-  /// their per-worker arena, reset() between jobs, so chunk memory is
-  /// reused across checks). Reported arena statistics are identical
-  /// either way.
-  util::ClauseArena* recycle_arena = nullptr;
+  /// The workspace the check runs in; null, the default, means the
+  /// calling thread's (see CheckMemory). Every lane's arena comes from it.
+  /// Results are identical in any workspace.
+  CheckMemory* memory = nullptr;
 
   /// When non-null, receives the derivation events (the LRAT certificate
   /// emitter and the proof-DAG extractor hook in here): after each round,

@@ -26,17 +26,26 @@ static_assert(derivation_record_bytes(1) - derivation_record_bytes(0) >=
 class WindowChecker {
  public:
   WindowChecker(const Formula& f, trace::TraceReader& reader,
-                const WindowOptions& options)
+                const WindowOptions& options, CheckMemory& memory)
       : formula_(&f),
         canonical_(f),
         reader_(&reader),
         num_original_(reader.num_original()),
         num_vars_(reader.num_vars()),
         options_(options),
-        level0_(num_vars_),
+        level0_(memory.level0),
         counts_(make_use_count_store(options.use_counts)),
-        store_(options.recycle_arena),
-        observer_(options.observer) {}
+        ids_(memory.ids),
+        win_offset_(memory.win_offset),
+        win_pool_(memory.win_pool),
+        store_(memory.store()),
+        chain_(memory.lane(0).chain),
+        observer_(options.observer) {
+    level0_.reset(num_vars_);
+    ids_.clear();
+    win_offset_.clear();
+    win_pool_.clear();
+  }
 
   CheckResult run() {
     CheckResult result;
@@ -500,14 +509,14 @@ class WindowChecker {
   ClauseId num_original_;
   Var num_vars_;
   WindowOptions options_;
-  Level0Table level0_;
+  Level0Table& level0_;  ///< the workspace's, like ids_ and the CSR
   std::unique_ptr<UseCountStore> counts_;
   ClauseId final_id_ = kInvalidClauseId;
 
   // Resident index (pass A): derivation IDs (32-bit, bounded at scan
   // time) and the window table — a few bytes per derivation, never the
   // source lists.
-  std::vector<std::uint32_t> ids_;
+  std::vector<std::uint32_t>& ids_;
   std::vector<Window> windows_;
   std::vector<bool> reachable_;
   bool dense_ids_ = true;
@@ -517,8 +526,8 @@ class WindowChecker {
 
   // One window's source lists (reused CSR buffers), which window they
   // hold, and how many derivation records the reader has passed.
-  std::vector<std::uint32_t> win_offset_;
-  std::vector<std::uint32_t> win_pool_;
+  std::vector<std::uint32_t>& win_offset_;
+  std::vector<std::uint32_t>& win_pool_;
   std::size_t win_bytes_ = 0;
   std::size_t loaded_ = kNoWindow;
   std::size_t reader_derivs_ = 0;
@@ -527,10 +536,10 @@ class WindowChecker {
   std::vector<std::uint8_t> core_seen_;  ///< per-original core membership
   std::uint64_t core_count_ = 0;
 
-  ClauseStore store_;
+  ClauseStore& store_;
   std::vector<std::uint64_t> ord_scratch_;        ///< per-chain ordinals
   std::vector<std::uint64_t> exhausted_scratch_;  ///< zeroed this chain
-  ChainResolver chain_;
+  ChainResolver& chain_;
   util::MemTracker mem_;
   CheckStats stats_;
   CertObserver* observer_ = nullptr;
@@ -540,7 +549,8 @@ class WindowChecker {
 
 CheckResult check_window(const Formula& f, trace::TraceReader& reader,
                          const WindowOptions& options) {
-  WindowChecker checker(f, reader, options);
+  const CheckMemoryLease memory(options.memory);
+  WindowChecker checker(f, reader, options, *memory);
   return checker.run();
 }
 

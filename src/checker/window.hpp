@@ -22,9 +22,9 @@ struct WindowOptions {
   /// Use-count storage, as in the breadth-first checker.
   UseCountMode use_counts = UseCountMode::InMemory;
 
-  /// When non-null, clause storage borrows this arena instead of growing a
-  /// private one (see DepthFirstOptions::recycle_arena).
-  util::ClauseArena* recycle_arena = nullptr;
+  /// The workspace the check runs in; null means the calling thread's
+  /// (see DepthFirstOptions::memory).
+  CheckMemory* memory = nullptr;
 
   /// When true and the check succeeds, CheckResult::core is filled with
   /// the sorted original-clause IDs of the unsatisfiable core —

@@ -214,10 +214,9 @@ void bump_global_counters(const JobOutcome& out) {
 
 JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
                      Backend backend, unsigned jobs,
-                     util::ClauseArena* recycle_arena,
+                     checker::CheckMemory* memory,
                      const CertOptions& cert, std::size_t mem_limit_bytes) {
   obs::Span check_span("check");
-  if (recycle_arena != nullptr) recycle_arena->reset();
   JobOutcome out;
   out.backend = backend;
   const bool certify = cert.sink != nullptr;
@@ -297,7 +296,7 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
     switch (backend) {
       case Backend::kBf: {
         checker::BreadthFirstOptions bopts;
-        bopts.recycle_arena = recycle_arena;
+        bopts.memory = memory;
         res = checker::check_breadth_first(f, *reader, bopts);
         break;
       }
@@ -310,7 +309,7 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         if (mem_limit_bytes != 0 || backend == Backend::kHybrid) {
           wopts.mem_limit_bytes = mem_limit_bytes;
         }
-        wopts.recycle_arena = recycle_arena;
+        wopts.memory = memory;
         wopts.observer = emitter.get();
         res = checker::check_window(f, *reader, wopts);
         break;
@@ -322,7 +321,7 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         // `jobs` lanes.
         checker::DepthFirstOptions dopts;
         dopts.jobs = backend == Backend::kParallel ? jobs : 1;
-        dopts.recycle_arena = recycle_arena;
+        dopts.memory = memory;
         dopts.observer = emitter.get();
         res = checker::check_depth_first(f, *reader, dopts);
         break;

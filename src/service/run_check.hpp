@@ -130,11 +130,11 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 /// runs on one lane. The DRUP and RUP `drup_propagations` depend on it;
 /// their verdicts and other counts do not.
 ///
-/// `recycle_arena`, when non-null, backs the df/bf/hybrid/window clause
-/// store (for parallel, its calling-thread lane's) so repeated checks on
-/// one thread reuse already-mapped chunks (it is reset() before use; the
-/// DRUP and RUP backends manage their own storage and ignore it).
-/// Outcomes are byte-identical either way.
+/// `memory` is the workspace the df, parallel, bf, hybrid and window
+/// backends check in; null, the default, means the calling thread's, so
+/// repeated checks on one thread reuse already-mapped buffers (see
+/// checker::CheckMemory). The DRUP and RUP backends manage their own
+/// storage and ignore it. Outcomes are byte-identical either way.
 /// `cert`, when its sink is non-null, streams an LRAT certificate of the
 /// replay to that sink (backends for which can_certify() holds — others
 /// fail the job). A certified run demands unconditional unsatisfiability:
@@ -152,7 +152,7 @@ void write_check_stats(util::JsonWriter& w, const checker::CheckStats& stats);
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,
-                                   util::ClauseArena* recycle_arena = nullptr,
+                                   checker::CheckMemory* memory = nullptr,
                                    const CertOptions& cert = {},
                                    std::size_t mem_limit_bytes = 0);
 

@@ -148,7 +148,8 @@ ServerMetrics::ServerMetrics(obs::MetricsRegistry& r,
         &SchedulerSnapshot::queue_capacity);
   gauge("satproofd_running_jobs", "Jobs currently executing.",
         &SchedulerSnapshot::running_jobs);
-  gauge("satproofd_workers", "Checker worker threads (one clause arena each).",
+  gauge("satproofd_workers",
+        "Checker worker threads (one reused check workspace each).",
         &SchedulerSnapshot::workers);
   for (const Lane lane : {Lane::kFast, Lane::kBulk}) {
     lane_enqueued_[static_cast<std::size_t>(lane)] =
@@ -735,16 +736,13 @@ void Server::sweep_idle(std::uint64_t now_us) {
 // ----------------------------------------------------------------------
 
 void Server::worker_main() {
-  // One arena per worker, reused across every job this worker runs:
-  // concurrent checks never contend on clause allocation, and steady
-  // traffic recycles chunk memory instead of round-tripping malloc.
-  util::ClauseArena arena;
-  while (auto job = queue_.pop_blocking()) {
-    execute_job(std::move(*job), arena);
-  }
+  // Every job on this thread checks in the thread's own workspace
+  // (checker::CheckMemory), so concurrent checks never contend on
+  // allocation and steady traffic reuses already-mapped buffers.
+  while (auto job = queue_.pop_blocking()) execute_job(std::move(*job));
 }
 
-void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
+void Server::execute_job(QueuedJob job) {
   JobRequest request = std::move(job.request);
   running_jobs_.fetch_add(1);
   const auto start = Clock::now();
@@ -786,7 +784,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
       cert.sink = &cert_sink;
       outcome = run_check(request.cnf_file.path().string(),
                           request.trace_file.path().string(), request.backend,
-                          request.jobs, &arena, cert,
+                          request.jobs, nullptr, cert,
                           options_.mem_limit_bytes);
       outcome.certificate = std::move(cert_sink).str();
       if (options_.certify && outcome.ok) {
@@ -810,7 +808,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
     } else {
       outcome = run_check(request.cnf_file.path().string(),
                           request.trace_file.path().string(), request.backend,
-                          request.jobs, &arena, {}, options_.mem_limit_bytes);
+                          request.jobs, nullptr, {}, options_.mem_limit_bytes);
     }
     run_span.finish();
     if (has_deadline && Clock::now() > deadline) {

@@ -16,7 +16,6 @@
 #include "src/service/job_queue.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/run_check.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/epoll.hpp"
 #include "src/util/socket.hpp"
 
@@ -112,7 +111,7 @@ class ServerMetrics {
 /// the listeners, a drain pipe, a completion pipe, and every live
 /// connection — all non-blocking, so a slow or stalled uploader costs a
 /// buffer, never a thread, and dead connections are reaped the moment
-/// they close. N worker threads (one recycled ClauseArena each) take
+/// they close. N worker threads (one reused check workspace each) take
 /// jobs fast-lane-first, oldest-first from the one queue; finished
 /// results travel back to the I/O thread over the completion pipe for
 /// non-blocking delivery.
@@ -195,7 +194,7 @@ class Server {
   [[nodiscard]] bool drain_complete() const;
 
   void worker_main();
-  void execute_job(QueuedJob job, util::ClauseArena& arena);
+  void execute_job(QueuedJob job);
 
   ServerOptions options_;
   unsigned worker_count_ = 1;

@@ -143,12 +143,13 @@ class ClauseArena {
   [[nodiscard]] std::size_t live_clauses() const { return live_clauses_; }
 
   /// Forgets every clause while keeping the chunk memory mapped, so a
-  /// long-lived arena (one per satproofd worker) serves its next check
-  /// without re-growing through malloc. All refs become invalid. Counters,
-  /// free lists, and the live-bytes tracker restart from zero, so the
-  /// per-run statistics (allocated / recycled / peak) are identical to a
-  /// freshly constructed arena's — they count clause-block bytes, which do
-  /// not depend on how chunk memory was obtained.
+  /// long-lived arena (a lane of a thread's checker::CheckMemory) serves
+  /// its next check without re-growing through malloc. All refs become
+  /// invalid. Counters, free lists, and the live-bytes tracker restart
+  /// from zero, so the per-run statistics (allocated / recycled / peak)
+  /// are identical to a freshly constructed arena's — they count
+  /// clause-block bytes, which do not depend on how chunk memory was
+  /// obtained.
   void reset();
 
  private:

@@ -39,6 +39,9 @@ struct LadderOptions {
   bool unreached_corruption = false;
   /// Seeds the walkers (xorshift; must not be 0).
   std::uint64_t seed = 1;
+  /// Random steps per ladder before the climb to the top; each derives
+  /// one clause from five sources.
+  std::uint64_t steps_per_ladder = 48;
 };
 
 /// 16 ladders of 64 rungs. Ladder w has the unit (v_0) and the implications
@@ -51,7 +54,7 @@ struct LadderOptions {
 /// ladders share a clause below the join.
 inline LadderTrace ladder_trace(const LadderOptions& options = {}) {
   constexpr std::uint64_t kLadders = 16, kRungs = 64, kChain = 4;
-  constexpr std::uint64_t kSteps = 48 * kLadders;
+  const std::uint64_t steps = options.steps_per_ladder * kLadders;
   constexpr std::uint64_t kPerLadder = 1 + 2 * (kRungs - 1);
   const auto var = [](std::uint64_t w, std::uint64_t i) {
     return static_cast<Var>(w * kRungs + i);
@@ -107,8 +110,8 @@ inline LadderTrace ladder_trace(const LadderOptions& options = {}) {
     rng ^= rng << 17;
     return rng;
   };
-  for (std::uint64_t n = 0; n < kSteps; ++n) {
-    if (options.unreached_corruption && n == kSteps / 2) {
+  for (std::uint64_t n = 0; n < steps; ++n) {
+    if (options.unreached_corruption && n == steps / 2) {
       const std::vector<ClauseId> no_clash{up(0, 0), up(0, kRungs / 2)};
       w.derivation(next_id++, no_clash);
     }

@@ -19,9 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cert/lrat_emitter.hpp"
@@ -30,13 +38,18 @@
 #include "src/checker/drup.hpp"
 #include "src/checker/hybrid.hpp"
 #include "src/checker/window.hpp"
+#include "src/cnf/dimacs.hpp"
+#include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/encode/suite.hpp"
 #include "src/proof/rup.hpp"
+#include "src/service/run_check.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/binary.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
 #include "src/util/arena.hpp"
+#include "src/util/temp_file.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace satproof {
@@ -68,7 +81,7 @@ class LazyChecker {
         num_original_(reader.num_original()),
         level0_(reader.num_vars()),
         derivations_(num_original_),
-        store_(arena) {}
+        store_(*arena) {}
 
   Outcome run() {
     Outcome out;
@@ -208,11 +221,12 @@ reference::Outcome run_df(const Formula& f, const trace::MemoryTrace& t,
   trace::MemoryTraceReader reader(t);
   checker::DepthFirstOptions options;
   options.jobs = jobs;
-  // The binary tier is an arena property; an external arena with the tier
-  // toggled passes through the same recycle_arena seam satproofd uses.
-  util::ClauseArena arena;
-  arena.set_binary_tier(binary_tier);
-  options.recycle_arena = &arena;
+  // The binary tier is an arena property; a workspace with the tier
+  // toggled on every lane passes through the CheckMemory seam every check
+  // borrows its arenas from.
+  checker::CheckMemory memory;
+  memory.set_binary_tier(binary_tier);
+  options.memory = &memory;
   BuiltSet built;
   options.observer = &built;
   reference::Outcome out{checker::check_depth_first(f, reader, options), {}};
@@ -227,9 +241,9 @@ checker::CheckResult run_window(const Formula& f, const trace::MemoryTrace& t,
   checker::WindowOptions options;
   options.mem_limit_bytes = 1 << 20;
   options.collect_core = true;
-  util::ClauseArena arena;
-  arena.set_binary_tier(binary_tier);
-  options.recycle_arena = &arena;
+  checker::CheckMemory memory;
+  memory.set_binary_tier(binary_tier);
+  options.memory = &memory;
   return checker::check_window(f, reader, options);
 }
 
@@ -434,6 +448,271 @@ TEST_P(RespelledFormula, EveryBackendChecksItLikeTheOriginal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, RespelledFormula, ::testing::Range(0, 10));
+
+// ---- memory between checks --------------------------------------------------
+//
+// Every replay check borrows its thread's CheckMemory, so the buffers one
+// check leaves behind are the next check's starting point. That must not
+// show: each check of a mixed sequence on one thread, one that fails
+// mid-load included, must equal the same check on a fresh thread.
+
+/// What one check shows: the resolution backends' result, RUP's counts,
+/// and LRAT text where the row emits it.
+struct Observed {
+  checker::CheckResult result;
+  proof::RupResult rup;
+  std::string lrat;
+};
+
+enum class Row { kDf, kDfOnLanes, kBf, kHybrid, kWindow, kRup, kDfLrat };
+constexpr Row kRows[] = {Row::kDf,     Row::kDfOnLanes, Row::kBf,
+                         Row::kHybrid, Row::kWindow,    Row::kRup,
+                         Row::kDfLrat};
+const char* const kRowNames[] = {"df",     "df jobs=4", "bf",      "hybrid",
+                                 "window", "rup",       "df lrat"};
+
+Observed check_row(Row row, const Formula& f, const trace::MemoryTrace& t) {
+  Observed out;
+  trace::MemoryTraceReader reader(t);
+  switch (row) {
+    case Row::kDf:
+    case Row::kDfOnLanes:
+      out.result = checker::check_depth_first(
+          f, reader, {.jobs = row == Row::kDf ? 1u : 4u});
+      break;
+    case Row::kBf:
+      out.result = checker::check_breadth_first(f, reader);
+      break;
+    case Row::kHybrid:
+      out.result = checker::check_hybrid(f, reader);
+      break;
+    case Row::kWindow: {
+      checker::WindowOptions options;
+      options.mem_limit_bytes = 64 << 10;
+      options.collect_core = true;
+      out.result = checker::check_window(f, reader, options);
+      break;
+    }
+    case Row::kRup:
+      out.rup = proof::check_trace_rup(f, reader, 1);
+      break;
+    case Row::kDfLrat: {
+      std::ostringstream sink;
+      cert::TextLratWriter writer(sink);
+      cert::LratEmitter emitter(writer, f.num_clauses());
+      out.result =
+          checker::check_depth_first(f, reader, {.observer = &emitter});
+      out.lrat = std::move(sink).str();
+      break;
+    }
+  }
+  return out;
+}
+
+Observed check_on_fresh_thread(Row row, const Formula& f,
+                               const trace::MemoryTrace& t) {
+  Observed out;
+  std::thread([&] { out = check_row(row, f, t); }).join();
+  return out;
+}
+
+void expect_same_observed(const Observed& a, const Observed& b,
+                          const std::string& what) {
+  expect_identical(a.result, b.result, what);
+  EXPECT_EQ(a.rup.ok, b.rup.ok) << what;
+  EXPECT_EQ(a.rup.error, b.rup.error) << what;
+  EXPECT_EQ(a.rup.clauses_checked, b.rup.clauses_checked) << what;
+  EXPECT_EQ(a.rup.propagations, b.rup.propagations) << what;
+  EXPECT_EQ(a.lrat, b.lrat) << what;
+}
+
+struct NamedTrace {
+  std::string name;
+  Formula formula;
+  trace::MemoryTrace trace;
+};
+
+/// Over x1, x2: the four clauses of both variables and the tautology
+/// (x1 | x2 | ~x2) as clause 4. The trace derives clause 6 = (x2) from
+/// clauses 0 and 1 and clause 7 from clauses 2 and `partner`, and
+/// resolves `first_source` with clause 7 into the final conflict 8. With
+/// `partner` 3 and `first_source` 6 it is a valid refutation.
+NamedTrace two_variable_trace(std::string name, ClauseId partner,
+                              ClauseId first_source) {
+  NamedTrace c{std::move(name), Formula(2), {}};
+  const auto lit = [](int v) {
+    return v > 0 ? Lit::pos(static_cast<Var>(v - 1))
+                 : Lit::neg(static_cast<Var>(-v - 1));
+  };
+  for (const std::vector<int>& clause : std::vector<std::vector<int>>{
+           {1, 2}, {-1, 2}, {1, -2}, {-1, -2}, {1, 2, -2}}) {
+    std::vector<Lit> lits;
+    for (const int v : clause) lits.push_back(lit(v));
+    c.formula.add_clause(lits);
+  }
+  trace::MemoryTraceWriter w;
+  w.begin(2, 5);
+  w.derivation(6, std::vector<ClauseId>{0, 1});
+  w.derivation(7, std::vector<ClauseId>{2, partner});
+  w.derivation(8, std::vector<ClauseId>{first_source, 7});
+  w.final_conflict(8);
+  w.end();
+  c.trace = w.take();
+  return c;
+}
+
+/// The sequence the reuse tests run on one thread: a valid ladder; the
+/// ladder with a forward reference midway, which fails mid-load; a trace
+/// that fetches a tautological original; one that resolves with a clause
+/// it never derives; php8; and the ladder again.
+std::vector<NamedTrace> reuse_sequence() {
+  std::vector<NamedTrace> out;
+  test::LadderTrace ladder = test::ladder_trace();
+  NamedTrace broken{"ladder, forward reference midway", ladder.formula,
+                    ladder.trace};
+  auto& mid = broken.trace.derivations[broken.trace.derivations.size() / 2];
+  mid.sources[1] = mid.id + 1;
+  out.push_back({"ladder", ladder.formula, ladder.trace});
+  out.push_back(std::move(broken));
+  out.push_back(two_variable_trace("tautology fetched", 4, 6));
+  out.push_back(two_variable_trace("never-derived source", 3, 5));
+  {
+    const Formula php8 = encode::pigeonhole(8);
+    solver::Solver s;
+    s.add_formula(php8);
+    trace::MemoryTraceWriter w;
+    s.set_trace_writer(&w);
+    EXPECT_EQ(s.solve(), solver::SolveResult::Unsatisfiable);
+    out.push_back({"php8", php8, w.take()});
+  }
+  out.push_back({"ladder again", std::move(ladder.formula),
+                 std::move(ladder.trace)});
+  return out;
+}
+
+TEST(CheckMemory, ReusedMemoryChecksLikeAFreshThread) {
+  const std::vector<NamedTrace> sequence = reuse_sequence();
+  for (const NamedTrace& c : sequence) {
+    for (std::size_t k = 0; k < std::size(kRows); ++k) {
+      const std::string what = c.name + ", " + kRowNames[k];
+      const Observed here = check_row(kRows[k], c.formula, c.trace);
+      expect_same_observed(
+          here, check_on_fresh_thread(kRows[k], c.formula, c.trace), what);
+    }
+  }
+  // The rows that must reject do so, for the reason the trace encodes.
+  const auto df = [&](std::size_t i) {
+    return check_row(Row::kDf, sequence[i].formula, sequence[i].trace).result;
+  };
+  EXPECT_TRUE(df(0).ok);
+  EXPECT_NE(df(1).error.find("does not precede it"), std::string::npos)
+      << df(1).error;
+  EXPECT_EQ(df(2).error, checker::tautological_original(4));
+  EXPECT_NE(df(3).error.find("clause 5 is referenced but never derived"),
+            std::string::npos)
+      << df(3).error;
+  EXPECT_TRUE(df(4).ok);
+}
+
+/// Runs a whole check from inside the first on_derived callback of the
+/// check it observes, on the thread whose memory that check holds.
+class NestingObserver final : public checker::CertObserver {
+ public:
+  NestingObserver(const Formula& f, const trace::MemoryTrace& t)
+      : f_(&f), t_(&t) {}
+  void on_derived(ClauseId, std::span<const Lit>,
+                  std::span<const std::uint32_t>) override {
+    if (nested_.has_value()) return;
+    trace::MemoryTraceReader reader(*t_);
+    nested_ = checker::check_depth_first(*f_, reader, {.jobs = 4});
+  }
+  void on_released(ClauseId) override {}
+  void on_final(ClauseId, std::span<const ClauseId>,
+                std::span<const Lit>) override {}
+
+  std::optional<checker::CheckResult> nested_;
+
+ private:
+  const Formula* f_;
+  const trace::MemoryTrace* t_;
+};
+
+TEST(CheckMemory, NestedCheckGetsAPrivateWorkspace) {
+  const test::LadderTrace outer = test::ladder_trace();
+  test::LadderOptions seeded;
+  seeded.seed = 7;
+  const test::LadderTrace inner = test::ladder_trace(seeded);
+  NestingObserver observer(inner.formula, inner.trace);
+  trace::MemoryTraceReader reader(outer.trace);
+  const checker::CheckResult got = checker::check_depth_first(
+      outer.formula, reader, {.observer = &observer});
+  ASSERT_TRUE(observer.nested_.has_value());
+  EXPECT_TRUE(got.ok) << got.error;
+  EXPECT_TRUE(observer.nested_->ok) << observer.nested_->error;
+  expect_identical(
+      got, check_on_fresh_thread(Row::kDf, outer.formula, outer.trace).result,
+      "outer check");
+  expect_identical(
+      *observer.nested_,
+      check_on_fresh_thread(Row::kDfOnLanes, inner.formula, inner.trace)
+          .result,
+      "nested check");
+  // The thread's memory is free again afterwards.
+  expect_identical(check_row(Row::kDf, outer.formula, outer.trace).result,
+                   got, "after the nested check");
+}
+
+#if defined(__linux__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kCountsThreadFaults = true;
+#else
+constexpr bool kCountsThreadFaults = false;  // sanitizer allocators differ
+#endif
+
+/// Minor page faults taken by the calling thread so far.
+long thread_minor_faults() {
+#if defined(__linux__)
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+#else
+  return 0;
+#endif
+}
+
+TEST(CheckMemory, RepeatedCheckDoesNotFaultItsBuffersAgain) {
+  if (!kCountsThreadFaults) {
+    GTEST_SKIP() << "needs Linux per-thread fault counts and the system "
+                    "allocator";
+  }
+  // A ladder whose binary trace is about 4 MiB: the source pool reserved
+  // for it is too large for the allocator to recycle between checks.
+  test::LadderOptions options;
+  options.steps_per_ladder = 12000;
+  const test::LadderTrace ladder = test::ladder_trace(options);
+  util::TempFile cnf("memory-cnf");
+  util::TempFile trace_file("memory-trace");
+  dimacs::write_file(cnf.path(), ladder.formula);
+  {
+    std::ofstream out(trace_file.path(), std::ios::binary);
+    trace::BinaryTraceWriter w(out);
+    test::write_trace(ladder.trace, w);
+  }
+  ASSERT_GE(std::filesystem::file_size(trace_file.path()), 3u << 20);
+  // A fresh thread, so that the first check is its memory's first.
+  long faults[2] = {0, 0};
+  std::thread([&] {
+    for (long& n : faults) {
+      const long before = thread_minor_faults();
+      const service::JobOutcome o = service::run_check(
+          cnf.path(), trace_file.path(), service::Backend::kDf);
+      n = thread_minor_faults() - before;
+      EXPECT_TRUE(o.ok) << o.error;
+    }
+  }).join();
+  EXPECT_LT(faults[1] * 4, faults[0])
+      << "first check " << faults[0] << " faults, second " << faults[1];
+}
 
 }  // namespace
 }  // namespace satproof

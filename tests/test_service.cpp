@@ -252,6 +252,35 @@ TEST_F(ServiceE2E, OneConnectionCanCarryManyJobs) {
             std::string::npos);
 }
 
+// A worker checks every job in its thread's one reused workspace: the
+// second run of a job finds the first one's buffers, and must not show it.
+TEST_F(ServiceE2E, RepeatedJobOnOneWorkerGetsIdenticalReplies) {
+  start_server();  // one worker
+  const Backend backends[] = {Backend::kDf, Backend::kParallel, Backend::kBf,
+                              Backend::kHybrid, Backend::kWindow};
+  for (const bool certify : {false, true}) {
+    for (const Backend backend : backends) {
+      if (certify && !can_certify(backend)) continue;
+      const std::string what = std::string(backend_name(backend)) +
+                               (certify ? " certified" : "");
+      Client::SubmitReply replies[2];
+      for (Client::SubmitReply& reply : replies) {
+        Client client = connect();
+        reply = client.submit(fx_->php8(), fx_->trace8(), backend,
+                              /*wait=*/true, /*jobs=*/4, /*timeout_ms=*/0,
+                              certify);
+        ASSERT_TRUE(reply.transport_ok) << what << ": " << reply.error;
+        ASSERT_EQ(reply.status, JobStatus::kOk) << what << ": "
+                                                << reply.verdict;
+      }
+      EXPECT_EQ(replies[0].verdict, replies[1].verdict) << what;
+      EXPECT_EQ(replies[0].result_json, replies[1].result_json) << what;
+      EXPECT_EQ(replies[0].have_certificate, certify) << what;
+      EXPECT_EQ(replies[0].certificate, replies[1].certificate) << what;
+    }
+  }
+}
+
 TEST_F(ServiceE2E, ConcurrentClientsAllVerify) {
   ServerOptions opts;
   opts.workers = 2;
@@ -889,7 +918,7 @@ satproofd_queue_capacity
 # HELP satproofd_running_jobs Jobs currently executing.
 # TYPE satproofd_running_jobs gauge
 satproofd_running_jobs
-# HELP satproofd_workers Checker worker threads (one clause arena each).
+# HELP satproofd_workers Checker worker threads (one reused check workspace each).
 # TYPE satproofd_workers gauge
 satproofd_workers
 # HELP satproofd_lane_jobs_enqueued_total Jobs admitted, by priority lane.

@@ -131,7 +131,7 @@ usage:
       run satproofd, the batch proof-checking daemon (see docs/SERVICE.md)
       --socket PATH    listen on a unix-domain socket (first-class)
       --tcp PORT       also listen on 127.0.0.1:PORT (0 = ephemeral)
-      --workers N      checker worker threads, one clause arena each
+      --workers N      checker worker threads, one reused check workspace each
                        (default: all hardware threads)
       --queue N        pending-job capacity before BUSY (default 64)
       --timeout-ms N   default per-job wall-clock budget (0 = unlimited)
