@@ -395,9 +395,9 @@ class CheckMemory {
   std::vector<std::uint32_t> round;
   std::vector<std::uint32_t> originals;
   std::vector<std::uint32_t> order;
-  // Window: the resident derivation IDs and one window's source lists.
+  // Window: the resident derivation IDs and one window's source-list
+  // offsets; the lists themselves go in derivations' pool.
   std::vector<std::uint32_t> ids;
-  std::vector<std::uint32_t> win_pool;
   std::vector<std::uint32_t> win_offset;
 
  private:

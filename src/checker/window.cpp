@@ -37,14 +37,17 @@ class WindowChecker {
         counts_(make_use_count_store(options.use_counts)),
         ids_(memory.ids),
         win_offset_(memory.win_offset),
-        win_pool_(memory.win_pool),
+        win_pool_(memory.derivations.pool()),
         store_(memory.store()),
         chain_(memory.lane(0).chain),
         observer_(options.observer) {
     level0_.reset(num_vars_);
+    // The window's source lists reuse the derivation index's pool: a
+    // workspace serves one check at a time, and each depth-first check
+    // resets the index before use.
+    memory.derivations.reset(num_original_);
     ids_.clear();
     win_offset_.clear();
-    win_pool_.clear();
   }
 
   CheckResult run() {
